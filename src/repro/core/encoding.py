@@ -105,50 +105,78 @@ _MODE_TAGS = MODE_TAGS
 _TAG_MODES = TAG_MODES
 
 
+_BRANCH = {"0": 0, "1": 1}
+_UDIS_BITS = 1 + COUNTER_BITS + SITE_ID_BITS
+_SDIS_BITS = 1 + SITE_ID_BITS
+_SITE_MASK = (1 << SITE_ID_BITS) - 1
+
+
+def _dis_field(dis: Disambiguator) -> Tuple[int, int]:
+    """A disambiguator as one ``(value, width)`` field: the tag bit,
+    then the payload (counter and site are range-checked when the
+    :class:`Udis` / :class:`Sdis` is built)."""
+    if isinstance(dis, Udis):
+        return (((_DIS_UDIS << COUNTER_BITS | dis.counter) << SITE_ID_BITS)
+                | dis.site, _UDIS_BITS)
+    if isinstance(dis, Sdis):
+        return (_DIS_SDIS << SITE_ID_BITS) | dis.site, _SDIS_BITS
+    raise EncodingError(f"unknown disambiguator type {dis!r}")
+
+
 def write_disambiguator(writer: BitWriter, dis: Disambiguator) -> None:
     """Append a disambiguator (1 tag bit + payload)."""
-    if isinstance(dis, Udis):
-        writer.write_bit(_DIS_UDIS)
-        writer.write_bits(dis.counter, COUNTER_BITS)
-        writer.write_bits(dis.site, SITE_ID_BITS)
-    elif isinstance(dis, Sdis):
-        writer.write_bit(_DIS_SDIS)
-        writer.write_bits(dis.site, SITE_ID_BITS)
-    else:
-        raise EncodingError(f"unknown disambiguator type {dis!r}")
+    writer.write_bits(*_dis_field(dis))
 
 
 def read_disambiguator(reader: BitReader) -> Disambiguator:
     """Read a disambiguator written by :func:`write_disambiguator`."""
     if reader.read_bit() == _DIS_UDIS:
-        counter = reader.read_bits(COUNTER_BITS)
-        site = reader.read_bits(SITE_ID_BITS)
-        return Udis(counter, site)
+        value = reader.read_bits(COUNTER_BITS + SITE_ID_BITS)
+        return Udis(value >> SITE_ID_BITS, value & _SITE_MASK)
     return Sdis(reader.read_bits(SITE_ID_BITS))
 
 
 def write_posid(writer: BitWriter, posid: PosID) -> None:
-    """Append a PosID: gamma-coded length, then the elements."""
-    writer.write_elias_gamma(posid.depth + 1)
-    for element in posid:
-        writer.write_bit(element.bit)
-        if element.dis is None:
-            writer.write_bit(0)
+    """Append a PosID: gamma-coded length, then the elements — each a
+    2-bit (branch bit, has-dis) pair plus its disambiguator — pushed
+    as one field."""
+    elements = posid.elements
+    writer.write_elias_gamma(len(elements) + 1)
+    value = width = 0
+    for element in elements:
+        dis = element.dis
+        if dis is None:
+            value = (value << 2) | (element.bit << 1)
+            width += 2
         else:
-            writer.write_bit(1)
-            write_disambiguator(writer, element.dis)
+            field, bits = _dis_field(dis)
+            value = (((value << 2) | (element.bit << 1) | 1) << bits) | field
+            width += 2 + bits
+    writer.write_bits(value, width)
 
 
 def read_posid(reader: BitReader) -> PosID:
-    """Read a PosID written by :func:`write_posid`."""
+    """Read a PosID written by :func:`write_posid`.
+
+    The element pairs still due are peeked as one field; the plain
+    ones ahead of the first has-dis flag are taken in one read, so a
+    path costs a few reads, not one per element. Every element needs
+    at least its pair, so a stream too short for the peek is exhausted
+    exactly where per-element reads would have found it."""
     depth = reader.read_elias_gamma() - 1
-    elements = []
-    for _ in range(depth):
-        bit = reader.read_bit()
-        if reader.read_bit():
+    elements: List[PathElement] = []
+    while len(elements) < depth:
+        pairs = depth - len(elements)
+        window = reader.peek_bits(2 * pairs)
+        flags = window & ((1 << 2 * pairs) - 1) // 3
+        plain = pairs - (flags.bit_length() + 1) // 2 if flags else pairs
+        if plain:
+            branch = format(reader.read_bits(2 * plain), f"0{2 * plain}b")
+            elements.extend([PathElement(_BRANCH[digit])
+                             for digit in branch[::2]])
+        if flags:
+            bit = reader.read_bits(2) >> 1
             elements.append(PathElement(bit, read_disambiguator(reader)))
-        else:
-            elements.append(PathElement(bit))
     return PosID(elements)
 
 

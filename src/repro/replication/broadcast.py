@@ -26,7 +26,7 @@ from repro.core.ops import OpBatch, Operation
 from repro.errors import CausalityError
 from repro.replication.clock import VectorClock
 from repro.replication.network import SimulatedNetwork
-from repro.replication.wire import EnvelopeFrame, decode_wire, encode_wire
+from repro.replication.wire import EnvelopeFrame, decode_wire
 
 #: Application callback on causal delivery: callback(origin, event),
 #: where the event is the decoded OpBatch or bare operation.
@@ -71,7 +71,7 @@ class CausalBroadcast:
             payload, bits = encode_operation(event)
         self.clock = self.clock.tick(self.site)
         frame = EnvelopeFrame(self.site, self.clock.copy(), payload, bits)
-        data = encode_wire(frame)
+        data = frame.to_wire()
         if self.journal is not None:
             # Log before ship: once the caller observes the edit as
             # sent, a crash must be able to replay (and re-ship) it.
@@ -157,8 +157,9 @@ class CausalBroadcast:
                         # Log before apply: a frame journals only after
                         # it decodes (same reason the clock merges after
                         # the decode) and before it mutates anything, so
-                        # an ack never precedes durability.
-                        self.journal(encode_wire(frame))
+                        # an ack never precedes durability. A received
+                        # frame journals the bytes it arrived as.
+                        self.journal(frame.to_wire())
                     self.clock = self.clock.merge(frame.clock)
                     self._deliver(frame.origin, payload)
                     progressed = True

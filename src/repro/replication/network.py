@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.disambiguator import SiteId
 from repro.errors import DecodeError, ReplicationError
@@ -50,6 +50,12 @@ class NetworkConfig:
     #: :class:`repro.errors.DecodeError`) and the transport retries —
     #: corruption is loss that costs a round trip to notice.
     corruption_rate: float = 0.0
+    #: Scripted corruption: 1-based ordinals of transmissions (attempts
+    #: that reach a receiver, counted network-wide, retransmissions
+    #: included) that arrive with a flipped bit on top of whatever
+    #: ``corruption_rate`` draws — a deterministic fault for tests that
+    #: must see corruption happen. A final attempt is never corrupted.
+    corrupt_transmissions: FrozenSet[int] = frozenset()
     #: Delay before a lost (or corrupted) transmission is retried.
     retransmit_delay: float = 100.0
     #: Attempts before the transport stops pretending to lose the
@@ -92,6 +98,9 @@ class SimulatedNetwork:
         self.dropped_transmissions = 0
         self.duplicated_messages = 0
         self.corrupted_transmissions = 0
+        #: Transmissions that reached a receiver (the ordinals
+        #: ``NetworkConfig.corrupt_transmissions`` names).
+        self.transmissions = 0
         #: Deliveries the receiver rejected as undecodable (corruption
         #: detected); each one triggered a retransmission.
         self.decode_rejections = 0
@@ -246,8 +255,11 @@ class SimulatedNetwork:
                 self._retransmit(event)
                 return True
             handler = self._handlers[event.dst]
+            self.transmissions += 1
             if (not final_attempt and len(event.payload)
-                    and self._rng.random() < self.config.corruption_rate):
+                    and (self._rng.random() < self.config.corruption_rate
+                         or self.transmissions
+                         in self.config.corrupt_transmissions)):
                 # Bit flip in transit. The damaged frame still crosses
                 # the wire (and is billed to the link); the receiver's
                 # decoder rejects it and the transport retries. The

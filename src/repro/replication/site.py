@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.disambiguator import SiteId
 from repro.core.ops import DeleteOp, FlattenOp, InsertOp, OpBatch, Operation
@@ -136,6 +136,10 @@ class ReplicaSite:
         self._purge_memo: Optional[Tuple[VectorClock, int]] = None
         self._delete_log: List[Tuple[PosID, SiteId, int]] = []
         self.purged_tombstones = 0
+        #: Observer of every decoded explicit ack, ``(site, applied)``:
+        #: a daemon installs one to track peer frontiers from the
+        #: frame this site already decoded.
+        self.on_ack: Optional[Callable[[SiteId, VectorClock], None]] = None
         #: Anti-entropy: when this site stops waiting for replay and
         #: asks a peer for a snapshot instead.
         self.policy = policy or AntiEntropyPolicy()
@@ -973,6 +977,8 @@ class ReplicaSite:
             self._record_ack(frame.origin, frame.clock)
         elif isinstance(frame, AckFrame):
             self._record_ack(frame.site, frame.applied)
+            if self.on_ack is not None:
+                self.on_ack(frame.site, frame.applied)
         elif isinstance(frame, SyncRequest):
             self._answer_sync_request(frame)
         elif isinstance(frame, SyncResponse):

@@ -125,8 +125,21 @@ DeleteLogEntry = Tuple[PosID, SiteId, int]
 # ---------------------------------------------------------------------------
 
 
+class _CachedWire:
+    """Frames that keep their encoded bytes in an ``_encoded`` field:
+    filled by the first :meth:`to_wire`, or by :func:`decode_wire` with
+    the bytes as received (the frames are immutable, so the encoding
+    is too)."""
+
+    def to_wire(self) -> bytes:
+        """This frame as one wire frame (cached)."""
+        if not self._encoded:
+            self._encoded.append(encode_wire(self))
+        return self._encoded[0]
+
+
 @dataclass(frozen=True)
-class EnvelopeFrame:
+class EnvelopeFrame(_CachedWire):
     """A causal-broadcast event, stamped with its origin's clock.
 
     ``clock`` includes the message's own event (the message is the
@@ -140,6 +153,11 @@ class EnvelopeFrame:
     clock: VectorClock
     payload: bytes
     payload_bits: int
+    #: Lazily-cached encoded form (same discipline as SyncResponse); a
+    #: decoded envelope holds the bytes exactly as received, so the
+    #: receiver journals them without a re-encode.
+    _encoded: List[bytes] = field(default_factory=list, repr=False,
+                                  compare=False)
 
     @property
     def sequence(self) -> int:
@@ -168,7 +186,7 @@ class SyncRequest:
 
 
 @dataclass(frozen=True)
-class SyncResponse:
+class SyncResponse(_CachedWire):
     """An anti-entropy answer: one replica's document state, causal
     frontier, and outstanding SDIS delete log.
 
@@ -190,12 +208,6 @@ class SyncResponse:
     _encoded: List[bytes] = field(default_factory=list, repr=False,
                                   compare=False)
 
-    def to_wire(self) -> bytes:
-        """This response as one wire frame (cached)."""
-        if not self._encoded:
-            self._encoded.append(encode_wire(self))
-        return self._encoded[0]
-
     @property
     def wire_bytes(self) -> int:
         """Measured bytes this response costs on the wire: the actual
@@ -211,7 +223,7 @@ StateTransfer = SyncResponse
 
 
 @dataclass(frozen=True)
-class SyncDelta:
+class SyncDelta(_CachedWire):
     """An incremental anti-entropy answer: only what the requester is
     missing.
 
@@ -236,12 +248,6 @@ class SyncDelta:
     #: Lazily-cached encoded form (same discipline as SyncResponse).
     _encoded: List[bytes] = field(default_factory=list, repr=False,
                                   compare=False)
-
-    def to_wire(self) -> bytes:
-        """This delta as one wire frame (cached)."""
-        if not self._encoded:
-            self._encoded.append(encode_wire(self))
-        return self._encoded[0]
 
     @property
     def wire_bytes(self) -> int:
@@ -566,9 +572,9 @@ def decode_wire(data: bytes) -> WireFrame:
         if exc.length is None:
             exc.length = len(data)
         raise
-    if isinstance(frame, (SyncResponse, SyncDelta)):
+    if isinstance(frame, (EnvelopeFrame, SyncResponse, SyncDelta)):
         # Seed the encoding cache with the bytes as received, so
         # ``wire_bytes`` on the receiver is the measured frame length
-        # without paying a full re-encode.
+        # and the journal logs what arrived, without a re-encode.
         frame._encoded.append(bytes(data))
     return frame

@@ -50,7 +50,6 @@ from repro.replication.clock import VectorClock
 from repro.replication.wire import (
     DECLINE_BUSY,
     SyncDecline,
-    decode_wire,
     encode_wire,
     peek_wire_kind,
 )
@@ -154,6 +153,7 @@ class SiteDaemon:
         #: least one of them has been strictly ahead of this site.
         self._peer_clocks: Dict[SiteId, "VectorClock"] = {}
         self._lag_since: Optional[float] = None
+        self.site.on_ack = self._note_peer_clock
         #: Recent apply latencies (ms), ring-buffered for status/bench.
         self.apply_latencies: Deque[float] = deque(maxlen=4096)
 
@@ -314,7 +314,7 @@ class SiteDaemon:
             return
         if kind == "sync_request":
             self._inflight_syncs += 1
-        self._inbound.put_nowait((peer, payload))
+        self._inbound.put_nowait((peer, payload, kind))
 
     def _decline_busy(self, peer: SiteId) -> None:
         """Refuse re-requestable sync work typed, not silently: the
@@ -327,22 +327,11 @@ class SiteDaemon:
     async def _apply_loop(self) -> None:
         loop = asyncio.get_event_loop()
         while True:
-            peer, payload = await self._inbound.get()
-            kind = peek_wire_kind(payload)
+            peer, payload, kind = await self._inbound.get()
             started = loop.time()
             try:
                 self.transport.handler(peer, payload)
                 self.frames_applied += 1
-                if kind == "ack":
-                    # Heartbeats and hellos carry the sender's applied
-                    # clock: remember it, so the tick loop can notice
-                    # this site has silently fallen behind.
-                    frame = decode_wire(payload)
-                    old = self._peer_clocks.get(frame.site)
-                    self._peer_clocks[frame.site] = (
-                        frame.applied if old is None
-                        else old.merge(frame.applied)
-                    )
             except DecodeError as exc:
                 # Damaged in transit (CRC) or malformed: a counted
                 # non-event. Unlike the simulator there is no
@@ -361,6 +350,15 @@ class SiteDaemon:
                 if kind == "sync_request":
                     self._inflight_syncs -= 1
             self.apply_latencies.append((loop.time() - started) * 1000.0)
+
+    def _note_peer_clock(self, peer: SiteId, applied: VectorClock) -> None:
+        """Heartbeats and hellos carry the sender's applied clock: the
+        site hands each decoded ack here, so the tick loop can notice
+        this site has silently fallen behind."""
+        old = self._peer_clocks.get(peer)
+        self._peer_clocks[peer] = (
+            applied if old is None else old.merge(applied)
+        )
 
     async def _tick_loop(self) -> None:
         loop = asyncio.get_event_loop()

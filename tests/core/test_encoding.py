@@ -76,6 +76,82 @@ class TestPosidEncoding:
         )
 
 
+def reference_write_posid(writer, posid):
+    """The PosID layout one bit-field at a time, as first written."""
+    writer.write_elias_gamma(posid.depth + 1)
+    for element in posid:
+        writer.write_bit(element.bit)
+        if element.dis is None:
+            writer.write_bit(0)
+            continue
+        writer.write_bit(1)
+        if isinstance(element.dis, Udis):
+            writer.write_bit(1)
+            writer.write_bits(element.dis.counter, 32)
+        else:
+            writer.write_bit(0)
+        writer.write_bits(element.dis.site, 48)
+
+
+def reference_read_posid(reader):
+    elements = []
+    for _ in range(reader.read_elias_gamma() - 1):
+        bit = reader.read_bit()
+        if not reader.read_bit():
+            elements.append(PathElement(bit))
+        elif reader.read_bit():
+            counter = reader.read_bits(32)
+            elements.append(PathElement(bit, Udis(counter,
+                                                  reader.read_bits(48))))
+        else:
+            elements.append(PathElement(bit, Sdis(reader.read_bits(48))))
+    return PosID(elements)
+
+
+long_posids = st.builds(PosID, st.lists(st.builds(
+    PathElement,
+    bit=st.integers(0, 1),
+    dis=st.one_of(
+        st.none(), st.none(), st.none(),
+        st.builds(Sdis, st.integers(0, 2**48 - 1)),
+        st.builds(Udis, st.integers(0, 2**32 - 1), st.integers(0, 2**48 - 1)),
+    ),
+), max_size=70))
+
+
+class TestPosidLayout:
+    """The field-at-a-time posid codec against the per-bit layout."""
+
+    @given(st.lists(long_posids, min_size=1, max_size=4),
+           st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_and_same_truncation_behaviour(self, posids, lead):
+        fast, slow = BitWriter(), BitWriter()
+        for writer, write in ((fast, encoding.write_posid),
+                              (slow, reference_write_posid)):
+            writer.write_bits(0, lead)
+            for posid in posids:
+                write(writer, posid)
+        assert (fast.getvalue(), fast.bit_length) == (
+            slow.getvalue(), slow.bit_length
+        )
+        data = fast.getvalue()
+        for cut in range(lead, fast.bit_length + 1):
+            outcomes = []
+            for read in (encoding.read_posid, reference_read_posid):
+                reader = BitReader(data, cut)
+                reader.read_bits(lead)
+                try:
+                    result = [read(reader) for _ in posids]
+                except EncodingError:
+                    result = "exhausted"
+                outcomes.append((result, reader.bit_position))
+            assert outcomes[0] == outcomes[1]
+        reader = BitReader(data, fast.bit_length)
+        reader.read_bits(lead)
+        assert [encoding.read_posid(reader) for _ in posids] == posids
+
+
 class TestOperationEncoding:
     def _sample_ops(self):
         posid = PosID([PathElement(1, Udis(3, 9)), PathElement(0)])

@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 
 from repro.baselines import LogootDoc, RgaDoc, TreedocAdapter, WootDoc
 from repro.core.flatten import explode
-from repro.core.node import TOMBSTONE, slot_posid
+from repro.core.node import (
+    TOMBSTONE,
+    ArrayLeaf,
+    iter_subtree_entries,
+    slot_posid,
+)
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
 
@@ -96,9 +101,13 @@ class TestCachedSnapshotIdentity:
                 mirror.apply_flatten(op)
                 peer.apply_flatten(op)
             elif kind == "purge":
+                # A collapse step may have left array leaves, which the
+                # slot walk refuses; their dead slots have no slot to
+                # purge, so pick among the tree-resident tombstones.
                 tombstones = [
-                    slot for slot in doc.tree.iter_id_slots()
-                    if slot.state == TOMBSTONE
+                    entry for entry in iter_subtree_entries(doc.tree.root)
+                    if not isinstance(entry, ArrayLeaf)
+                    and entry.state == TOMBSTONE
                 ]
                 if tombstones:
                     target = tombstones[position % len(tombstones)]

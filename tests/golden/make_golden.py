@@ -1,0 +1,162 @@
+"""Write the golden byte corpus that freezes every persisted format.
+
+    PYTHONPATH=src python tests/golden/make_golden.py [OUT_DIR]
+
+Builds a fixed, seeded scenario and writes, under ``OUT_DIR`` (default:
+this directory):
+
+- ``wire_<kind>.bin`` — one peer-protocol frame of every wire kind;
+- ``batch.bin`` — a core v2 batch frame (runs plus singleton records);
+- ``state.bin`` — a core v2 state frame of an edited document;
+- ``wal.bin`` — one WAL segment of a durable replica site;
+- ``disk_v3.bin`` — a v3 disk image container with array leaves and a
+  dead-slot bitmap;
+- ``manifest.json`` — the bit lengths of the core frames and the
+  ``(mode, site, digest)`` a state frame's header does not repeat.
+
+The corpus is generated once by the codec whose bytes it freezes and
+then checked in; ``test_golden_bytes.py`` decodes every file with the
+current code and re-encodes it to identical bytes. Regenerating it is a
+format change and needs a format version bump.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from repro.core import disk
+from repro.core.encoding import encode_batch
+from repro.core.path import ROOT
+from repro.core.treedoc import Treedoc
+from repro.replication.clock import VectorClock
+from repro.replication.cluster import Cluster
+from repro.replication.commit import AbortMsg, PrepareMsg, VoteMsg
+from repro.replication.wire import (
+    DECLINE_TRY_PEER,
+    AckFrame,
+    EnvelopeFrame,
+    SyncDecline,
+    SyncRequest,
+    encode_wire,
+)
+from repro.storage import DurableStore
+
+
+def edited_cluster() -> Cluster:
+    """Two UDIS sites: a flattened region (state runs), concurrent
+    singletons and deletes."""
+    cluster = Cluster(2, mode="udis", seed=17)
+    one, two = cluster[1], cluster[2]
+    one.insert_text(0, list("the quick brown fox jumps"))
+    cluster.settle()
+    one.initiate_flatten(ROOT)
+    cluster.settle()
+    two.insert(4, "very ")
+    one.insert(4, "a ")
+    one.delete_range(10, 13)
+    two.insert_text(len(two), list(" over the lazy dog"))
+    cluster.settle()
+    return cluster
+
+
+def wire_frames(cluster: Cluster):
+    one, two = cluster[1], cluster[2]
+    clock = one.broadcast.clock.copy()
+    batch = one.insert_text(3, list("!!"))
+    payload, bits = encode_batch(batch)
+    cluster.settle()
+    delta = one.make_sync_delta(clock)
+    assert delta is not None and delta.segments
+    posid = one.doc.posids()[5]
+    return {
+        "envelope": encode_wire(EnvelopeFrame(1, one.broadcast.clock.copy(),
+                                              payload, bits)),
+        "ack": encode_wire(AckFrame(2, two.broadcast.clock.copy())),
+        "sync_request": encode_wire(SyncRequest(2, clock)),
+        "sync_response": two.make_state_transfer().to_wire(),
+        "sync_delta": delta.to_wire(),
+        "sync_decline": encode_wire(SyncDecline(1, DECLINE_TRY_PEER, 2)),
+        "prepare": encode_wire(PrepareMsg("txn-7", posid,
+                                          VectorClock({1: 4, 2: 3}), 1)),
+        "vote": encode_wire(VoteMsg("txn-7", 2, True)),
+        "abort": encode_wire(AbortMsg("txn-7")),
+    }
+
+
+def wal_segment(root: Path) -> bytes:
+    """A durable site's WAL: local mints and remote deliveries."""
+    cluster = Cluster(1, mode="sdis", seed=23)
+    store = DurableStore(root, checkpoint_every=None, fsync=False)
+    durable = cluster.add_site(2, store=store)
+    cluster.settle()
+    cluster[1].insert_text(0, list("journaled"))
+    cluster.settle()
+    durable.insert(2, "X")
+    durable.delete_range(4, 6)
+    cluster[1].insert_text(0, list(">> "))
+    cluster.settle()
+    data = store.wal_path.read_bytes()
+    store.close()
+    return data
+
+
+def disk_image() -> bytes:
+    """v3 image: collapsed leaves, a dead-slot bitmap and mini-nodes."""
+    doc = Treedoc(site=1, mode="sdis")
+    doc.insert_text(0, [f"a{i}" for i in range(64)])
+    doc.apply_flatten(doc.make_flatten(ROOT))
+    for _ in range(3):
+        doc.note_revision()
+    doc.collapse_cold(min_age=1, min_atoms=4)
+    doc.delete_range(10, 14)
+    doc.delete_range(30, 31)
+    for _ in range(4):
+        doc.note_revision()
+    doc.collapse_cold(min_age=1, min_atoms=4)
+    other = Treedoc(site=2, mode="sdis")
+    other.apply_batch(doc.insert_text(len(doc), list("tail")))
+    first = doc.insert_text(len(doc), ["x"])
+    second = other.insert_text(len(other), ["y"])
+    doc.apply_batch(second)
+    other.apply_batch(first)
+    assert any(leaf.dead for leaf in doc.tree.array_leaves())
+    image = disk.save(doc.tree)
+    assert image.version == 3
+    return disk.image_to_bytes(image)
+
+
+def main(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    cluster = edited_cluster()
+    state = cluster[2].make_state_transfer().state
+    batch = cluster[1].replace_range(4, 9, list("brisk "))
+    cluster.settle()
+    batch_bytes, batch_bits = encode_batch(batch)
+    files = {f"wire_{kind}.bin": data
+             for kind, data in wire_frames(cluster).items()}
+    files["batch.bin"] = batch_bytes
+    files["state.bin"] = state.frame
+    workdir = Path(tempfile.mkdtemp())
+    try:
+        files["wal.bin"] = wal_segment(workdir / "store")
+    finally:
+        shutil.rmtree(workdir)
+    files["disk_v3.bin"] = disk_image()
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    manifest = {
+        "batch": {"bits": batch_bits},
+        "state": {"bits": state.frame_bits, "mode": state.mode,
+                  "site": state.site, "digest": state.digest},
+    }
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    )
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent)

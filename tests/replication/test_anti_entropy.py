@@ -20,6 +20,9 @@ from repro.replication.sync import AntiEntropyPolicy
 EAGER = AntiEntropyPolicy(max_buffered=1, max_gap_age=0.0,
                           min_request_interval=0.0)
 
+#: Transmissions the fault test corrupts on top of the random rate.
+SCRIPTED_CORRUPTION = frozenset({1, 2, 5})
+
 
 class TestPolicy:
     def test_quiet_site_never_requests(self):
@@ -196,6 +199,9 @@ class TestConvergenceUnderEverything:
             config=NetworkConfig(
                 drop_rate=0.15, duplicate_rate=0.1, corruption_rate=0.15,
                 min_latency=1, max_latency=120,
+                # Scripted on top of the rate: corruption happens on
+                # every seed, not only on a lucky draw.
+                corrupt_transmissions=SCRIPTED_CORRUPTION,
             ),
             seed=seed, policy=EAGER,
         )
@@ -222,7 +228,7 @@ class TestConvergenceUnderEverything:
         network = cluster.network
         # Corruption happened and every damaged frame was rejected by
         # the typed decoder and retransmitted — none slipped through.
-        assert network.corrupted_transmissions > 0
+        assert network.corrupted_transmissions >= len(SCRIPTED_CORRUPTION)
         assert network.decode_rejections == network.corrupted_transmissions
 
     def test_late_joiner_catches_up_under_faults(self):

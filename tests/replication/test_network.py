@@ -159,12 +159,19 @@ class TestCorruption:
             body = b"msg-%03d" % n
             return body + zlib.crc32(body).to_bytes(4, "big")
 
-        net = SimulatedNetwork(NetworkConfig(corruption_rate=0.5), seed=3)
+        # Scripted faults, not a lucky draw: exactly these transmissions
+        # arrive damaged (the 2nd is a retransmission of the 1st).
+        script = frozenset({1, 2, 7, 30})
+        net = SimulatedNetwork(
+            NetworkConfig(corrupt_transmissions=script), seed=3
+        )
         received = []
+        damaged_at = []
 
         def strict(src, payload):
             body, crc = payload[:-4], payload[-4:]
             if zlib.crc32(body) != int.from_bytes(crc, "big"):
+                damaged_at.append(net.transmissions)
                 raise DecodeError("damaged")
             received.append(payload)
 
@@ -174,7 +181,8 @@ class TestCorruption:
             net.send(1, 2, framed(n))
         net.run()
         assert sorted(received) == sorted(framed(n) for n in range(50))
-        assert net.corrupted_transmissions > 0
+        assert damaged_at == sorted(script)
+        assert net.corrupted_transmissions == len(script)
         assert net.decode_rejections == net.corrupted_transmissions
 
     def test_corrupted_bytes_differ_by_one_bit(self):

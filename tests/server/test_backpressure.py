@@ -251,7 +251,7 @@ class TestAdmissionGate:
             daemon = daemons[0]
             try:
                 for _ in range(4):
-                    daemon._inbound.put_nowait((9, b"\x00"))
+                    daemon._inbound.put_nowait((9, b"\x00", None))
                 with pytest.raises(OverloadedError):
                     daemon.check_admission()
                 # The wire-side gate sheds and declines, typed.

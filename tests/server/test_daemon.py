@@ -269,6 +269,39 @@ class TestFrontierLagDetector:
         run(scenario())
 
 
+    def test_inbound_ack_is_decoded_once(self, run, monkeypatch):
+        # The site's handler decodes the ack; the daemon learns the
+        # peer's clock from that decode instead of decoding again.
+        from repro.replication import site as site_module
+        from repro.replication.clock import VectorClock
+        from repro.replication.wire import AckFrame, decode_wire, encode_wire
+        from repro.server import daemon as daemon_module
+
+        decodes = []
+
+        def counting(data):
+            decodes.append(data)
+            return decode_wire(data)
+
+        monkeypatch.setattr(site_module, "decode_wire", counting)
+        monkeypatch.setattr(daemon_module, "decode_wire", counting,
+                            raising=False)
+
+        async def scenario():
+            (config,) = make_cluster_configs(1, tick_interval=10.0)
+            (daemon,) = await start_cluster([config])
+            try:
+                ack = encode_wire(AckFrame(9, VectorClock({9: 3})))
+                await daemon.admit(9, ack)
+                assert await wait_until(lambda: daemon.frames_applied == 1)
+                assert daemon._peer_clocks[9] == VectorClock({9: 3})
+                assert decodes == [ack]
+            finally:
+                await daemon.shutdown()
+
+        run(scenario())
+
+
 class TestFiveDaemonFaultyCluster:
     def test_convergence_under_split_merge_latency_and_sever(self, run):
         # Five daemons, three dial paths routed through fault proxies

@@ -327,6 +327,38 @@ class TestSiteRecovery:
         posids_3 = [s3b.doc.posid_at(i) for i in range(len(s3b.doc))]
         assert posids_1 == posids_3
 
+    def test_received_envelopes_journal_as_received(self, tmp_path,
+                                                    monkeypatch):
+        from repro.replication import wire
+        from repro.storage.wal import read_segment
+
+        cluster = Cluster(1, seed=7)
+        store = _store(tmp_path / "s2", checkpoint_every=None)
+        cluster.add_site(2, store=store)
+        sent = []
+        send = cluster.network.send
+
+        def record(src, dst, payload):
+            if dst == 2:
+                sent.append(bytes(payload))
+            send(src, dst, payload)
+
+        monkeypatch.setattr(cluster.network, "send", record)
+        cluster[1].insert_text(0, "abc")
+        cluster[1].delete(1)
+
+        def no_reencode(frame):
+            raise AssertionError(f"re-encoded {frame!r}")
+
+        # Delivery must journal the received bytes, not a re-encoding.
+        monkeypatch.setattr(wire, "encode_wire", no_reencode)
+        cluster.settle()
+        store.close()
+        records, _, _ = read_segment(store.wal_path)
+        assert len(sent) == 2
+        assert [r.payload for r in records
+                if r.kind == RECORD_ENVELOPE] == sent
+
     def test_site_checkpoint_cadence_bounds_replay(self, tmp_path):
         cluster = Cluster(1, seed=5)
         store = _store(tmp_path / "s2", checkpoint_every=4)
