@@ -63,7 +63,13 @@ from repro.core.node import (
     MiniNode,
     PosNode,
 )
-from repro.core.runs import AtomTable, read_run_record, write_run_record
+from repro.core.runs import (
+    AtomTable,
+    read_leaf_record,
+    read_run_record,
+    write_leaf_record,
+    write_run_record,
+)
 from repro.core.tree import TreedocTree
 from repro.errors import DecodeError, EncodingError
 from repro.util.bits import BitReader, BitWriter
@@ -119,55 +125,37 @@ def _read_slot_state(reader: BitReader,
 
 
 def _write_leaf(writer: BitWriter, leaf: ArrayLeaf, atoms: _AtomFile,
-                version: int) -> None:
+               version: int) -> None:
     """An array-leaf record: the shared RLE run record of
     :mod:`repro.core.runs` — atoms appended to the atom file
     contiguously, one (count, first-reference) pair naming them all.
-    v3 precedes it with the dead-slot bitmap sidecar: a flag bit, and
-    when set, gamma(dead count) + gamma-coded offset deltas; the run
-    record then carries only the live atoms."""
-    if leaf.dead == 0:
-        if version >= 3:
-            writer.write_bit(0)
-        write_run_record(writer, len(leaf.atoms), atoms.add_run(leaf.atoms))
-        return
-    if version < 3:
+    v3 wraps it in the shared leaf record
+    (:func:`repro.core.runs.write_leaf_record`): the dead-slot bitmap
+    sidecar first, then a run record of only the live atoms."""
+
+    def write_live(out: BitWriter, live) -> None:
+        write_run_record(out, len(live), atoms.add_run(live))
+
+    if version >= 3:
+        write_leaf_record(writer, leaf.atoms, leaf.dead, write_live)
+    elif leaf.dead:
         raise EncodingError(
             f"format v{version} cannot carry dead-slot bitmaps"
         )
-    writer.write_bit(1)
-    dead = leaf.dead
-    offsets = [i for i in range(len(leaf.atoms)) if (dead >> i) & 1]
-    writer.write_elias_gamma(len(offsets))
-    previous = -1
-    for offset in offsets:
-        writer.write_elias_gamma(offset - previous)
-        previous = offset
-    live = leaf.live_atoms()
-    write_run_record(writer, len(live), atoms.add_run(live))
+    else:
+        write_live(writer, leaf.atoms)
 
 
 def _read_leaf(reader: BitReader, parent, bit: int,
                payloads: List[bytes], version: int) -> ArrayLeaf:
-    dead = 0
-    ndead = 0
-    if version >= 3 and reader.read_bit():
-        ndead = reader.read_elias_gamma()
-        position = -1
-        for _ in range(ndead):
-            position += reader.read_elias_gamma()
-            dead |= 1 << position
-    count, first = read_run_record(reader)
-    if dead >> (count + ndead):
-        raise EncodingError("leaf dead bitmap out of bounds")
-    live = AtomTable(payloads).get_run(first, count)
-    if dead:
-        atoms: List[object] = []
-        it = iter(live)
-        for slot in range(count + ndead):
-            atoms.append(None if (dead >> slot) & 1 else next(it))
+    def read_live(inp: BitReader) -> List[object]:
+        count, first = read_run_record(inp)
+        return AtomTable(payloads).get_run(first, count)
+
+    if version >= 3:
+        atoms, dead = read_leaf_record(reader, read_live)
     else:
-        atoms = live
+        atoms, dead = read_live(reader), 0
     # The owning tree is attached by load() once it exists.
     return ArrayLeaf((parent, bit), atoms, None, dead=dead)
 

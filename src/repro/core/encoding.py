@@ -23,15 +23,33 @@ shared segment codec of :mod:`repro.core.runs` (see DESIGN.md §8):
   :class:`repro.core.ops.OpBatch` as runs plus singleton operations —
   a local burst of *n* atoms costs one base path, one dis pattern and
   the atoms instead of *n* framed inserts;
-- a **state frame** (:func:`encode_state`) carries an entire document
-  (the anti-entropy snapshot): collapsed and canonical regions as
-  runs, the rest as singleton records.
+- a **segment state frame** (:func:`encode_state_segments`) carries a
+  document as runs plus singleton records with absolute PosIDs — the
+  layout ``SyncDelta`` bodies share; full state transfer now ships the
+  tree-walk frame below, and this one stays readable.
+
+Tree-walk state frame
+---------------------
+
+A whole document (checkpoint, fresh joiner, full sync) ships as its
+tree (:func:`encode_state`, DESIGN.md §8.3): one preorder walk, in which
+a node's position is implied by the walk instead of spelled out as a
+PosID. Per position node: the plain slot's state (``1`` live, ``00``
+empty, ``01`` tombstone) and its atom inline, a gamma-coded mini-node
+count, then each mini-node as a site-dictionary index (plus, under
+UDIS, its counter as a zigzag delta from the same site's previous
+counter along the walk), its slot state and two child-presence bits;
+then per plain child ``0`` (absent), ``10`` (node) or ``11`` (array
+leaf, inline: the shared leaf record with its dead-slot bitmap). Child
+nodes follow in the same order. Canonical fully-live subtrees at plain
+children ship as leaf records, so the receiver holds every quiescent
+region collapsed, as it did with the segment frame's runs.
 
 Every frame opens with the 2-bit escape tag ``3`` — a value no v1
-operation uses — followed by a 2-bit frame kind (batch, state, or the
-:data:`FRAME_WIRE` escape reserved for the peer protocol of
-:mod:`repro.replication.wire`), so one reader (:func:`decode_frame`)
-accepts v1 payloads and v2 frames alike. Run atoms live in a trailing
+operation uses — followed by a 2-bit frame kind (batch, segment state,
+the :data:`FRAME_WIRE` escape reserved for the peer protocol of
+:mod:`repro.replication.wire`, or tree-walk state), so one reader
+(:func:`decode_frame`) accepts v1 payloads and v2 frames alike. Run atoms live in a trailing
 :class:`repro.core.runs.AtomTable`, referenced by the same RLE run
 record the disk v2 leaf record uses; the wire and the disk share one
 codec and cannot drift.
@@ -53,6 +71,16 @@ from repro.core.disambiguator import (
     Disambiguator,
     Sdis,
     Udis,
+    validate_site_id,
+)
+from repro.core.node import (
+    EMPTY,
+    LIVE,
+    TOMBSTONE,
+    ArrayLeaf,
+    MiniNode,
+    PosNode,
+    collect_array_atoms,
 )
 from repro.core.ops import DeleteOp, FlattenOp, InsertOp, OpBatch, Operation
 from repro.core.path import PathElement, PosID
@@ -61,11 +89,16 @@ from repro.core.runs import (
     AtomTable,
     CANONICAL,
     PREFIX,
+    STATE_RUN_MIN_ATOMS,
     Segment,
     find_runs,
+    load_state_segments,
+    read_leaf_record,
     read_run_record,
+    write_leaf_record,
     write_run_record,
 )
+from repro.core.tree import TreedocTree
 from repro.errors import DecodeError, EncodingError, PathError, TreeError
 from repro.util.bits import BitReader, BitWriter
 
@@ -84,10 +117,13 @@ FRAME_KIND_BITS = 2
 
 # Frame kinds (2 bits after the escape tag).
 _FRAME_BATCH = 0
+#: Segment state frame: runs plus singleton records.
 _FRAME_STATE = 1
 #: Reserved for the peer protocol: :mod:`repro.replication.wire` owns
 #: the grammar behind this kind (envelopes, acks, sync, commitment).
 FRAME_WIRE = 2
+#: Tree-walk state frame: the document as its tree.
+_FRAME_TREE = 3
 
 # Segment tags (1 bit each).
 _SEG_OP = 0
@@ -497,7 +533,7 @@ def decode_frame(data: bytes, bit_length: Optional[int] = None
         if tag != _TAG_FRAME:
             return _read_v1_operation(inner, tag)
         kind = inner.read_bits(FRAME_KIND_BITS)
-        if kind == _FRAME_STATE:
+        if kind in (_FRAME_STATE, _FRAME_TREE):
             raise EncodingError(
                 "state frame: decode with decode_state, not decode_frame"
             )
@@ -546,12 +582,15 @@ STATE_ENVELOPE_BYTES = 34
 
 @dataclass(frozen=True)
 class DocumentState:
-    """One replica's whole document, encoded as a v2 state frame.
+    """One replica's whole document, encoded as a state frame.
 
-    The payload of state-transfer catch-up: collapsed and canonical
-    regions travel as run segments and load straight back into
-    :class:`repro.core.node.ArrayLeaf` storage. ``digest`` is the
-    content digest of the visible atoms, checked on load.
+    The payload of state-transfer catch-up and checkpoints. ``frame`` is
+    a tree-walk frame (:func:`encode_state`) or, from older writers, a
+    segment frame (:func:`encode_state_segments`); :func:`decode_state`
+    reads both. ``digest`` is the content digest of the visible atoms,
+    checked on load. ``run_segments`` counts the frame's array-leaf
+    records (runs, in a segment frame) and ``op_segments`` its slot
+    records outside them (singleton records, in a segment frame).
     """
 
     site: int
@@ -573,16 +612,55 @@ class DocumentState:
         return self.frame_bytes + STATE_ENVELOPE_BYTES
 
 
-def encode_state(segments: List[Segment], mode: str, site: int,
-                 digest: str) -> DocumentState:
-    """Encode document state segments as a v2 state frame."""
+def _state_header(kind: int, mode: str, site: int) -> BitWriter:
     if mode not in _MODE_TAGS:
         raise EncodingError(f"unknown document mode {mode!r}")
     writer = BitWriter()
     writer.write_bits(_TAG_FRAME, 2)
-    writer.write_bits(_FRAME_STATE, FRAME_KIND_BITS)
+    writer.write_bits(kind, FRAME_KIND_BITS)
     writer.write_bits(site, SITE_ID_BITS)
     writer.write_bit(_MODE_TAGS[mode])
+    return writer
+
+
+def encode_state(tree: TreedocTree, mode: str, site: int,
+                 digest: str) -> DocumentState:
+    """Encode a whole document as a tree-walk state frame (see the
+    module docstring)."""
+    writer = _state_header(_FRAME_TREE, mode, site)
+    atoms, leaves, slots = _write_tree(writer, tree.root)
+    return DocumentState(site, mode, writer.getvalue(), writer.bit_length,
+                         digest, atoms, leaves, slots)
+
+
+def decode_state(state: DocumentState) -> Tuple[int, str, TreedocTree]:
+    """Decode a state frame of either kind into a fresh tree:
+    ``(site, mode, tree)``. Tree-walk frames build the nodes, mini-nodes
+    and array leaves directly; segment frames load through
+    :func:`repro.core.runs.load_state_segments`.
+
+    Raises :class:`DecodeError` on truncation, trailing garbage, a
+    frame that is not a state frame, or one whose structure is invalid.
+    """
+
+    def read(reader: BitReader):
+        kind, site, mode = _read_state_header(reader, state,
+                                              (_FRAME_TREE, _FRAME_STATE))
+        tree = TreedocTree()
+        if kind == _FRAME_TREE:
+            _read_tree(reader, tree, keep_tombstones=mode == "sdis")
+        else:
+            load_state_segments(tree, _read_segments(reader),
+                                keep_tombstones=mode == "sdis")
+        return site, mode, tree
+
+    return _decode_state_frame(state, read)
+
+
+def encode_state_segments(segments: List[Segment], mode: str, site: int,
+                          digest: str) -> DocumentState:
+    """Encode document state segments as a segment state frame."""
+    writer = _state_header(_FRAME_STATE, mode, site)
     _write_segments(writer, segments)
     atom_count = 0
     run_segments = 0
@@ -601,22 +679,274 @@ def encode_state(segments: List[Segment], mode: str, site: int,
     )
 
 
-def decode_state(state: DocumentState) -> Tuple[int, str, List[Segment]]:
-    """Decode a state frame: ``(site, mode, segments)``.
+def decode_state_segments(state: DocumentState
+                          ) -> Tuple[int, str, List[Segment]]:
+    """Decode a segment state frame: ``(site, mode, segments)``."""
 
-    Raises :class:`DecodeError` on truncation, trailing garbage, or a
-    frame that is not a state frame.
-    """
+    def read(reader: BitReader):
+        _, site, mode = _read_state_header(reader, state, (_FRAME_STATE,))
+        return site, mode, _read_segments(reader)
+
+    return _decode_state_frame(state, read)
+
+
+def _read_state_header(reader: BitReader, state: DocumentState,
+                       kinds: Tuple[int, ...]) -> Tuple[int, int, str]:
+    if reader.read_bits(2) != _TAG_FRAME:
+        raise EncodingError("not a state frame")
+    kind = reader.read_bits(FRAME_KIND_BITS)
+    if kind not in kinds:
+        raise EncodingError(f"not a state frame of kind {kinds} ({kind})")
+    site = reader.read_bits(SITE_ID_BITS)
+    mode = _TAG_MODES[reader.read_bit()]
+    if mode != state.mode:
+        raise EncodingError(
+            f"state frame is {mode}, its envelope says {state.mode}"
+        )
+    return kind, site, mode
+
+
+def _decode_state_frame(state: DocumentState, read):
     reader = start_decode(state.frame, state.frame_bits)
-
-    def read(inner: BitReader):
-        if (inner.read_bits(2) != _TAG_FRAME
-                or inner.read_bits(FRAME_KIND_BITS) != _FRAME_STATE):
-            raise EncodingError("not a state frame")
-        site = inner.read_bits(SITE_ID_BITS)
-        mode = _TAG_MODES[inner.read_bit()]
-        return site, mode, _read_segments(inner)
-
     result = decode_guarded(read, reader, "state frame")
     finish_decode(reader, "state frame")
     return result
+
+
+# -- tree-walk body ---------------------------------------------------------------
+
+#: Slot states as a prefix code ``(value, width)``: live atoms, by far
+#: the most common, cost one bit.
+_SLOT_CODES = {LIVE: (1, 1), EMPTY: (0, 2), TOMBSTONE: (1, 2)}
+#: Fewest bits one mini-node record can take (slot state + two
+#: child-presence bits); bounds a decoded mini-node count.
+_MINI_MIN_BITS = 3
+
+
+def _write_slot(writer: BitWriter, state: str, atom: object) -> None:
+    writer.write_bits(*_SLOT_CODES[state])
+    if state == LIVE:
+        write_text(writer, atom)
+
+
+def _read_slot(reader: BitReader,
+               keep_tombstones: bool) -> Tuple[str, Optional[str]]:
+    if reader.read_bit():
+        return LIVE, read_text(reader)
+    if not reader.read_bit():
+        return EMPTY, None
+    if not keep_tombstones:
+        raise EncodingError("tombstone in a discard-mode (UDIS) document")
+    return TOMBSTONE, None
+
+
+def _write_atom_list(writer: BitWriter, atoms) -> None:
+    """A leaf's live atoms, inline: gamma(count), then a flag — set when
+    every payload has one byte length, which is then written once, and
+    the payloads follow back to back — else each payload as a text
+    field."""
+    payloads = [(atom if isinstance(atom, str) else repr(atom)).encode("utf-8")
+                for atom in atoms]
+    writer.write_elias_gamma(len(payloads))
+    width = len(payloads[0])
+    if all(len(payload) == width for payload in payloads):
+        writer.write_bit(1)
+        writer.write_elias_gamma(width + 1)
+        writer.write_bytes(b"".join(payloads))
+        return
+    writer.write_bit(0)
+    for payload in payloads:
+        writer.write_elias_gamma(len(payload) + 1)
+        writer.write_bytes(payload)
+
+
+def _read_atom_list(reader: BitReader) -> List[str]:
+    count = reader.read_elias_gamma()
+    if count > reader.remaining:
+        raise EncodingError(f"leaf of {count} atoms exceeds the bits left")
+    if reader.read_bit():
+        width = reader.read_elias_gamma() - 1
+        raw = reader.read_bytes(count * width)
+        if width == 1:
+            return list(raw.decode("ascii"))
+        if width == 0:
+            return [""] * count
+        return [raw[i:i + width].decode("utf-8")
+                for i in range(0, len(raw), width)]
+    return [read_text(reader) for _ in range(count)]
+
+
+def _holds_ids(child: Optional[PosNode]) -> bool:
+    return child is not None and child.id_count > 0
+
+
+def _kept_minis(node: PosNode) -> List[MiniNode]:
+    """The mini-nodes a frame carries: id-holders, and empty ones still
+    routing to an id-holder. Subtrees without a used identifier are
+    pruned, as the segment frame (which names only id-holders) did."""
+    return [mini for mini in node.minis
+            if mini.state != EMPTY or _holds_ids(mini.left)
+            or _holds_ids(mini.right)]
+
+
+def _write_site_dictionary(writer: BitWriter, root: PosNode) -> Tuple:
+    """The per-frame site dictionary: a UDIS flag, then the distinct
+    sites of the carried disambiguators, ascending, gamma-coded as
+    deltas. Returns ``(udis, index by site, index width)``."""
+    kinds = set()
+    sites = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for mini in _kept_minis(node):
+            kinds.add(type(mini.dis))
+            sites.add(mini.dis.site)
+            stack.extend(child for child in (mini.left, mini.right)
+                         if _holds_ids(child))
+        stack.extend(child for child in (node.left, node.right)
+                     if isinstance(child, PosNode) and child.id_count)
+    if len(kinds) > 1:
+        raise EncodingError("UDIS and SDIS disambiguators in one document")
+    udis = Udis in kinds
+    writer.write_bit(int(udis))
+    writer.write_elias_gamma(len(sites) + 1)
+    previous = -1
+    for site in sorted(sites):
+        writer.write_elias_gamma(site - previous)
+        previous = site
+    index = {site: i for i, site in enumerate(sorted(sites))}
+    return udis, index, (len(sites) - 1).bit_length() if sites else 0
+
+
+def _write_tree(writer: BitWriter, root: PosNode) -> Tuple[int, int, int]:
+    """The tree-walk body; returns ``(live atoms, leaf records, slot
+    records)``."""
+    udis, index, width = _write_site_dictionary(writer, root)
+    last = [0] * len(index)
+    live = leaves = slots = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        state = node.plain_state
+        _write_slot(writer, state, node.plain_atom)
+        if state != EMPTY:
+            slots += 1
+            live += state == LIVE
+        minis = _kept_minis(node)
+        writer.write_elias_gamma(len(minis) + 1)
+        below: List[PosNode] = []
+        for mini in minis:
+            dis = mini.dis
+            site_index = index[dis.site]
+            writer.write_bits(site_index, width)
+            if udis:
+                delta = dis.counter - last[site_index]
+                last[site_index] = dis.counter
+                writer.write_elias_gamma(
+                    (delta << 1 if delta >= 0 else (-delta << 1) - 1) + 1
+                )
+            state = mini.state
+            _write_slot(writer, state, mini.atom)
+            if state != EMPTY:
+                slots += 1
+                live += state == LIVE
+            for child in (mini.left, mini.right):
+                if _holds_ids(child):
+                    writer.write_bit(1)
+                    below.append(child)
+                else:
+                    writer.write_bit(0)
+        for child in (node.left, node.right):
+            if child is None or not child.id_count:
+                writer.write_bit(0)
+                continue
+            if isinstance(child, ArrayLeaf):
+                atoms, dead = child.atoms, child.dead
+                live += child.live_count
+            else:
+                atoms, dead = collect_array_atoms(
+                    child, STATE_RUN_MIN_ATOMS), 0
+                if atoms is None:
+                    writer.write_bits(0b10, 2)
+                    below.append(child)
+                    continue
+                live += len(atoms)
+            writer.write_bits(0b11, 2)
+            write_leaf_record(writer, atoms, dead, _write_atom_list)
+            leaves += 1
+        stack.extend(reversed(below))
+    return live, leaves, slots
+
+
+def _read_tree(reader: BitReader, tree: TreedocTree,
+               keep_tombstones: bool) -> None:
+    """Build ``tree`` (empty) from a tree-walk body: nodes, mini-nodes
+    and array leaves directly, iteratively, counts recomputed once."""
+    udis = reader.read_bit()
+    sites: List[int] = []
+    site = -1
+    for _ in range(reader.read_count()):
+        site += reader.read_elias_gamma()
+        sites.append(validate_site_id(site))
+    width = (len(sites) - 1).bit_length() if sites else 0
+    last = [0] * len(sites)
+    height = 0
+    stack: List[Tuple[PosNode, int]] = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > height:
+            height = depth
+        node.plain_state, node.plain_atom = _read_slot(reader,
+                                                       keep_tombstones)
+        count = reader.read_count(_MINI_MIN_BITS)
+        below: List[Tuple[PosNode, int]] = []
+        if count:
+            if not depth:
+                raise EncodingError("mini-node at the root position node")
+            minis: List[MiniNode] = []
+            previous = None
+            for _ in range(count):
+                site_index = reader.read_bits(width)
+                if site_index >= len(sites):
+                    raise EncodingError("site index outside the dictionary")
+                if udis:
+                    zigzag = reader.read_elias_gamma() - 1
+                    counter = last[site_index] + ((zigzag >> 1)
+                                                  ^ -(zigzag & 1))
+                    last[site_index] = counter
+                    dis: Disambiguator = Udis(counter, sites[site_index])
+                else:
+                    dis = Sdis(sites[site_index])
+                if previous is not None and dis.key <= previous:
+                    raise EncodingError("mini-nodes out of order")
+                previous = dis.key
+                mini = MiniNode(node, dis)
+                mini.state, mini.atom = _read_slot(reader, keep_tombstones)
+                if reader.read_bit():
+                    mini.left = PosNode(parent=(mini, 0))
+                    below.append((mini.left, depth + 1))
+                if reader.read_bit():
+                    mini.right = PosNode(parent=(mini, 1))
+                    below.append((mini.right, depth + 1))
+                minis.append(mini)
+            node.minis = minis
+        for bit in (0, 1):
+            if not reader.read_bit():
+                continue
+            if reader.read_bit():
+                atoms, dead = read_leaf_record(reader, _read_atom_list)
+                if dead and not keep_tombstones:
+                    raise EncodingError(
+                        "dead-slot bitmap in a discard-mode (UDIS) document"
+                    )
+                leaf = ArrayLeaf((node, bit), atoms, tree, dead=dead)
+                node.set_child(bit, leaf)
+                if depth + leaf.implicit_depth > height:
+                    height = depth + leaf.implicit_depth
+            else:
+                child = PosNode(parent=(node, bit))
+                node.set_child(bit, child)
+                below.append((child, depth + 1))
+        stack.extend(reversed(below))
+    tree.recount_subtree(tree.root)
+    tree.height = height

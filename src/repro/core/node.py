@@ -322,7 +322,7 @@ def _node_posid(node: PosNode) -> PosID:
         container, _ = current.parent
         current = container.host if isinstance(container, MiniNode) else container
     if current.cached_posid is None:  # the root
-        current.cached_posid = PosID()
+        current.cached_posid = PosID._of(())
     for current in reversed(chain):
         container, bit = current.parent
         if isinstance(container, MiniNode):
@@ -333,7 +333,7 @@ def _node_posid(node: PosNode) -> PosID:
                 # identifier space cannot express; the tree never
                 # creates one.
                 raise TreeError("mini-node attached to the root position node")
-            current.cached_posid = PosID(
+            current.cached_posid = PosID._of(
                 host_elements[:-1]
                 + (
                     PathElement(host_elements[-1].bit, container.dis),
@@ -351,7 +351,7 @@ def slot_posid(slot: AtomSlot) -> PosID:
         host_elements = _node_posid(slot.host).elements
         if not host_elements:
             raise TreeError("mini-node attached to the root position node")
-        return PosID(
+        return PosID._of(
             host_elements[:-1]
             + (PathElement(host_elements[-1].bit, slot.dis),)
         )
@@ -751,7 +751,7 @@ def canonical_posids(base: Tuple[PathElement, ...], count: int) -> List[PosID]:
         elements, lo, hi = stack.pop()
         left_atoms, right_atoms = _canonical_split(hi - lo)
         mid = lo + left_atoms
-        out[mid] = PosID(elements)
+        out[mid] = PosID._of(elements)
         if left_atoms > 0:
             stack.append((elements + (PathElement(LEFT),), lo, mid))
         if right_atoms > 0:

@@ -187,6 +187,18 @@ class PosID:
         self._hash: Optional[int] = None
         self._key: Optional[Tuple[int, ...]] = None
 
+    @classmethod
+    def _of(cls, elements: Tuple[PathElement, ...]) -> "PosID":
+        """A PosID over an element tuple the caller has already checked
+        (one derived from an existing PosID's elements): skips the
+        per-element type check of the public constructor, which
+        dominates identifier derivation on the edit path."""
+        posid = object.__new__(cls)
+        posid._elements = elements
+        posid._hash = None
+        posid._key = None
+        return posid
+
     # -- construction helpers ------------------------------------------------
 
     @classmethod
@@ -203,14 +215,14 @@ class PosID:
 
     def child(self, bit: int, dis: Optional[Disambiguator] = None) -> "PosID":
         """This path extended by one element."""
-        return PosID(self._elements + (PathElement(bit, dis),))
+        return PosID._of(self._elements + (PathElement(bit, dis),))
 
     def with_last_plain(self) -> "PosID":
         """This path with the final element's disambiguator stripped
         (the ``c1 … pn`` rewriting used by rules 4, 5 and 7)."""
         if not self._elements:
             raise PathError("empty path has no last element")
-        return PosID(self._elements[:-1] + (self._elements[-1].plain(),))
+        return PosID._of(self._elements[:-1] + (self._elements[-1].plain(),))
 
     # -- basic accessors -----------------------------------------------------
 
@@ -236,7 +248,7 @@ class PosID:
         """The path with the final element removed."""
         if not self._elements:
             raise PathError("empty path has no parent")
-        return PosID(self._elements[:-1])
+        return PosID._of(self._elements[:-1])
 
     def bits(self) -> Tuple[int, ...]:
         """The branch bits only (the binary-tree skeleton position)."""

@@ -387,6 +387,59 @@ def read_run_record(reader) -> Tuple[int, int]:
     return count, first
 
 
+def write_leaf_record(writer, atoms: Sequence[object], dead: int,
+                      write_live) -> None:
+    """Append an array-leaf record: the dead-slot bitmap sidecar — one
+    flag bit, and when set, gamma(dead count) + gamma-coded offset
+    deltas — then the leaf's *live* atoms through ``write_live(writer,
+    live_atoms)``. The disk v3 leaf record (atoms as a run record into
+    the atom file) and the tree-walk state frame (atoms inline) are
+    both this record; only the atom payload differs."""
+    if not dead:
+        writer.write_bit(0)
+        write_live(writer, atoms)
+        return
+    writer.write_bit(1)
+    offsets = [i for i in range(len(atoms)) if (dead >> i) & 1]
+    writer.write_elias_gamma(len(offsets))
+    previous = -1
+    for offset in offsets:
+        writer.write_elias_gamma(offset - previous)
+        previous = offset
+    write_live(writer, [atom for offset, atom in enumerate(atoms)
+                        if not (dead >> offset) & 1])
+
+
+def read_leaf_record(reader, read_live) -> Tuple[List[object], int]:
+    """Read a record written by :func:`write_leaf_record`: ``(atoms,
+    dead)`` with None at each dead offset. ``read_live(reader)`` returns
+    the live atoms. Offsets are bounded by the slot count before the
+    bitmap is built, so a corrupt offset cannot allocate a huge int."""
+    offsets: List[int] = []
+    if reader.read_bit():
+        ndead = reader.read_elias_gamma()
+        if ndead > reader.remaining:
+            raise EncodingError("leaf dead count exceeds the bits left")
+        position = -1
+        for _ in range(ndead):
+            position += reader.read_elias_gamma()
+            offsets.append(position)
+    live = read_live(reader)
+    if not offsets:
+        return live, 0
+    slots = len(live) + len(offsets)
+    if offsets[-1] >= slots:
+        raise EncodingError("leaf dead bitmap out of bounds")
+    dead = 0
+    atoms: List[object] = []
+    it = iter(live)
+    for offset in offsets:
+        dead |= 1 << offset
+    for slot in range(slots):
+        atoms.append(None if (dead >> slot) & 1 else next(it))
+    return atoms, dead
+
+
 # ---------------------------------------------------------------------------
 # Document state segments (anti-entropy / state transfer).
 # ---------------------------------------------------------------------------

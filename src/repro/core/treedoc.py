@@ -729,44 +729,41 @@ class Treedoc:
     # -- state transfer (anti-entropy catch-up) ----------------------------------
 
     def capture_state(self) -> "DocumentState":
-        """Snapshot the whole document as one v2 state frame.
+        """Snapshot the whole document as one tree-walk state frame.
 
-        Collapsed regions — and quiescent subtrees still in canonical
-        tree form — travel as run segments (base path + atoms, zero
-        per-atom identifiers); everything else as singleton records.
-        The frame is digest-stamped, so :meth:`load_state` verifies
-        transport integrity.
+        The frame is the tree itself: node positions are implied by the
+        walk, array leaves (and quiescent subtrees still in canonical
+        tree form) travel as inline atom runs with their dead-slot
+        bitmaps, so no atom pays a per-atom identifier. The frame is
+        digest-stamped, so :meth:`load_state` verifies transport
+        integrity.
         """
         from repro.core.encoding import encode_state
-        from repro.core.runs import iter_state_segments
 
-        segments = iter_state_segments(self.tree, self.site)
         digest = content_digest(tuple(self.tree.atoms()))
-        return encode_state(segments, self.mode, self.site, digest)
+        return encode_state(self.tree, self.mode, self.site, digest)
 
     def load_state(self, state: "DocumentState") -> int:
         """Replace this replica's document with a state snapshot.
 
-        Run segments load **directly into array leaves** — the cold
-        receiver never materializes per-atom structure for quiescent
-        regions, and is identifier-identical to the source from the
-        first read. Returns the number of visible atoms loaded. The
-        caller owns the causal safety argument (the snapshot must
-        dominate this replica's state — see
+        The decoder builds the sender's nodes, mini-nodes and array
+        leaves directly — the receiver holds every collapsed region
+        collapsed, dead-slot bitmaps included, and is identifier-
+        identical to the source from the first read. Older segment
+        frames still load (runs as leaves, the rest materialized).
+        Returns the number of visible atoms loaded. The caller owns the
+        causal safety argument (the snapshot must dominate this
+        replica's state — see
         :meth:`repro.replication.site.ReplicaSite.sync_from`).
         """
         from repro.core.encoding import decode_state
-        from repro.core.runs import load_state_segments
         from repro.errors import SyncError
 
         if state.mode != self.mode:
             raise SyncError(
                 f"state snapshot is {state.mode}, this replica is {self.mode}"
             )
-        _, _, segments = decode_state(state)
-        fresh = TreedocTree()
-        load_state_segments(fresh, segments,
-                            keep_tombstones=self.keeps_tombstones)
+        _, _, fresh = decode_state(state)
         atoms = tuple(fresh.atoms())
         if content_digest(atoms) != state.digest:
             raise SyncError(

@@ -198,8 +198,9 @@ def measure_sync(tree: TreedocTree, mode: str = "sdis",
     """State-transfer message sizes of ``tree``'s current state:
     ``(frame_bits, per_op_bits, run_segments, op_segments)``.
 
-    ``frame_bits`` is the run-aware v2 state frame
-    (:func:`repro.core.encoding.encode_state`); ``per_op_bits`` ships
+    ``frame_bits`` is the tree-walk state frame that full state
+    transfer ships (:func:`repro.core.encoding.encode_state`; the run
+    and op counts are its leaf and slot records); ``per_op_bits`` ships
     the same information as framed v1 records — one insert per visible
     atom, one delete per tombstone. The per-op figure is a *lower*
     bound on real replay (a tombstone's original insert is not even
@@ -208,20 +209,16 @@ def measure_sync(tree: TreedocTree, mode: str = "sdis",
     from repro.core.encoding import encode_state, operation_cost_bits
     from repro.core.runs import AtomRun, iter_state_segments
 
-    segments = iter_state_segments(tree, site)
-    state = encode_state(segments, mode, site, digest="")
+    state = encode_state(tree, mode, site, digest="")
     per_op_bits = 0
-    run_segments = 0
-    op_segments = 0
-    for segment in segments:
+    for segment in iter_state_segments(tree, site):
         if isinstance(segment, AtomRun):
-            run_segments += 1
             for op in segment.insert_ops(site):
                 per_op_bits += operation_cost_bits(op)
         else:
-            op_segments += 1
             per_op_bits += operation_cost_bits(segment)
-    return state.frame_bits, per_op_bits, run_segments, op_segments
+    return (state.frame_bits, per_op_bits, state.run_segments,
+            state.op_segments)
 
 
 def measure_network_sync(doc) -> Tuple[int, int]:

@@ -205,6 +205,18 @@ class BitReader:
         rest = self.read_unary()
         return (1 << rest) | self.read_bits(rest)
 
+    def read_count(self, min_bits: int = 1) -> int:
+        """Read a gamma-coded item count (stored as ``count + 1``) and
+        reject it unless ``count`` items of at least ``min_bits`` bits
+        each still fit in the stream — a corrupt count fails here,
+        before a decoder allocates anything for it."""
+        count = self.read_elias_gamma() - 1
+        if count * min_bits > self.remaining:
+            raise EncodingError(
+                f"count {count} exceeds the {self.remaining} bits left"
+            )
+        return count
+
     def read_bytes(self, count: int) -> bytes:
         """Read ``count`` whole bytes."""
         if count <= 0:

@@ -5,10 +5,21 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.disambiguator import Sdis, Udis
 from repro.core.path import PathElement, PosID
+
+# ---------------------------------------------------------------------------
+# Hypothesis profiles. CI runs ``pytest --hypothesis-profile=ci``: every
+# property draws the same examples on every machine and no example
+# database carries failures from one run into the next, so a verdict
+# depends on the code alone.
+# ---------------------------------------------------------------------------
+
+settings.register_profile("ci", derandomize=True, database=None)
+
 
 # ---------------------------------------------------------------------------
 # Hypothesis strategies for the identifier algebra.

@@ -18,9 +18,9 @@ from repro.core import disk
 from repro.core.encoding import (
     DocumentState,
     decode_batch,
-    decode_state,
+    decode_state_segments,
     encode_batch,
-    encode_state,
+    encode_state_segments,
 )
 from repro.replication.wire import (
     WIRE_KIND_NAMES,
@@ -41,8 +41,8 @@ def golden(name: str) -> bytes:
 
 
 def reencode_state(state: DocumentState) -> DocumentState:
-    site, mode, segments = decode_state(state)
-    return encode_state(segments, mode, site, state.digest)
+    site, mode, segments = decode_state_segments(state)
+    return encode_state_segments(segments, mode, site, state.digest)
 
 
 @pytest.mark.parametrize("kind", sorted(WIRE_KIND_NAMES.values()))

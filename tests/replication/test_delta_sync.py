@@ -131,7 +131,10 @@ class TestDeltaExchange:
         return net, a, b
 
     def test_one_origin_behind_gets_a_small_delta(self):
-        net, a, b = self._pair()
+        # Long enough that five touched atoms are a small part of it:
+        # the tree-walk snapshot of the bare 25-char sentence is smaller
+        # than any diff (the responder then ships it instead).
+        net, a, b = self._pair(text="the quick brown fox jumps " * 8)
         base = b.broadcast.clock.copy()
         a.insert_text(4, list("very "))
         a.delete(0)
