@@ -723,10 +723,24 @@ _SLOT_CODES = {LIVE: (1, 1), EMPTY: (0, 2), TOMBSTONE: (1, 2)}
 _MINI_MIN_BITS = 3
 
 
-def _write_slot(writer: BitWriter, state: str, atom: object) -> None:
-    writer.write_bits(*_SLOT_CODES[state])
-    if state == LIVE:
-        write_text(writer, atom)
+def _gamma(value: int) -> Tuple[int, int]:
+    """The Elias-gamma code of ``value`` as one ``(field, width)``."""
+    rest = value.bit_length() - 1
+    return ((((1 << rest) - 1) << 1) << rest) | (value ^ (1 << rest)), \
+        2 * rest + 1
+
+
+def _slot_field(state: str, atom: object) -> Tuple[int, int]:
+    """A slot's state code and, when live, its atom as a text field
+    (:func:`write_text`'s layout), as one ``(field, width)``."""
+    code, width = _SLOT_CODES[state]
+    if state != LIVE:
+        return code, width
+    payload = (atom if isinstance(atom, str) else repr(atom)).encode("utf-8")
+    length, length_width = _gamma(len(payload) + 1)
+    bits = 8 * len(payload)
+    return ((((code << length_width) | length) << bits)
+            | int.from_bytes(payload, "big")), width + length_width + bits
 
 
 def _read_slot(reader: BitReader,
@@ -741,13 +755,13 @@ def _read_slot(reader: BitReader,
 
 
 def _write_atom_list(writer: BitWriter, atoms) -> None:
-    """A leaf's live atoms, inline: gamma(count), then a flag — set when
-    every payload has one byte length, which is then written once, and
-    the payloads follow back to back — else each payload as a text
-    field."""
+    """A leaf's live atoms, inline: gamma(count + 1), then a flag —
+    set when every payload has one byte length, which is then written
+    once and the payloads follow back to back — else each payload as a
+    text field."""
     payloads = [(atom if isinstance(atom, str) else repr(atom)).encode("utf-8")
                 for atom in atoms]
-    writer.write_elias_gamma(len(payloads))
+    writer.write_elias_gamma(len(payloads) + 1)
     width = len(payloads[0])
     if all(len(payload) == width for payload in payloads):
         writer.write_bit(1)
@@ -761,9 +775,7 @@ def _write_atom_list(writer: BitWriter, atoms) -> None:
 
 
 def _read_atom_list(reader: BitReader) -> List[str]:
-    count = reader.read_elias_gamma()
-    if count > reader.remaining:
-        raise EncodingError(f"leaf of {count} atoms exceeds the bits left")
+    count = reader.read_count()
     if reader.read_bit():
         width = reader.read_elias_gamma() - 1
         raw = reader.read_bytes(count * width)
@@ -820,45 +832,48 @@ def _write_site_dictionary(writer: BitWriter, root: PosNode) -> Tuple:
 
 def _write_tree(writer: BitWriter, root: PosNode) -> Tuple[int, int, int]:
     """The tree-walk body; returns ``(live atoms, leaf records, slot
-    records)``."""
-    udis, index, width = _write_site_dictionary(writer, root)
+    records)``. Each node's fields are packed into one int and written
+    with one call (leaf records go through the shared writer)."""
+    udis, index, site_width = _write_site_dictionary(writer, root)
     last = [0] * len(index)
     live = leaves = slots = 0
     stack = [root]
     while stack:
         node = stack.pop()
         state = node.plain_state
-        _write_slot(writer, state, node.plain_atom)
+        value, width = _slot_field(state, node.plain_atom)
         if state != EMPTY:
             slots += 1
             live += state == LIVE
         minis = _kept_minis(node)
-        writer.write_elias_gamma(len(minis) + 1)
+        field, bits = _gamma(len(minis) + 1)
+        value, width = (value << bits) | field, width + bits
         below: List[PosNode] = []
         for mini in minis:
             dis = mini.dis
             site_index = index[dis.site]
-            writer.write_bits(site_index, width)
+            value, width = (value << site_width) | site_index, \
+                width + site_width
             if udis:
                 delta = dis.counter - last[site_index]
                 last[site_index] = dis.counter
-                writer.write_elias_gamma(
-                    (delta << 1 if delta >= 0 else (-delta << 1) - 1) + 1
-                )
+                field, bits = _gamma(
+                    (delta << 1 if delta >= 0 else (-delta << 1) - 1) + 1)
+                value, width = (value << bits) | field, width + bits
             state = mini.state
-            _write_slot(writer, state, mini.atom)
+            field, bits = _slot_field(state, mini.atom)
+            value, width = (value << bits) | field, width + bits
             if state != EMPTY:
                 slots += 1
                 live += state == LIVE
             for child in (mini.left, mini.right):
+                value, width = value << 1, width + 1
                 if _holds_ids(child):
-                    writer.write_bit(1)
+                    value |= 1
                     below.append(child)
-                else:
-                    writer.write_bit(0)
         for child in (node.left, node.right):
             if child is None or not child.id_count:
-                writer.write_bit(0)
+                value, width = value << 1, width + 1
                 continue
             if isinstance(child, ArrayLeaf):
                 atoms, dead = child.atoms, child.dead
@@ -867,13 +882,15 @@ def _write_tree(writer: BitWriter, root: PosNode) -> Tuple[int, int, int]:
                 atoms, dead = collect_array_atoms(
                     child, STATE_RUN_MIN_ATOMS), 0
                 if atoms is None:
-                    writer.write_bits(0b10, 2)
+                    value, width = (value << 2) | 0b10, width + 2
                     below.append(child)
                     continue
                 live += len(atoms)
-            writer.write_bits(0b11, 2)
+            writer.write_bits((value << 2) | 0b11, width + 2)
+            value = width = 0
             write_leaf_record(writer, atoms, dead, _write_atom_list)
             leaves += 1
+        writer.write_bits(value, width)
         stack.extend(reversed(below))
     return live, leaves, slots
 

@@ -75,15 +75,15 @@ class TreeStats:
     #: Atoms held inside collapsed regions (zero per-atom metadata).
     array_atoms: int = 0
     #: State-transfer (anti-entropy) message size in bits, with the
-    #: run-aware v2 state frame (``measure_tree(..., with_sync=True)``).
+    #: tree-walk state frame (``measure_tree(..., with_sync=True)``).
     sync_frame_bits: int = 0
     #: The same state shipped as per-operation v1 records (one framed
     #: insert per atom, one framed delete per tombstone) — the replay
     #: baseline the run frames are measured against.
     sync_per_op_bits: int = 0
-    #: Run segments in the measured state frame.
+    #: Array-leaf records in the measured state frame.
     sync_run_segments: int = 0
-    #: Singleton records in the measured state frame.
+    #: Slot records (outside leaves) in the measured state frame.
     sync_op_segments: int = 0
     #: **Measured** anti-entropy wire bytes: what one real
     #: SyncRequest/SyncResponse exchange of this state put on a

@@ -51,9 +51,10 @@ class SyncReport:
     atoms: int
     #: Bytes the state snapshot costs on the wire.
     wire_bytes: int
-    #: Regions that travelled as runs (and landed as array leaves).
+    #: Regions that travelled as leaf records (and landed as array
+    #: leaves).
     run_segments: int
-    #: Singleton records in the snapshot.
+    #: Slot records outside leaves in the snapshot.
     op_segments: int
 
 
@@ -230,13 +231,13 @@ class Replica:
         """Catch this replica up to ``source`` by state transfer.
 
         Instead of merging ``source``'s batches one by one, the source
-        document arrives as one v2 state frame: quiescent regions ship
-        as runs and load directly into collapsed array storage, so a
-        cold replica adopting a large settled document pays a handful
-        of segments rather than per-atom replay. Afterwards this
-        replica is identifier-identical to the source (same posids,
-        not just the same text). The snapshot travels as real wire
-        bytes — the source's state is encoded into one
+        document arrives as one tree-walk state frame: quiescent
+        regions ship as inline leaves and load directly into collapsed
+        array storage, so a cold replica adopting a large settled
+        document pays no per-atom identifiers and no per-atom replay.
+        Afterwards this replica is identifier-identical to the source
+        (same posids, not just the same text). The snapshot travels as
+        real wire bytes — the source's state is encoded into one
         :class:`repro.replication.wire.SyncResponse` frame and decoded
         back before loading — so ``wire_bytes`` in the report is the
         measured frame length, CRC and framing included.
@@ -298,7 +299,7 @@ class Replica:
 
     def checkpoint(self) -> None:
         """Write a durable checkpoint now (the store's cadence normally
-        drives this). The checkpoint frame is the same v2 state frame
+        drives this). The checkpoint frame is the same state frame
         :meth:`sync` puts on the wire; batches still waiting in the
         outbox are re-logged after the rotation, so recovery can
         restore them as *pending* without re-applying them (the

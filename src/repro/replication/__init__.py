@@ -21,9 +21,9 @@ testing:
   message as a typed, self-describing, CRC-guarded byte frame (causal
   envelopes, ack gossip, anti-entropy request/response, commitment);
 - :mod:`repro.replication.sync` — state-transfer anti-entropy: a lagging
-  replica catches up from one v2 state frame (collapsed regions as
-  runs) instead of per-atom replay, with :class:`AntiEntropyPolicy`
-  deciding when to stop waiting for replay;
+  replica catches up from one tree-walk state frame (collapsed
+  regions as inline leaves) instead of per-atom replay, with
+  :class:`AntiEntropyPolicy` deciding when to stop waiting for replay;
 - :mod:`repro.replication.cluster` — an N-site simulation harness with
   convergence checking and an anti-entropy tick.
 """

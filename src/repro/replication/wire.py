@@ -190,10 +190,11 @@ class SyncResponse(_CachedWire):
     """An anti-entropy answer: one replica's document state, causal
     frontier, and outstanding SDIS delete log.
 
-    ``state`` is the encoded v2 state frame (runs + singleton records +
-    digest); ``clock`` the sender's vector clock at snapshot time. A
-    receiver whose clock the snapshot dominates may replace its
-    document and adopt the frontier. ``delete_log`` carries the
+    ``state`` is the encoded state frame (the tree-walk frame of
+    :func:`repro.core.encoding.encode_state` + digest); ``clock`` the
+    sender's vector clock at snapshot time. A receiver whose clock the
+    snapshot dominates may replace its document and adopt the
+    frontier. ``delete_log`` carries the
     sender's not-yet-stable delete records so the receiver can purge
     inherited tombstones once causal stability reaches them, instead
     of waiting for a flatten.
@@ -230,9 +231,9 @@ class SyncDelta(_CachedWire):
     ``base`` echoes the requester's clock; ``clock`` is the responder's
     frontier at harvest time. ``segments`` is a faithful snapshot of
     every region the responder touched by an event *after* ``base``
-    (same segment stream as a state frame — runs plus singleton
-    records), and ``delete_log`` carries the responder's retained
-    delete records newer than ``base`` (a UDIS delete leaves no trace
+    (the segment stream of a segment state frame — runs plus
+    singleton records), and ``delete_log`` carries the responder's
+    retained delete records newer than ``base`` (a UDIS delete leaves no trace
     in region state, so it must travel explicitly or the receiver would
     keep the atom alive). The receiver **merges** instead of replacing:
     duplicates are idempotent, concurrent local progress survives, and

@@ -14,7 +14,7 @@ The generation discipline ties the two halves together:
   was taken (segment 0 pairs with the empty document);
 - a checkpoint is one :class:`repro.replication.wire.SyncResponse`
   frame — the exact anti-entropy message: document state via
-  ``Treedoc.capture_state`` (quiescent regions as runs), the causal
+  ``Treedoc.capture_state`` (the tree-walk state frame), the causal
   frontier, and the outstanding delete log — written with the atomic
   temp + fsync + rename protocol, so a crash mid-checkpoint leaves the
   previous checkpoint untouched;

@@ -321,7 +321,7 @@ class TestHostileInput:
             writer.write_elias_gamma(1)      # no minis
             writer.write_bits(0b11, 2)       # left child: a leaf
             writer.write_bit(0)              # no bitmap
-            writer.write_elias_gamma(1 << 50)
+            writer.write_elias_gamma((1 << 50) + 1)
         self._assert_rejected(self._frame(body), "exceeds")
 
     def test_huge_dead_offset_is_rejected_before_allocation(self):
@@ -334,7 +334,7 @@ class TestHostileInput:
             writer.write_bit(1)              # bitmap follows
             writer.write_elias_gamma(1)      # one dead slot ...
             writer.write_elias_gamma(1 << 62)  # ... far past the leaf
-            writer.write_elias_gamma(1)      # one live atom
+            writer.write_elias_gamma(2)      # one live atom
             writer.write_bit(1)
             writer.write_elias_gamma(2)
             writer.write_bytes(b"a")

@@ -1,27 +1,42 @@
 """Write the golden byte corpus that freezes every persisted format.
 
-    PYTHONPATH=src python tests/golden/make_golden.py [OUT_DIR]
+    PYTHONPATH=src python tests/golden/make_golden.py [OUT_DIR [GROUP ...]]
 
-Builds a fixed, seeded scenario and writes, under ``OUT_DIR`` (default:
-this directory):
+Builds fixed, seeded scenarios and writes, under ``OUT_DIR`` (default:
+this directory), the files of each named group (default: ``corpus``):
+
+``corpus`` — written by the segment-state-frame codec (before the
+tree-walk state frame existed):
 
 - ``wire_<kind>.bin`` — one peer-protocol frame of every wire kind;
 - ``batch.bin`` — a core v2 batch frame (runs plus singleton records);
-- ``state.bin`` — a core v2 state frame of an edited document;
+- ``state.bin`` — a core v2 (segment) state frame of an edited document;
 - ``wal.bin`` — one WAL segment of a durable replica site;
 - ``disk_v3.bin`` — a v3 disk image container with array leaves and a
   dead-slot bitmap;
 - ``manifest.json`` — the bit lengths of the core frames and the
   ``(mode, site, digest)`` a state frame's header does not repeat.
 
-The corpus is generated once by the codec whose bytes it freezes and
+``checkpoint`` — written by the same codec: ``checkpoint_store/``, a
+durable SDIS site's store directory (a checkpoint whose state frame is
+a segment frame, and the WAL tail after it), and
+``checkpoint_store.json``, the text and identity digests the store must
+recover to.
+
+``state_tree`` — written by the tree-walk codec: ``state_tree_udis.bin``
+and ``state_tree_sdis.bin`` (mini-nodes from two sites, leaves, and
+under SDIS tombstones and a dead-slot bitmap), with their headers in
+``state_tree.json``.
+
+Each group is generated once by the codec whose bytes it freezes and
 then checked in; ``test_golden_bytes.py`` decodes every file with the
-current code and re-encodes it to identical bytes. Regenerating it is a
+current code and re-encodes (or recovers) it. Regenerating a group is a
 format change and needs a format version bump.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import sys
@@ -43,6 +58,7 @@ from repro.replication.wire import (
     SyncRequest,
     encode_wire,
 )
+from repro.server.admin import identity_digest
 from repro.storage import DurableStore
 
 
@@ -129,8 +145,67 @@ def disk_image() -> bytes:
     return disk.image_to_bytes(image)
 
 
-def main(out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def posid_digest(site) -> str:
+    """SHA-256 of every visible identifier with its disambiguators
+    (``identity_digest`` hashes branch bits only)."""
+    text = "\n".join(repr(posid) for posid in site.doc.posids())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def checkpoint_store(root: Path) -> dict:
+    """A durable SDIS site: edits from two sites, a flatten, deletes,
+    a collapse into leaves with a dead-slot bitmap, a checkpoint, then
+    a WAL tail. Returns what recovery must reproduce."""
+    cluster = Cluster(1, mode="sdis", seed=29)
+    store = DurableStore(root, checkpoint_every=None, fsync=False)
+    durable = cluster.add_site(2, store=store)
+    one = cluster[1]
+    one.insert_text(0, [f"c{i}" for i in range(48)])
+    cluster.settle()
+    one.initiate_flatten(ROOT)
+    cluster.settle()
+    durable.delete_range(10, 14)
+    durable.delete(30)
+    one.insert(3, "x")
+    durable.insert(20, "y")
+    cluster.settle()
+    for _ in range(4):
+        durable.doc.note_revision()
+    durable.doc.collapse_cold(min_age=1, min_atoms=4)
+    assert any(leaf.dead for leaf in durable.doc.tree.array_leaves())
+    durable.checkpoint()
+    one.insert_text(5, list("tail"))
+    durable.delete(0)
+    durable.insert(8, "z")
+    cluster.settle()
+    store.close()
+    return {"mode": "sdis", "site": 2, "seed": 29,
+            "text": durable.text(),
+            "identity_digest": identity_digest(durable),
+            "posid_digest": posid_digest(durable)}
+
+
+def tree_state_docs():
+    """One UDIS and one SDIS document for the tree-walk frames."""
+    docs = {}
+    for mode in ("udis", "sdis"):
+        doc = Treedoc(site=1, mode=mode)
+        doc.insert_text(0, [f"a{i}" for i in range(64)])
+        doc.apply_flatten(doc.make_flatten(ROOT))
+        doc.delete_range(10, 14)
+        other = Treedoc(site=2, mode=mode)
+        other.apply_batch(doc.insert_text(len(doc), list("tail")))
+        doc.apply_batch(other.insert_text(3, list("xyz")))
+        doc.insert_text(20, list("mid"))
+        for _ in range(4):
+            doc.note_revision()
+        doc.collapse_cold(min_age=1, min_atoms=4)
+        docs[mode] = doc
+    assert any(leaf.dead for leaf in docs["sdis"].tree.array_leaves())
+    return docs
+
+
+def write_corpus(out: Path) -> None:
     cluster = edited_cluster()
     state = cluster[2].make_state_transfer().state
     batch = cluster[1].replace_range(4, 9, list("brisk "))
@@ -148,15 +223,44 @@ def main(out: Path) -> None:
     files["disk_v3.bin"] = disk_image()
     for name, data in files.items():
         (out / name).write_bytes(data)
-    manifest = {
+    write_json(out / "manifest.json", {
         "batch": {"bits": batch_bits},
         "state": {"bits": state.frame_bits, "mode": state.mode,
                   "site": state.site, "digest": state.digest},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    })
+
+
+def write_checkpoint(out: Path) -> None:
+    root = out / "checkpoint_store"
+    if root.exists():
+        shutil.rmtree(root)
+    write_json(out / "checkpoint_store.json", checkpoint_store(root))
+
+
+def write_state_tree(out: Path) -> None:
+    headers = {}
+    for mode, doc in tree_state_docs().items():
+        state = doc.capture_state()
+        (out / f"state_tree_{mode}.bin").write_bytes(state.frame)
+        headers[mode] = {"bits": state.frame_bits, "site": state.site,
+                         "digest": state.digest, "atoms": len(doc)}
+    write_json(out / "state_tree.json", headers)
+
+
+def write_json(path: Path, value: dict) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+GROUPS = {"corpus": write_corpus, "checkpoint": write_checkpoint,
+          "state_tree": write_state_tree}
+
+
+def main(out: Path, groups) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for group in groups:
+        GROUPS[group](out)
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent)
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent,
+         sys.argv[2:] or ["corpus"])

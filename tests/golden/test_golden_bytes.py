@@ -4,12 +4,17 @@ The files beside this module were written by ``make_golden.py`` and are
 checked in. Each test decodes one of them with the current code and
 re-encodes the result: the bytes must come back identical, so a codec
 change that moves a single wire, WAL, state-frame or disk bit fails
-here rather than in a mixed-version cluster.
+here rather than in a mixed-version cluster. Stores and state frames
+written by an older codec must also still *load*: the checkpoint store
+recovers to its recorded text and identifiers, and the segment state
+frames load into a replica.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -18,10 +23,14 @@ from repro.core import disk
 from repro.core.encoding import (
     DocumentState,
     decode_batch,
+    decode_state,
     decode_state_segments,
     encode_batch,
+    encode_state,
     encode_state_segments,
 )
+from repro.core.treedoc import Treedoc
+from repro.replication.cluster import Cluster
 from repro.replication.wire import (
     WIRE_KIND_NAMES,
     EnvelopeFrame,
@@ -30,6 +39,8 @@ from repro.replication.wire import (
     encode_wire,
     peek_wire_kind,
 )
+from repro.server.admin import identity_digest
+from repro.storage import DurableStore
 from repro.storage.wal import RECORD_ENVELOPE, RECORD_META, pack_record, scan_records
 
 GOLDEN = Path(__file__).parent
@@ -106,3 +117,51 @@ def test_disk_v3_image_reencodes_identically():
     tree = disk.load(image)
     assert any(leaf.dead for leaf in tree.array_leaves())
     assert disk.image_to_bytes(disk.save(tree)) == data
+
+
+def test_segment_state_frames_still_load():
+    meta = MANIFEST["state"]
+    state = DocumentState(meta["site"], meta["mode"], golden("state.bin"),
+                          meta["bits"], meta["digest"], 0, 0, 0)
+    response = decode_wire(golden("wire_sync_response.bin"))
+    for frame in (state, response.state):
+        doc = Treedoc(site=9, mode=frame.mode)
+        assert doc.load_state(frame) == len(doc) > 0
+
+
+def test_checkpoint_store_recovers(tmp_path):
+    expected = json.loads((GOLDEN / "checkpoint_store.json").read_text())
+    root = tmp_path / "store"
+    shutil.copytree(GOLDEN / "checkpoint_store", root)
+    store = DurableStore(root, checkpoint_every=None, fsync=False)
+    recovered = store.recover()
+    response = decode_wire(recovered.checkpoint)
+    # Written before the tree-walk frame: the checkpoint carries a
+    # segment state frame.
+    decode_state_segments(response.state)
+    store.close()
+    cluster = Cluster(1, mode=expected["mode"], seed=expected["seed"])
+    site = cluster.add_site(
+        expected["site"],
+        store=DurableStore(root, checkpoint_every=None, fsync=False))
+    assert site.text() == expected["text"]
+    assert identity_digest(site) == expected["identity_digest"]
+    posids = "\n".join(repr(posid) for posid in site.doc.posids())
+    assert (hashlib.sha256(posids.encode("utf-8")).hexdigest()
+            == expected["posid_digest"])
+
+
+@pytest.mark.parametrize("mode", ["udis", "sdis"])
+def test_tree_state_frame_reencodes_identically(mode):
+    meta = json.loads((GOLDEN / "state_tree.json").read_text())[mode]
+    data = golden(f"state_tree_{mode}.bin")
+    state = DocumentState(meta["site"], mode, data, meta["bits"],
+                          meta["digest"], 0, 0, 0)
+    site, _, tree = decode_state(state)
+    again = encode_state(tree, mode, site, state.digest)
+    assert (again.frame, again.frame_bits) == (data, meta["bits"])
+    doc = Treedoc(site=9, mode=mode)
+    assert doc.load_state(state) == meta["atoms"]
+    assert doc.array_leaf_count > 0
+    if mode == "sdis":
+        assert any(leaf.dead for leaf in doc.tree.array_leaves())
