@@ -175,9 +175,9 @@ def _render(results: dict) -> str:
         "",
         f"  document               {v2['atoms']:7,d} atoms "
         f"({results['config']['lines']} lines)",
-        f"  v2 run frames          {_fmt_bytes(v2['wire_bytes']):>12s}   "
+        f"  state frame            {_fmt_bytes(v2['wire_bytes']):>12s}   "
         f"{v2['seconds'] * 1e3:8,.1f} ms   "
-        f"({v2['run_segments']} runs + {v2['op_segments']} ops, "
+        f"({v2['run_segments']} leaf records + {v2['op_segments']} slots, "
         f"{v2['loaded_leaves']} leaves loaded)",
         f"  v1 per-op replay       {_fmt_bytes(v1['wire_bytes']):>12s}   "
         f"{v1['seconds'] * 1e3:8,.1f} ms   ({v1['ops']:,d} framed ops)",

@@ -100,7 +100,7 @@ from repro.core.runs import (
 )
 from repro.core.tree import TreedocTree
 from repro.errors import DecodeError, EncodingError, PathError, TreeError
-from repro.util.bits import BitReader, BitWriter
+from repro.util.bits import BitReader, BitWriter, elias_gamma_field
 
 # Operation tags.
 _TAG_INSERT = 0
@@ -275,10 +275,18 @@ def finish_decode(reader: BitReader, what: str) -> None:
 def write_text(writer: BitWriter, value: object) -> None:
     """Append a text field as a length-prefixed UTF-8 payload (atoms,
     digests, transaction tags — every string on the wire uses this)."""
-    text = value if isinstance(value, str) else repr(value)
-    payload = text.encode("utf-8")
-    writer.write_elias_gamma(len(payload) + 1)
-    writer.write_bytes(payload)
+    writer.write_bits(*_text_field(value))
+
+
+def _text_field(value: object) -> Tuple[int, int]:
+    """:func:`write_text`'s layout as one ``(field, width)``: gamma of
+    the UTF-8 length + 1, then the bytes."""
+    payload = (value if isinstance(value, str) else repr(value)).encode(
+        "utf-8")
+    length, length_width = elias_gamma_field(len(payload) + 1)
+    bits = 8 * len(payload)
+    return (length << bits) | int.from_bytes(payload, "big"), \
+        length_width + bits
 
 
 def read_text(reader: BitReader) -> str:
@@ -723,24 +731,14 @@ _SLOT_CODES = {LIVE: (1, 1), EMPTY: (0, 2), TOMBSTONE: (1, 2)}
 _MINI_MIN_BITS = 3
 
 
-def _gamma(value: int) -> Tuple[int, int]:
-    """The Elias-gamma code of ``value`` as one ``(field, width)``."""
-    rest = value.bit_length() - 1
-    return ((((1 << rest) - 1) << 1) << rest) | (value ^ (1 << rest)), \
-        2 * rest + 1
-
-
 def _slot_field(state: str, atom: object) -> Tuple[int, int]:
-    """A slot's state code and, when live, its atom as a text field
-    (:func:`write_text`'s layout), as one ``(field, width)``."""
+    """A slot's state code and, when live, its atom as a text field,
+    as one ``(field, width)``."""
     code, width = _SLOT_CODES[state]
     if state != LIVE:
         return code, width
-    payload = (atom if isinstance(atom, str) else repr(atom)).encode("utf-8")
-    length, length_width = _gamma(len(payload) + 1)
-    bits = 8 * len(payload)
-    return ((((code << length_width) | length) << bits)
-            | int.from_bytes(payload, "big")), width + length_width + bits
+    text, bits = _text_field(atom)
+    return (code << bits) | text, width + bits
 
 
 def _read_slot(reader: BitReader,
@@ -846,7 +844,7 @@ def _write_tree(writer: BitWriter, root: PosNode) -> Tuple[int, int, int]:
             slots += 1
             live += state == LIVE
         minis = _kept_minis(node)
-        field, bits = _gamma(len(minis) + 1)
+        field, bits = elias_gamma_field(len(minis) + 1)
         value, width = (value << bits) | field, width + bits
         below: List[PosNode] = []
         for mini in minis:
@@ -857,7 +855,7 @@ def _write_tree(writer: BitWriter, root: PosNode) -> Tuple[int, int, int]:
             if udis:
                 delta = dis.counter - last[site_index]
                 last[site_index] = dis.counter
-                field, bits = _gamma(
+                field, bits = elias_gamma_field(
                     (delta << 1 if delta >= 0 else (-delta << 1) - 1) + 1)
                 value, width = (value << bits) | field, width + bits
             state = mini.state

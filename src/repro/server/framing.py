@@ -24,6 +24,14 @@ payloads out. Errors surface only as typed
   (bad magic, or an implausible length field). The reader has already
   discarded bytes up to the next plausible boundary; the caller simply
   keeps pulling frames.
+- A damaged length that is still plausible would make the reader
+  swallow the segments behind it, or wait for bytes that belong to
+  them. While a payload is incomplete, or complete but failing its
+  wire-frame CRC (:func:`repro.replication.wire.crc_valid`), the
+  reader looks inside the declared payload for a complete segment
+  whose own CRC verifies; finding one proves the header wrong, and the
+  reader resynchronizes there. A damaged payload behind an intact
+  header still passes through to ``decode_wire``.
 - Payload-level damage is *not* detected here: a bit flip inside a
   correctly-delimited payload passes through and is rejected by
   ``decode_wire``'s CRC check, exactly like corruption on the
@@ -36,6 +44,7 @@ import struct
 from typing import List, Optional
 
 from repro.errors import EncodingError, FrameSyncError
+from repro.replication.wire import crc_valid
 
 #: Segment magic. Both bytes have the high bit set so a desynchronized
 #: scan cannot realign on ASCII payload content by accident.
@@ -94,6 +103,9 @@ class FrameReader:
         self.frames_delivered = 0
         self.resyncs = 0
         self.bytes_discarded = 0
+        #: Buffer offset up to which later-segment candidates have been
+        #: ruled out (reset whenever the buffer front moves).
+        self._scanned = 0
 
     def feed(self, chunk: bytes) -> None:
         """Append raw socket bytes (any chunking)."""
@@ -119,12 +131,48 @@ class FrameReader:
             # `length` bytes first would let one flipped bit demand
             # gigabytes.
             self._resync(skip=MAGIC_BYTES)
-        if len(buffer) < HEADER_BYTES + length:
-            return None
-        payload = bytes(buffer[HEADER_BYTES:HEADER_BYTES + length])
-        del buffer[:HEADER_BYTES + length]
+        end = HEADER_BYTES + length
+        payload = bytes(buffer[HEADER_BYTES:end]) if len(buffer) >= end \
+            else None
+        if payload is None or not crc_valid(payload):
+            # Incomplete, or damaged: if a verified segment starts
+            # inside the declared payload, the length field is what
+            # was damaged — resynchronize there instead of swallowing
+            # the segments behind it.
+            boundary = self._verified_segment(min(end, len(buffer)))
+            if boundary:
+                self._resync(skip=boundary)
+            if payload is None:
+                return None
+        del buffer[:end]
+        self._scanned = 0
         self.frames_delivered += 1
         return payload
+
+    def _verified_segment(self, limit: int) -> int:
+        """Offset (below ``limit``) of a later complete segment whose
+        payload's CRC verifies, or 0. A candidate whose segment is not
+        complete yet stops the scan, to be decided when more bytes
+        arrive."""
+        buffer = self._buffer
+        position = buffer.find(MAGIC, max(self._scanned, HEADER_BYTES),
+                               limit + MAGIC_BYTES - 1)
+        while position >= 0:
+            start = position + HEADER_BYTES
+            if start > len(buffer):
+                break
+            (length,) = _LENGTH.unpack_from(buffer, position + MAGIC_BYTES)
+            if length <= self.max_frame_bytes:
+                if start + length > len(buffer):
+                    break
+                if crc_valid(bytes(buffer[start:start + length])):
+                    return position
+            position = buffer.find(MAGIC, position + 1,
+                                   limit + MAGIC_BYTES - 1)
+        # A magic split across the scanned end is re-found next time.
+        self._scanned = (limit - MAGIC_BYTES + 1 if position < 0
+                         else position)
+        return 0
 
     def drain(self) -> List[bytes]:
         """Every currently-complete payload, swallowing resyncs (the
@@ -154,6 +202,7 @@ class FrameReader:
         else:
             discard = position
             del buffer[:position]
+        self._scanned = 0
         self.resyncs += 1
         self.bytes_discarded += discard
         raise FrameSyncError(

@@ -200,6 +200,32 @@ class TestDamageRecovery:
         recovered = read_all(reader, swallow_errors=True)
         assert recovered == FRAMES[1:]
 
+    def test_inflated_length_does_not_swallow_later_segments(self):
+        # A flipped length bit that still passes the max_frame_bytes
+        # check: the reader must not wait for bytes that belong to the
+        # segments behind it. Only the damaged segment is lost.
+        damaged = bytearray(STREAM)
+        damaged[3] ^= 0x10  # the length grows by 1 MiB
+        reader = FrameReader()
+        reader.feed(bytes(damaged))
+        assert read_all(reader, swallow_errors=True) == FRAMES[1:]
+        assert reader.resyncs == 1
+
+    def test_inflated_last_length_recovers_on_next_segment(self):
+        last = len(STREAM) - len(encode_segment(FRAMES[-1]))
+        damaged = bytearray(STREAM)
+        damaged[last + HEADER_BYTES - 1] ^= 0x80  # 128 bytes too long
+        reader = FrameReader(max_frame_bytes=len(STREAM))
+        reader.feed(bytes(damaged))
+        assert read_all(reader, swallow_errors=True) == FRAMES[:-1]
+        # Fed piecewise, the next segment is only judged once complete.
+        fresh = encode_segment(FRAMES[0])
+        for byte in range(len(fresh)):
+            reader.feed(fresh[byte:byte + 1])
+            frames = read_all(reader, swallow_errors=True)
+        assert frames == [FRAMES[0]]
+        assert reader.buffered == 0
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_random_header_flips_never_escape_typed_errors(self, data):
