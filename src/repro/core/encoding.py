@@ -753,13 +753,13 @@ def _read_slot(reader: BitReader,
 
 
 def _write_atom_list(writer: BitWriter, atoms) -> None:
-    """A leaf's live atoms, inline: gamma(count + 1), then a flag —
-    set when every payload has one byte length, which is then written
-    once and the payloads follow back to back — else each payload as a
-    text field."""
+    """A leaf's live atoms, inline: gamma(count) (a leaf holds at least
+    one), then a flag — set when every payload has one byte length,
+    which is then written once and the payloads follow back to back —
+    else each payload as a text field."""
     payloads = [(atom if isinstance(atom, str) else repr(atom)).encode("utf-8")
                 for atom in atoms]
-    writer.write_elias_gamma(len(payloads) + 1)
+    writer.write_elias_gamma(len(payloads))
     width = len(payloads[0])
     if all(len(payload) == width for payload in payloads):
         writer.write_bit(1)
@@ -773,7 +773,9 @@ def _write_atom_list(writer: BitWriter, atoms) -> None:
 
 
 def _read_atom_list(reader: BitReader) -> List[str]:
-    count = reader.read_count()
+    count = reader.read_elias_gamma()
+    if count > reader.remaining:
+        raise EncodingError(f"leaf of {count} atoms exceeds the bits left")
     if reader.read_bit():
         width = reader.read_elias_gamma() - 1
         raw = reader.read_bytes(count * width)

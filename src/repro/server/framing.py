@@ -30,9 +30,8 @@ payloads out. Errors surface only as typed
   wire-frame CRC (:func:`repro.replication.wire.crc_valid`), the
   reader looks inside the declared payload for a complete segment
   whose own CRC verifies; finding one proves the header wrong, and the
-  reader resynchronizes there. A damaged payload behind an intact
-  header still passes through to ``decode_wire``.
-- Payload-level damage is *not* detected here: a bit flip inside a
+  reader resynchronizes there (raising ``FrameSyncError``).
+- Payload-level damage is *not* rejected here: a bit flip inside a
   correctly-delimited payload passes through and is rejected by
   ``decode_wire``'s CRC check, exactly like corruption on the
   simulated network.

@@ -165,26 +165,29 @@ class TestDifferentialAgainstSegmentFrame:
         assert receiver.atoms() == doc.atoms()
 
 
-class TestShapes:
-    def _bitmap_doc(self):
-        doc = Treedoc(site=1, mode="sdis")
-        doc.insert_text(0, [f"a{i}" for i in range(64)])
-        doc.apply_flatten(doc.make_flatten(ROOT))
-        doc.delete_range(10, 14)
-        doc.delete_range(30, 31)
-        other = Treedoc(site=2, mode="sdis")
-        other.apply_batch(doc.insert_text(len(doc), list("tail")))
-        doc.apply_batch(other.insert_text(3, ["x"]))
-        doc.insert_text(5, ["y"])
-        for _ in range(3):
-            doc.note_revision()
-        doc.collapse_cold(min_age=1, min_atoms=4)
-        assert leaf_shapes(doc, dead=True)
-        assert any(node.minis for node in doc.tree.root.iter_nodes())
-        return doc
+def bitmap_doc() -> Treedoc:
+    """An SDIS document with bitmap leaves, mini-nodes from two sites
+    and tree-form tombstones."""
+    doc = Treedoc(site=1, mode="sdis")
+    doc.insert_text(0, [f"a{i}" for i in range(64)])
+    doc.apply_flatten(doc.make_flatten(ROOT))
+    doc.delete_range(10, 14)
+    doc.delete_range(30, 31)
+    other = Treedoc(site=2, mode="sdis")
+    other.apply_batch(doc.insert_text(len(doc), list("tail")))
+    doc.apply_batch(other.insert_text(3, ["x"]))
+    doc.insert_text(5, ["y"])
+    for _ in range(3):
+        doc.note_revision()
+    doc.collapse_cold(min_age=1, min_atoms=4)
+    assert leaf_shapes(doc, dead=True)
+    assert any(node.minis for node in doc.tree.root.iter_nodes())
+    return doc
 
+
+class TestShapes:
     def test_bitmap_leaves_stay_leaves(self):
-        receiver = assert_frames_agree(self._bitmap_doc())
+        receiver = assert_frames_agree(bitmap_doc())
         assert leaf_shapes(receiver, dead=True)
 
     def test_partial_explode_leaves_sub_leaves(self):
@@ -201,11 +204,11 @@ class TestShapes:
         assert receiver.array_leaf_count > doc.array_leaf_count
 
     def test_frame_is_smaller_than_segment_frame_on_an_edited_doc(self):
-        doc = self._bitmap_doc()
+        doc = bitmap_doc()
         assert doc.capture_state().frame_bits < segment_state(doc).frame_bits
 
     def test_counts_name_leaves_and_slots(self):
-        doc = self._bitmap_doc()
+        doc = bitmap_doc()
         state = doc.capture_state()
         assert state.atom_count == len(doc)
         assert state.run_segments == doc.array_leaf_count
@@ -233,7 +236,7 @@ class TestShapes:
             raise AssertionError("capture_state harvested segments")
 
         monkeypatch.setattr(runs, "iter_state_segments", refuse)
-        doc = self._bitmap_doc()
+        doc = bitmap_doc()
         assert loaded(doc, doc.capture_state()).atoms() == doc.atoms()
 
     def test_empty_document_round_trips(self):
@@ -255,7 +258,7 @@ class TestHostileInput:
     TYPED = (EncodingError, DecodeError, SyncError)
 
     def _small_state(self):
-        doc = TestShapes()._bitmap_doc()
+        doc = bitmap_doc()
         return doc, doc.capture_state()
 
     def _try(self, state):
@@ -321,7 +324,7 @@ class TestHostileInput:
             writer.write_elias_gamma(1)      # no minis
             writer.write_bits(0b11, 2)       # left child: a leaf
             writer.write_bit(0)              # no bitmap
-            writer.write_elias_gamma((1 << 50) + 1)
+            writer.write_elias_gamma(1 << 50)
         self._assert_rejected(self._frame(body), "exceeds")
 
     def test_huge_dead_offset_is_rejected_before_allocation(self):
@@ -334,7 +337,7 @@ class TestHostileInput:
             writer.write_bit(1)              # bitmap follows
             writer.write_elias_gamma(1)      # one dead slot ...
             writer.write_elias_gamma(1 << 62)  # ... far past the leaf
-            writer.write_elias_gamma(2)      # one live atom
+            writer.write_elias_gamma(1)      # one live atom
             writer.write_bit(1)
             writer.write_elias_gamma(2)
             writer.write_bytes(b"a")
