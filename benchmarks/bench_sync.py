@@ -4,12 +4,11 @@ The scenario the wire format v2 exists for: a replica that is far
 behind — freshly joined, or back from a long partition — adopts a
 quiescent ~1500-line character document. Four ways to pay for it:
 
-1. **state frame**: the source ships one state frame (the tree-walk
-   frame, DESIGN.md §8.3) whose collapsed/canonical regions are inline
-   atom runs (zero per-atom identifiers) that load directly into array
-   leaves on the receiver (``Replica.sync``). Measured: bytes on the
-   wire, wall time, and an *identifier-identity* check (posids, not
-   just text).
+1. **v2 run frames** (this PR): the source ships one state frame where
+   collapsed/canonical regions are runs (base path + atoms, zero
+   per-atom identifiers) that load directly into array leaves on the
+   receiver (``Replica.sync``). Measured: bytes on the wire, wall time,
+   and an *identifier-identity* check (posids, not just text).
 2. **per-op v1 replay**: one framed ``InsertOp`` per atom, decoded and
    applied one by one — what catch-up costs without run frames.
 3. **Logoot baseline** (Weiss et al.): state catch-up ships one
@@ -24,7 +23,7 @@ as an artifact) and fails loudly if the synced replica is not
 identifier-identical to the source or the byte ratio regresses below
 the acceptance floor. Run::
 
-    PYTHONPATH=src python benchmarks/bench_sync.py [--quick] [--no-logoot]
+    PYTHONPATH=src python benchmarks/bench_sync.py [--quick]
 """
 
 from __future__ import annotations
@@ -132,31 +131,25 @@ def measure_v1(source, repeats: int) -> dict:
     return {"wire_bytes": wire_bytes, "seconds": seconds, "ops": len(ops)}
 
 
-def measure_baseline_bytes(source, logoot: bool = True) -> dict:
+def measure_baseline_bytes(source) -> dict:
     """Logoot/RGA state-catch-up wire bytes, counted analytically:
     one identifier + atom payload per element, identifiers minted by a
-    single bulk insert (each baseline's smallest possible ids).
-    ``logoot=False`` skips Logoot: its bulk path digs about one
-    identifier component per 46 atoms, so the full-size document holds
-    gigabytes of identifiers in memory."""
+    single bulk insert (each baseline's smallest possible ids)."""
     from repro.baselines.logoot import LogootDoc
     from repro.baselines.rga import RGA_ID_BITS, RgaDoc
 
     atoms = source.doc.atoms()
     atom_bytes = sum(len(str(a).encode("utf-8")) for a in atoms)
+    logoot = LogootDoc(site=1)
+    logoot.insert_text(0, atoms)
     rga = RgaDoc(site=1)
     rga.insert_text(0, atoms)
-    result = {
+    return {
+        "logoot_wire_bytes": (logoot.total_id_bits() + 7) // 8 + atom_bytes,
         "rga_wire_bytes": (rga.total_id_bits() + 7) // 8 + atom_bytes,
         "rga_id_bits_per_atom": RGA_ID_BITS,
         "atom_payload_bytes": atom_bytes,
     }
-    if logoot:
-        doc = LogootDoc(site=1)
-        doc.insert_text(0, atoms)
-        result["logoot_wire_bytes"] = (
-            (doc.total_id_bits() + 7) // 8 + atom_bytes)
-    return result
 
 
 def _fmt_bytes(value: float) -> str:
@@ -175,25 +168,20 @@ def _render(results: dict) -> str:
         "",
         f"  document               {v2['atoms']:7,d} atoms "
         f"({results['config']['lines']} lines)",
-        f"  state frame            {_fmt_bytes(v2['wire_bytes']):>12s}   "
+        f"  v2 run frames          {_fmt_bytes(v2['wire_bytes']):>12s}   "
         f"{v2['seconds'] * 1e3:8,.1f} ms   "
-        f"({v2['run_segments']} leaf records + {v2['op_segments']} slots, "
+        f"({v2['run_segments']} runs + {v2['op_segments']} ops, "
         f"{v2['loaded_leaves']} leaves loaded)",
         f"  v1 per-op replay       {_fmt_bytes(v1['wire_bytes']):>12s}   "
         f"{v1['seconds'] * 1e3:8,.1f} ms   ({v1['ops']:,d} framed ops)",
         f"  Logoot state ship      "
-        + (f"{_fmt_bytes(base['logoot_wire_bytes']):>12s}   (analytic)"
-           if "logoot_wire_bytes" in base else "     skipped"),
+        f"{_fmt_bytes(base['logoot_wire_bytes']):>12s}   (analytic)",
         f"  RGA state ship         "
         f"{_fmt_bytes(base['rga_wire_bytes']):>12s}   (analytic)",
         "",
         f"  bytes: v1/v2           {results['bytes_ratio_v1']:8.1f}x  "
         f"(acceptance floor {MIN_BYTES_RATIO:.0f}x)",
-    ]
-    if "bytes_ratio_logoot" in results:
-        lines.append(
-            f"  bytes: Logoot/v2       {results['bytes_ratio_logoot']:8.1f}x")
-    lines += [
+        f"  bytes: Logoot/v2       {results['bytes_ratio_logoot']:8.1f}x",
         f"  bytes: RGA/v2          {results['bytes_ratio_rga']:8.1f}x",
         f"  time:  v1/v2           {results['time_ratio_v1']:8.1f}x",
         "  synced replica identifier-identical to source: yes (checked)",
@@ -209,9 +197,6 @@ def main(argv=None) -> int:
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_sync.json",
                         help="where to write the JSON report")
-    parser.add_argument("--no-logoot", action="store_true",
-                        help="skip the Logoot baseline (gigabytes of "
-                             "memory at full size)")
     args = parser.parse_args(argv)
     if args.quick:
         cfg = dict(lines=300, chars_per_line=40, repeats=2)
@@ -228,15 +213,13 @@ def main(argv=None) -> int:
         },
         "run_frames": measure_v2(source, cfg["repeats"]),
         "per_op_v1": measure_v1(source, cfg["repeats"]),
-        "baselines": measure_baseline_bytes(source,
-                                            logoot=not args.no_logoot),
+        "baselines": measure_baseline_bytes(source),
     }
     v2_bytes = results["run_frames"]["wire_bytes"]
     results["bytes_ratio_v1"] = results["per_op_v1"]["wire_bytes"] / v2_bytes
-    if not args.no_logoot:
-        results["bytes_ratio_logoot"] = (
-            results["baselines"]["logoot_wire_bytes"] / v2_bytes
-        )
+    results["bytes_ratio_logoot"] = (
+        results["baselines"]["logoot_wire_bytes"] / v2_bytes
+    )
     results["bytes_ratio_rga"] = (
         results["baselines"]["rga_wire_bytes"] / v2_bytes
     )

@@ -100,7 +100,7 @@ from repro.core.runs import (
 )
 from repro.core.tree import TreedocTree
 from repro.errors import DecodeError, EncodingError, PathError, TreeError
-from repro.util.bits import BitReader, BitWriter, elias_gamma_field
+from repro.util.bits import BitReader, BitWriter
 
 # Operation tags.
 _TAG_INSERT = 0
@@ -275,18 +275,10 @@ def finish_decode(reader: BitReader, what: str) -> None:
 def write_text(writer: BitWriter, value: object) -> None:
     """Append a text field as a length-prefixed UTF-8 payload (atoms,
     digests, transaction tags — every string on the wire uses this)."""
-    writer.write_bits(*_text_field(value))
-
-
-def _text_field(value: object) -> Tuple[int, int]:
-    """:func:`write_text`'s layout as one ``(field, width)``: gamma of
-    the UTF-8 length + 1, then the bytes."""
-    payload = (value if isinstance(value, str) else repr(value)).encode(
-        "utf-8")
-    length, length_width = elias_gamma_field(len(payload) + 1)
-    bits = 8 * len(payload)
-    return (length << bits) | int.from_bytes(payload, "big"), \
-        length_width + bits
+    text = value if isinstance(value, str) else repr(value)
+    payload = text.encode("utf-8")
+    writer.write_elias_gamma(len(payload) + 1)
+    writer.write_bytes(payload)
 
 
 def read_text(reader: BitReader) -> str:
@@ -636,7 +628,7 @@ def encode_state(tree: TreedocTree, mode: str, site: int,
     """Encode a whole document as a tree-walk state frame (see the
     module docstring)."""
     writer = _state_header(_FRAME_TREE, mode, site)
-    atoms, leaves, slots = _write_tree(writer, tree.root)
+    atoms, leaves, slots = _write_tree(writer, tree.root, mode)
     return DocumentState(site, mode, writer.getvalue(), writer.bit_length,
                          digest, atoms, leaves, slots)
 
@@ -656,7 +648,7 @@ def decode_state(state: DocumentState) -> Tuple[int, str, TreedocTree]:
                                               (_FRAME_TREE, _FRAME_STATE))
         tree = TreedocTree()
         if kind == _FRAME_TREE:
-            _read_tree(reader, tree, keep_tombstones=mode == "sdis")
+            _read_tree(reader, tree, mode)
         else:
             load_state_segments(tree, _read_segments(reader),
                                 keep_tombstones=mode == "sdis")
@@ -731,14 +723,11 @@ _SLOT_CODES = {LIVE: (1, 1), EMPTY: (0, 2), TOMBSTONE: (1, 2)}
 _MINI_MIN_BITS = 3
 
 
-def _slot_field(state: str, atom: object) -> Tuple[int, int]:
-    """A slot's state code and, when live, its atom as a text field,
-    as one ``(field, width)``."""
-    code, width = _SLOT_CODES[state]
-    if state != LIVE:
-        return code, width
-    text, bits = _text_field(atom)
-    return (code << bits) | text, width + bits
+def _write_slot(writer: BitWriter, state: str, atom: object) -> None:
+    """A slot's state code and, when live, its atom as a text field."""
+    writer.write_bits(*_SLOT_CODES[state])
+    if state == LIVE:
+        write_text(writer, atom)
 
 
 def _read_slot(reader: BitReader,
@@ -801,79 +790,76 @@ def _kept_minis(node: PosNode) -> List[MiniNode]:
             or _holds_ids(mini.right)]
 
 
-def _write_site_dictionary(writer: BitWriter, root: PosNode) -> Tuple:
-    """The per-frame site dictionary: a UDIS flag, then the distinct
-    sites of the carried disambiguators, ascending, gamma-coded as
-    deltas. Returns ``(udis, index by site, index width)``."""
-    kinds = set()
+def _write_site_dictionary(writer: BitWriter, root: PosNode,
+                           dis_type: type) -> Tuple[dict, int]:
+    """The per-frame site dictionary: the distinct sites of the carried
+    disambiguators, ascending, gamma-coded as deltas. Returns ``(index
+    by site, index width)``."""
     sites = set()
     stack = [root]
     while stack:
         node = stack.pop()
         for mini in _kept_minis(node):
-            kinds.add(type(mini.dis))
+            if type(mini.dis) is not dis_type:
+                raise EncodingError(
+                    f"{type(mini.dis).__name__} disambiguator in a "
+                    f"{dis_type.__name__} document"
+                )
             sites.add(mini.dis.site)
             stack.extend(child for child in (mini.left, mini.right)
                          if _holds_ids(child))
         stack.extend(child for child in (node.left, node.right)
                      if isinstance(child, PosNode) and child.id_count)
-    if len(kinds) > 1:
-        raise EncodingError("UDIS and SDIS disambiguators in one document")
-    udis = Udis in kinds
-    writer.write_bit(int(udis))
     writer.write_elias_gamma(len(sites) + 1)
     previous = -1
     for site in sorted(sites):
         writer.write_elias_gamma(site - previous)
         previous = site
     index = {site: i for i, site in enumerate(sorted(sites))}
-    return udis, index, (len(sites) - 1).bit_length() if sites else 0
+    return index, (len(sites) - 1).bit_length() if sites else 0
 
 
-def _write_tree(writer: BitWriter, root: PosNode) -> Tuple[int, int, int]:
+def _write_tree(writer: BitWriter, root: PosNode,
+                mode: str) -> Tuple[int, int, int]:
     """The tree-walk body; returns ``(live atoms, leaf records, slot
-    records)``. Each node's fields are packed into one int and written
-    with one call (leaf records go through the shared writer)."""
-    udis, index, site_width = _write_site_dictionary(writer, root)
+    records)``. The frame header's mode fixes the disambiguator kind."""
+    udis = mode == "udis"
+    index, site_width = _write_site_dictionary(writer, root,
+                                               Udis if udis else Sdis)
     last = [0] * len(index)
     live = leaves = slots = 0
     stack = [root]
     while stack:
         node = stack.pop()
-        state = node.plain_state
-        value, width = _slot_field(state, node.plain_atom)
-        if state != EMPTY:
+        _write_slot(writer, node.plain_state, node.plain_atom)
+        if node.plain_state != EMPTY:
             slots += 1
-            live += state == LIVE
+            live += node.plain_state == LIVE
         minis = _kept_minis(node)
-        field, bits = elias_gamma_field(len(minis) + 1)
-        value, width = (value << bits) | field, width + bits
+        writer.write_elias_gamma(len(minis) + 1)
         below: List[PosNode] = []
         for mini in minis:
             dis = mini.dis
             site_index = index[dis.site]
-            value, width = (value << site_width) | site_index, \
-                width + site_width
+            writer.write_bits(site_index, site_width)
             if udis:
                 delta = dis.counter - last[site_index]
                 last[site_index] = dis.counter
-                field, bits = elias_gamma_field(
+                writer.write_elias_gamma(
                     (delta << 1 if delta >= 0 else (-delta << 1) - 1) + 1)
-                value, width = (value << bits) | field, width + bits
-            state = mini.state
-            field, bits = _slot_field(state, mini.atom)
-            value, width = (value << bits) | field, width + bits
-            if state != EMPTY:
+            _write_slot(writer, mini.state, mini.atom)
+            if mini.state != EMPTY:
                 slots += 1
-                live += state == LIVE
+                live += mini.state == LIVE
             for child in (mini.left, mini.right):
-                value, width = value << 1, width + 1
                 if _holds_ids(child):
-                    value |= 1
+                    writer.write_bit(1)
                     below.append(child)
+                else:
+                    writer.write_bit(0)
         for child in (node.left, node.right):
             if child is None or not child.id_count:
-                value, width = value << 1, width + 1
+                writer.write_bit(0)
                 continue
             if isinstance(child, ArrayLeaf):
                 atoms, dead = child.atoms, child.dead
@@ -882,24 +868,22 @@ def _write_tree(writer: BitWriter, root: PosNode) -> Tuple[int, int, int]:
                 atoms, dead = collect_array_atoms(
                     child, STATE_RUN_MIN_ATOMS), 0
                 if atoms is None:
-                    value, width = (value << 2) | 0b10, width + 2
+                    writer.write_bits(0b10, 2)
                     below.append(child)
                     continue
                 live += len(atoms)
-            writer.write_bits((value << 2) | 0b11, width + 2)
-            value = width = 0
+            writer.write_bits(0b11, 2)
             write_leaf_record(writer, atoms, dead, _write_atom_list)
             leaves += 1
-        writer.write_bits(value, width)
         stack.extend(reversed(below))
     return live, leaves, slots
 
 
-def _read_tree(reader: BitReader, tree: TreedocTree,
-               keep_tombstones: bool) -> None:
+def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
     """Build ``tree`` (empty) from a tree-walk body: nodes, mini-nodes
     and array leaves directly, iteratively, counts recomputed once."""
-    udis = reader.read_bit()
+    udis = mode == "udis"
+    keep_tombstones = not udis
     sites: List[int] = []
     site = -1
     for _ in range(reader.read_count()):

@@ -392,15 +392,6 @@ def _read_delete_log(reader: BitReader) -> Tuple[DeleteLogEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-def crc_valid(data: bytes) -> bool:
-    """Whether ``data`` closes with the CRC-32 of everything before it
-    — the trailer every wire frame carries (see :func:`encode_wire`)."""
-    if len(data) <= CRC_BYTES:
-        return False
-    body, crc = data[:-CRC_BYTES], data[-CRC_BYTES:]
-    return zlib.crc32(body) == int.from_bytes(crc, "big")
-
-
 def encode_wire(frame: WireFrame) -> bytes:
     """Encode any peer-protocol frame as self-describing bytes.
 

@@ -24,14 +24,18 @@ payloads out. Errors surface only as typed
   (bad magic, or an implausible length field). The reader has already
   discarded bytes up to the next plausible boundary; the caller simply
   keeps pulling frames.
-- A damaged length that is still plausible would make the reader
-  swallow the segments behind it, or wait for bytes that belong to
-  them. While a payload is incomplete, or complete but failing its
-  wire-frame CRC (:func:`repro.replication.wire.crc_valid`), the
-  reader looks inside the declared payload for a complete segment
-  whose own CRC verifies; finding one proves the header wrong, and the
-  reader resynchronizes there (raising ``FrameSyncError``).
-- Payload-level damage is *not* rejected here: a bit flip inside a
+- A damaged length that is still plausible would make the reader wait
+  for bytes that belong to the segments behind it, or swallow them.
+  While a declared payload is incomplete, or complete but failing its
+  wire-frame CRC, the reader checks each later magic inside it:
+  if the bytes before that magic decode as one complete wire frame
+  (CRC and the whole grammar, :func:`repro.replication.wire.
+  decode_wire`), the length was damaged, and that frame is delivered
+  with the length it really has. A strict prefix of an intact frame
+  never decodes (every field, atom text included, is self-delimiting
+  and trailing bytes are rejected), so payload content — a forged
+  segment inside an atom, say — cannot move a boundary.
+- Other payload-level damage is *not* detected here: a bit flip inside a
   correctly-delimited payload passes through and is rejected by
   ``decode_wire``'s CRC check, exactly like corruption on the
   simulated network.
@@ -40,10 +44,11 @@ payloads out. Errors surface only as typed
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import List, Optional
 
-from repro.errors import EncodingError, FrameSyncError
-from repro.replication.wire import crc_valid
+from repro.errors import DecodeError, EncodingError, FrameSyncError
+from repro.replication.wire import CRC_BYTES, decode_wire
 
 #: Segment magic. Both bytes have the high bit set so a desynchronized
 #: scan cannot realign on ASCII payload content by accident.
@@ -58,6 +63,11 @@ HEADER_BYTES = MAGIC_BYTES + _LENGTH.size
 #: reader buffer gigabytes before noticing.
 DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: Decodes tried per suspect payload while looking for its real end. A
+#: candidate is only decoded once its CRC matches, so honest traffic
+#: spends none; the cap bounds what forged CRCs in content can cost.
+_MAX_REPAIR_DECODES = 4
+
 
 def encode_segment(payload: bytes) -> bytes:
     """Wrap one wire frame for the stream: magic, length, payload."""
@@ -71,6 +81,15 @@ def encode_segment(payload: bytes) -> bytes:
             f"{DEFAULT_MAX_FRAME_BYTES}-byte frame ceiling"
         )
     return MAGIC + _LENGTH.pack(len(payload)) + bytes(payload)
+
+
+def _closes_with_crc(payload: bytes) -> bool:
+    """Whether ``payload`` ends with the CRC-32 of the bytes before it,
+    as every wire frame does."""
+    if len(payload) <= CRC_BYTES:
+        return False
+    return zlib.crc32(memoryview(payload)[:-CRC_BYTES]) == \
+        int.from_bytes(payload[-CRC_BYTES:], "big")
 
 
 class FrameReader:
@@ -102,9 +121,16 @@ class FrameReader:
         self.frames_delivered = 0
         self.resyncs = 0
         self.bytes_discarded = 0
-        #: Buffer offset up to which later-segment candidates have been
-        #: ruled out (reset whenever the buffer front moves).
-        self._scanned = 0
+        self._reset_scan()
+
+    def _reset_scan(self) -> None:
+        """Forget the repair scan of the payload at the buffer front."""
+        #: Next buffer offset to search for a magic, and the CRC-32 of
+        #: ``buffer[HEADER_BYTES:crc_end]``.
+        self._scan_from = HEADER_BYTES + CRC_BYTES
+        self._crc_end = HEADER_BYTES
+        self._crc = 0
+        self._decodes_left = _MAX_REPAIR_DECODES
 
     def feed(self, chunk: bytes) -> None:
         """Append raw socket bytes (any chunking)."""
@@ -133,45 +159,46 @@ class FrameReader:
         end = HEADER_BYTES + length
         payload = bytes(buffer[HEADER_BYTES:end]) if len(buffer) >= end \
             else None
-        if payload is None or not crc_valid(payload):
-            # Incomplete, or damaged: if a verified segment starts
-            # inside the declared payload, the length field is what
-            # was damaged — resynchronize there instead of swallowing
-            # the segments behind it.
-            boundary = self._verified_segment(min(end, len(buffer)))
-            if boundary:
-                self._resync(skip=boundary)
-            if payload is None:
+        if payload is None or not _closes_with_crc(payload):
+            real_end = self._real_end(min(end, len(buffer)))
+            if real_end is not None:
+                # The length field was damaged; the frame is intact.
+                end = real_end
+                payload = bytes(buffer[HEADER_BYTES:end])
+                self.resyncs += 1
+            elif payload is None:
                 return None
         del buffer[:end]
-        self._scanned = 0
+        self._reset_scan()
         self.frames_delivered += 1
         return payload
 
-    def _verified_segment(self, limit: int) -> int:
-        """Offset (below ``limit``) of a later complete segment whose
-        payload's CRC verifies, or 0. A candidate whose segment is not
-        complete yet stops the scan, to be decided when more bytes
-        arrive."""
+    def _real_end(self, limit: int) -> Optional[int]:
+        """The offset where the front payload really ends, if a magic
+        before ``limit`` follows bytes that decode as one whole wire
+        frame; else None. Each buffered byte is searched and
+        checksummed once across calls."""
         buffer = self._buffer
-        position = buffer.find(MAGIC, max(self._scanned, HEADER_BYTES),
-                               limit + MAGIC_BYTES - 1)
-        while position >= 0:
-            start = position + HEADER_BYTES
-            if start > len(buffer):
-                break
-            (length,) = _LENGTH.unpack_from(buffer, position + MAGIC_BYTES)
-            if length <= self.max_frame_bytes:
-                if start + length > len(buffer):
-                    break
-                if crc_valid(bytes(buffer[start:start + length])):
-                    return position
-            position = buffer.find(MAGIC, position + 1,
-                                   limit + MAGIC_BYTES - 1)
-        # A magic split across the scanned end is re-found next time.
-        self._scanned = (limit - MAGIC_BYTES + 1 if position < 0
-                         else position)
-        return 0
+        while self._decodes_left:
+            position = buffer.find(MAGIC, self._scan_from, limit)
+            if position < 0:
+                # A magic split across the limit is found next time.
+                self._scan_from = max(self._scan_from,
+                                      limit - MAGIC_BYTES + 1)
+                return None
+            self._scan_from = position + 1
+            body_end = position - CRC_BYTES
+            self._crc = zlib.crc32(buffer[self._crc_end:body_end], self._crc)
+            self._crc_end = body_end
+            if self._crc != int.from_bytes(buffer[body_end:position], "big"):
+                continue
+            self._decodes_left -= 1
+            try:
+                decode_wire(bytes(buffer[HEADER_BYTES:position]))
+            except (DecodeError, EncodingError):
+                continue
+            return position
+        return None
 
     def drain(self) -> List[bytes]:
         """Every currently-complete payload, swallowing resyncs (the
@@ -201,7 +228,7 @@ class FrameReader:
         else:
             discard = position
             del buffer[:position]
-        self._scanned = 0
+        self._reset_scan()
         self.resyncs += 1
         self.bytes_discarded += discard
         raise FrameSyncError(

@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
-from repro.replication.wire import crc_valid
 from repro.storage.crash import CrashError, CrashInjector
 from repro.storage.wal import (
     RECORD_ENVELOPE,
@@ -82,6 +81,19 @@ def _checkpoint_path(root: Path, cp_id: int) -> Path:
 
 def _file_id(path: Path) -> int:
     return int(path.stem.split("-", 1)[1])
+
+
+def _crc_valid(data: bytes) -> bool:
+    """The at-rest integrity test for a checkpoint file: every stored
+    frame is a wire frame, i.e. body + trailing CRC-32."""
+    import zlib
+
+    from repro.replication.wire import CRC_BYTES
+
+    if len(data) <= CRC_BYTES:
+        return False
+    body, crc = data[:-CRC_BYTES], data[-CRC_BYTES:]
+    return zlib.crc32(body) == int.from_bytes(crc, "big")
 
 
 @dataclass
@@ -236,7 +248,7 @@ class DurableStore:
         checkpoint, rotate the WAL, prune old generations."""
         if self._closed:
             raise StorageError(f"store {self.root} is closed")
-        if not crc_valid(frame):
+        if not _crc_valid(frame):
             raise StorageError(
                 "checkpoint frame is not CRC-terminated; encode it with "
                 "repro.replication.wire.encode_wire"
@@ -274,7 +286,7 @@ class DurableStore:
         corrupt = 0
         for path in reversed(checkpoints):
             data = path.read_bytes()
-            if crc_valid(data):
+            if _crc_valid(data):
                 checkpoint_bytes = data
                 checkpoint_id = _file_id(path)
                 break

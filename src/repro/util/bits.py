@@ -42,18 +42,6 @@ def bits_for_int(value: int) -> int:
     return max(1, value.bit_length())
 
 
-def elias_gamma_field(value: int) -> tuple:
-    """The Elias-gamma code of ``value`` (>= 1) as one ``(field,
-    width)``: the unary code of ``width - 1``, then ``value`` without
-    its leading one. Encoders that pack several fields into one int
-    before writing use it directly."""
-    if value < 1:
-        raise EncodingError(f"elias-gamma needs value >= 1, got {value}")
-    rest = value.bit_length() - 1
-    return ((((1 << rest) - 1) << 1) << rest) | (value ^ (1 << rest)), \
-        2 * rest + 1
-
-
 class BitWriter:
     """Append-only bit stream writer.
 
@@ -106,9 +94,13 @@ class BitWriter:
         self._push(((1 << value) - 1) << 1, value + 1)
 
     def write_elias_gamma(self, value: int) -> None:
-        """Append ``value`` (>= 1) using Elias gamma coding
-        (:func:`elias_gamma_field`)."""
-        self._push(*elias_gamma_field(value))
+        """Append ``value`` (>= 1) using Elias gamma coding: the unary
+        code of ``width - 1``, then ``value`` without its leading one."""
+        if value < 1:
+            raise EncodingError(f"elias-gamma needs value >= 1, got {value}")
+        rest = value.bit_length() - 1
+        self._push(((((1 << rest) - 1) << 1) << rest) | (value ^ (1 << rest)),
+                   2 * rest + 1)
 
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes (8 bits each)."""

@@ -9,6 +9,8 @@ surface only as typed errors and the reader recovers.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,28 +205,59 @@ class TestDamageRecovery:
     def test_inflated_length_does_not_swallow_later_segments(self):
         # A flipped length bit that still passes the max_frame_bytes
         # check: the reader must not wait for bytes that belong to the
-        # segments behind it. Only the damaged segment is lost.
+        # segments behind it. The damaged segment's frame is intact, so
+        # nothing is lost.
         damaged = bytearray(STREAM)
         damaged[3] ^= 0x10  # the length grows by 1 MiB
         reader = FrameReader()
         reader.feed(bytes(damaged))
-        assert read_all(reader, swallow_errors=True) == FRAMES[1:]
+        assert read_all(reader) == FRAMES
         assert reader.resyncs == 1
 
-    def test_inflated_last_length_recovers_on_next_segment(self):
+    def test_inflated_last_length_is_repaired_by_the_next_magic(self):
         last = len(STREAM) - len(encode_segment(FRAMES[-1]))
         damaged = bytearray(STREAM)
         damaged[last + HEADER_BYTES - 1] ^= 0x80  # 128 bytes too long
         reader = FrameReader(max_frame_bytes=len(STREAM))
         reader.feed(bytes(damaged))
-        assert read_all(reader, swallow_errors=True) == FRAMES[:-1]
-        # Fed piecewise, the next segment is only judged once complete.
+        assert read_all(reader) == FRAMES[:-1]
+        # Fed a byte at a time, the next segment's magic shows where
+        # the last frame really ended.
         fresh = encode_segment(FRAMES[0])
+        frames = []
         for byte in range(len(fresh)):
             reader.feed(fresh[byte:byte + 1])
-            frames = read_all(reader, swallow_errors=True)
-        assert frames == [FRAMES[0]]
+            frames += read_all(reader)
+        assert frames == [FRAMES[-1], FRAMES[0]]
+        assert reader.resyncs == 1
         assert reader.buffered == 0
+
+    def test_segment_inside_atom_text_never_moves_a_boundary(self):
+        # An atom whose UTF-8 bytes are a whole segment (magic U+05DC,
+        # a length, and a payload closing with its own CRC-32), landing
+        # byte-aligned in a state transfer that arrives piecewise.
+        for n in range(10_000):
+            body = b"f%04d" % n
+            crc = zlib.crc32(body).to_bytes(4, "big")
+            if max(crc) < 0x80:
+                break
+        forged = encode_segment(body + crc)
+        for extra in range(64):
+            doc = Treedoc(site=1, mode="sdis")
+            doc.insert_text(0, [forged.decode("utf-8")] + ["c"] * extra)
+            frame = SyncResponse(1, VectorClock({1: 1}),
+                                 doc.capture_state()).to_wire()
+            if forged in frame:
+                break
+        assert forged in frame
+        stream = encode_segment(frame) + encode_segment(FRAMES[1])
+        reader = FrameReader()
+        delivered = []
+        for byte in range(len(stream)):
+            reader.feed(stream[byte:byte + 1])
+            delivered += read_all(reader)
+        assert delivered == [frame, FRAMES[1]]
+        assert reader.resyncs == 0
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
