@@ -29,7 +29,6 @@ prints a units-labelled summary. Run::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import platform
 import random
@@ -40,6 +39,7 @@ from typing import List
 
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
+from repro.metrics import resident_bytes
 
 #: Cold-region multipliers for the scaling sweep (the acceptance bar
 #: names the 10x point).
@@ -116,23 +116,6 @@ def run_trace(doc: Treedoc, hot_lines: int, edits: int, warmup: int,
         "explodes": tree.explodes - base[2],
         "partial_explodes": tree.partial_explodes - base[3],
     }
-
-
-def resident_bytes(root_obj, exclude_ids) -> int:
-    seen = set()
-    total = 0
-    stack = [root_obj]
-    while stack:
-        obj = stack.pop()
-        key = id(obj)
-        if key in seen or key in exclude_ids:
-            continue
-        seen.add(key)
-        if obj is None or isinstance(obj, type):
-            continue
-        total += sys.getsizeof(obj)
-        stack.extend(gc.get_referents(obj))
-    return total
 
 
 def measure_scaling(cfg: dict) -> List[dict]:

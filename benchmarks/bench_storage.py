@@ -5,7 +5,7 @@ section 7) is for: the steady-state cost of a document that is mostly
 *not* being edited.
 
 1. **Live-tree resident bytes** — the real in-memory size of the tree
-   structure (every node, parent tuple, cache list and leaf — atom
+   structure (every node, mini tuple, cache list and leaf — atom
    payloads excluded, since both forms share them), measured by a
    generic gc-reachability walk that runs unchanged on any source tree.
    The same driver runs in a subprocess against the current ``src/``
@@ -38,15 +38,20 @@ from typing import Optional
 
 #: Self-contained measurement driver run in a subprocess against an
 #: arbitrary source tree (PYTHONPATH selects the version). It only uses
-#: APIs that exist both before and after this PR — the collapse pass is
-#: feature-detected, which on a pre-PR tree simply measures the pure
-#: tree form.
+#: APIs that exist in every measured tree — the collapse pass is
+#: feature-detected, which on an older tree simply measures the pure
+#: tree form. The resident-bytes walk is always this checkout's
+#: ``repro.metrics.resident``, loaded by file path (it needs only the
+#: standard library), so both trees are measured by the same walk.
 _DRIVER = r"""
-import gc, json, sys, time
+import importlib.util, json, sys, time
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
 
 cfg = json.loads(sys.argv[1])
+_spec = importlib.util.spec_from_file_location("resident", cfg["walker"])
+resident = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(resident)
 
 def best_of(repeats, run):
     best = float("inf")
@@ -74,22 +79,6 @@ def build_quiescent(lines):
         doc.note_revision()
     return doc
 
-def resident_bytes(root_obj, exclude_ids):
-    seen = set()
-    total = 0
-    stack = [root_obj]
-    while stack:
-        obj = stack.pop()
-        key = id(obj)
-        if key in seen or key in exclude_ids:
-            continue
-        seen.add(key)
-        if obj is None or isinstance(obj, type):
-            continue
-        total += sys.getsizeof(obj)
-        stack.extend(gc.get_referents(obj))
-    return total
-
 doc = build_quiescent(cfg["lines"])
 collapsed = 0
 if hasattr(doc, "collapse_cold"):
@@ -106,17 +95,24 @@ atom_ids = set(map(id, doc.atoms()))
 print(json.dumps({
     "atoms": len(doc),
     "collapsed_regions": collapsed,
-    "resident_bytes": resident_bytes(doc.tree, atom_ids),
+    "resident_bytes": resident.resident_bytes(doc.tree, atom_ids),
     "snapshot_seconds": snapshot_seconds,
 }))
 """
+
+
+#: The one resident-bytes walker, loaded by the measurement subprocess
+#: for every source tree it measures.
+_WALKER = (Path(__file__).resolve().parent.parent
+           / "src" / "repro" / "metrics" / "resident.py")
 
 
 def _run_driver(src: Path, cfg: dict) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
     output = subprocess.run(
-        [sys.executable, "-c", _DRIVER, json.dumps(cfg)],
+        [sys.executable, "-c", _DRIVER,
+         json.dumps({**cfg, "walker": str(_WALKER)})],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(output.stdout)

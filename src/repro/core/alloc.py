@@ -52,10 +52,9 @@ def _is_within_subtree(slot: AtomSlot, ancestor: PosNode) -> bool:
     while node is not None:
         if node is ancestor:
             return True
-        parent = node.parent
-        if parent is None:
+        container = node.parent
+        if container is None:
             return False
-        container, _ = parent
         node = container.host if isinstance(container, MiniNode) else container
     return False
 
@@ -66,10 +65,9 @@ def _greater_mini_sibling_above(slot: AtomSlot, p: MiniNode) -> bool:
     p_key = p.dis.key
     node: Optional[PosNode] = slot_host(slot)
     while node is not None:
-        parent = node.parent
-        if parent is None:
+        container = node.parent
+        if container is None:
             return False
-        container, _ = parent
         if isinstance(container, MiniNode):
             if container.host is p.host and container.dis.key > p_key:
                 return True
@@ -290,7 +288,7 @@ class Allocator:
             while node.left is not None:
                 node = node.left
         else:
-            node = PosNode(parent=(container, bit))
+            node = PosNode(container, bit)
             container.set_child(bit, node)
             depth = self._node_depth(node)
             if depth > self.tree.height:
@@ -302,7 +300,7 @@ class Allocator:
         current: Optional[PosNode] = node
         while current is not None and current.parent is not None:
             depth += 1
-            container, _ = current.parent
+            container = current.parent
             current = (
                 container.host if isinstance(container, MiniNode) else container
             )
@@ -342,14 +340,14 @@ class Allocator:
         self, container, bit: int, depth: int
     ) -> PosNode:
         """Materialize a complete binary subtree of ``depth`` levels."""
-        root = PosNode(parent=(container, bit))
+        root = PosNode(container, bit)
         container.set_child(bit, root)
         frontier = [root]
         for _ in range(depth - 1):
             next_frontier = []
             for node in frontier:
                 for child_bit in (LEFT, RIGHT):
-                    child = PosNode(parent=(node, child_bit))
+                    child = PosNode(node, child_bit)
                     node.set_child(child_bit, child)
                     next_frontier.append(child)
             frontier = next_frontier

@@ -19,7 +19,7 @@ both UDIS and SDIS, and 4 bytes for the UDIS counter").
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.errors import EncodingError
 
@@ -105,14 +105,40 @@ class Udis:
 
 
 class Sdis:
-    """Site disambiguator: the site identifier alone (section 3.3.2)."""
+    """Site disambiguator: the site identifier alone (section 3.3.2).
+
+    Interned: ``Sdis(site)`` returns the one immutable instance for that
+    site, whichever path builds it (minting, wire and disk decoders,
+    run patterns, PosID parsing). An SDIS document holds one tag object
+    per distinct site instead of one per mini-node, and identity equals
+    equality. The intern table grows with the distinct sites a process
+    has seen, one small entry each.
+    """
 
     __slots__ = ("site", "key")
 
-    def __init__(self, site: SiteId) -> None:
+    _interned: Dict[SiteId, "Sdis"] = {}
+
+    def __new__(cls, site: SiteId) -> "Sdis":
+        if type(site) is int:
+            tag = cls._interned.get(site)
+            if tag is not None:
+                return tag
         validate_site_id(site)
-        self.site = site
-        self.key: Tuple[int, int] = (0, site)
+        tag = object.__new__(cls)
+        object.__setattr__(tag, "site", site)
+        object.__setattr__(tag, "key", (0, site))
+        return cls._interned.setdefault(site, tag)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Sdis is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Sdis is immutable")
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickled values resolve to the interned instance.
+        return (Sdis, (self.site,))
 
     def sort_key(self) -> tuple:
         """Total-order key; see :meth:`Udis.sort_key`."""
@@ -123,10 +149,8 @@ class Sdis:
         """Encoded size in bits (site id only)."""
         return SITE_ID_BITS
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sdis):
-            return NotImplemented
-        return self.site == other.site
+    # Equality is identity (the inherited ``object.__eq__``): one
+    # instance per site.
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -167,8 +191,8 @@ class DisambiguatorFactory:
         self.site = site
         self.mode = mode
         self._counter = 0
-        # SDIS disambiguators are all identical for one site; mint one
-        # immutable instance instead of one per atom.
+        # SDIS disambiguators are all identical for one site: the
+        # interned instance.
         self._sdis = Sdis(site) if mode == self.SDIS else None
 
     def fresh(self) -> Disambiguator:

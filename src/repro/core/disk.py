@@ -157,7 +157,7 @@ def _read_leaf(reader: BitReader, parent, bit: int,
     else:
         atoms, dead = read_live(reader), 0
     # The owning tree is attached by load() once it exists.
-    return ArrayLeaf((parent, bit), atoms, None, dead=dead)
+    return ArrayLeaf(parent, bit, atoms, None, dead=dead)
 
 
 def _write_subtree(writer: BitWriter, root: PosNode, atoms: _AtomFile,
@@ -222,7 +222,7 @@ def _read_subtree(reader: BitReader, parent, bit: int,
                   payloads: List[bytes], version: int) -> Optional[PosNode]:
     if not reader.read_bit():
         return None
-    root = PosNode(parent=(parent, bit) if parent is not None else None)
+    root = PosNode(parent, bit)
     level: Dict[int, PosNode] = {0: root}
     while level:
         count = reader.read_elias_gamma() - 1
@@ -237,7 +237,7 @@ def _read_subtree(reader: BitReader, parent, bit: int,
                 raise EncodingError("heap position mismatch")
             children = _read_entry(reader, node, payloads, version)
             for child_bit in children:
-                child = PosNode(parent=(node, child_bit))
+                child = PosNode(node, child_bit)
                 node.set_child(child_bit, child)
                 next_level[2 * expected_index + child_bit] = child
         level = next_level

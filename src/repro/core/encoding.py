@@ -891,6 +891,7 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
         sites.append(validate_site_id(site))
     width = (len(sites) - 1).bit_length() if sites else 0
     last = [0] * len(sites)
+    tags = [] if udis else [Sdis(site) for site in sites]
     height = 0
     stack: List[Tuple[PosNode, int]] = [(tree.root, 0)]
     while stack:
@@ -917,20 +918,20 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
                     last[site_index] = counter
                     dis: Disambiguator = Udis(counter, sites[site_index])
                 else:
-                    dis = Sdis(sites[site_index])
+                    dis = tags[site_index]
                 if previous is not None and dis.key <= previous:
                     raise EncodingError("mini-nodes out of order")
                 previous = dis.key
                 mini = MiniNode(node, dis)
                 mini.state, mini.atom = _read_slot(reader, keep_tombstones)
                 if reader.read_bit():
-                    mini.left = PosNode(parent=(mini, 0))
+                    mini.left = PosNode(mini, 0)
                     below.append((mini.left, depth + 1))
                 if reader.read_bit():
-                    mini.right = PosNode(parent=(mini, 1))
+                    mini.right = PosNode(mini, 1)
                     below.append((mini.right, depth + 1))
                 minis.append(mini)
-            node.minis = minis
+            node.minis = tuple(minis)
         for bit in (0, 1):
             if not reader.read_bit():
                 continue
@@ -940,12 +941,12 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
                     raise EncodingError(
                         "dead-slot bitmap in a discard-mode (UDIS) document"
                     )
-                leaf = ArrayLeaf((node, bit), atoms, tree, dead=dead)
+                leaf = ArrayLeaf(node, bit, atoms, tree, dead=dead)
                 node.set_child(bit, leaf)
                 if depth + leaf.implicit_depth > height:
                     height = depth + leaf.implicit_depth
             else:
-                child = PosNode(parent=(node, bit))
+                child = PosNode(node, bit)
                 node.set_child(bit, child)
                 below.append((child, depth + 1))
         stack.extend(reversed(below))

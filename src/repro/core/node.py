@@ -84,8 +84,10 @@ class MiniNode:
         return f"<mini {self.dis!r} {self.state}>"
 
 
-#: A parent link: the owning container and the branch bit, or None at root.
-ParentLink = Optional[Tuple[Union["PosNode", MiniNode], int]]
+#: A parent link's container: the position node or mini-node whose child
+#: slot holds this node (its branch bit is the separate ``side`` slot),
+#: or None at the root.
+Container = Optional[Union["PosNode", MiniNode]]
 
 #: An atom slot: a position node stands for its own plain slot.
 AtomSlot = Union["PosNode", MiniNode]
@@ -103,6 +105,7 @@ class PosNode:
 
     __slots__ = (
         "parent",
+        "side",
         "plain_state",
         "plain_atom",
         "minis",
@@ -113,13 +116,18 @@ class PosNode:
         "cached_posid",
     )
 
-    def __init__(self, parent: ParentLink = None) -> None:
-        self.parent: ParentLink = parent
+    def __init__(self, parent: Container = None, side: int = LEFT) -> None:
+        #: The parent link, flat: ``parent.child(side) is self`` for every
+        #: attached node (``parent`` is None at the root). Two slots, not
+        #: a ``(container, bit)`` tuple per node.
+        self.parent: Container = parent
+        self.side = side
         self.plain_state = EMPTY
         self.plain_atom = None
-        # Sorted list of mini-nodes; nearly always 0 or 1 entries, so a
-        # list with insertion-sort beats a tree or dict here.
-        self.minis: List[MiniNode] = []
+        # Mini-nodes sorted by disambiguator; nearly always 0 or 1
+        # entries, so an immutable tuple rebuilt on the rare insert or
+        # removal beats a list per node. Nodes without minis share ().
+        self.minis: Tuple[MiniNode, ...] = ()
         self.left: Optional[PosNode] = None
         self.right: Optional[PosNode] = None
         self.live_count = 0
@@ -157,24 +165,27 @@ class PosNode:
     def get_or_create_mini(self, dis: Disambiguator) -> MiniNode:
         """Find or insert (in disambiguator order) the mini-node ``dis``."""
         key = dis.key
-        for index, mini in enumerate(self.minis):
+        minis = self.minis
+        for index, mini in enumerate(minis):
             mini_key = mini.dis.key
             if mini_key == key:
                 return mini
             if mini_key > key:
                 new = MiniNode(self, dis)
-                self.minis.insert(index, new)
+                self.minis = minis[:index] + (new,) + minis[index:]
                 return new
         new = MiniNode(self, dis)
-        self.minis.append(new)
+        self.minis = minis + (new,)
         return new
 
     def remove_mini(self, mini: MiniNode) -> None:
         """Detach ``mini`` from this node (UDIS discard)."""
-        try:
-            self.minis.remove(mini)
-        except ValueError:
-            raise TreeError("mini-node not attached to this position node")
+        minis = self.minis
+        for index, candidate in enumerate(minis):
+            if candidate is mini:
+                self.minis = minis[:index] + minis[index + 1:]
+                return
+        raise TreeError("mini-node not attached to this position node")
 
     @property
     def is_structurally_empty(self) -> bool:
@@ -301,10 +312,9 @@ def parent_host(node: PosNode) -> Optional[PosNode]:
     """The position node one spine hop above ``node`` (through its
     parent link, resolving a mini-node container to its host), or None
     at the root. The one place the hop rule lives."""
-    parent = node.parent
-    if parent is None:
+    container = node.parent
+    if container is None:
         return None
-    container, _ = parent
     return container.host if isinstance(container, MiniNode) else container
 
 
@@ -319,12 +329,12 @@ def _node_posid(node: PosNode) -> PosID:
     current = node
     while current.cached_posid is None and current.parent is not None:
         chain.append(current)
-        container, _ = current.parent
+        container = current.parent
         current = container.host if isinstance(container, MiniNode) else container
     if current.cached_posid is None:  # the root
         current.cached_posid = PosID._of(())
     for current in reversed(chain):
-        container, bit = current.parent
+        container, bit = current.parent, current.side
         if isinstance(container, MiniNode):
             host_elements = container.host.cached_posid.elements
             if not host_elements:
@@ -364,7 +374,7 @@ def slot_depth(slot: AtomSlot) -> int:
     node: Optional[PosNode] = slot_host(slot)
     while node is not None and node.parent is not None:
         depth += 1
-        container, _ = node.parent
+        container = node.parent
         node = container.host if isinstance(container, MiniNode) else container
     return depth
 
@@ -401,7 +411,7 @@ def build_exploded(node: "PosNode", atoms: Sequence[object]) -> None:
     """
     node.plain_state = EMPTY
     node.plain_atom = None
-    node.minis = []
+    node.minis = ()
     node.left = None
     node.right = None
     if not atoms:
@@ -435,11 +445,11 @@ def _fill_complete(node: "PosNode", atoms: Sequence[object],
         current.live_count = count
         current.id_count = count
         if left_atoms > 0:
-            left = PosNode(parent=(current, LEFT))
+            left = PosNode(current, LEFT)
             current.left = left
             stack.append((left, lo, mid))
         if right_atoms > 0:
-            right = PosNode(parent=(current, RIGHT))
+            right = PosNode(current, RIGHT)
             current.right = right
             stack.append((right, mid + 1, hi))
 
@@ -464,7 +474,7 @@ def build_exploded_with_dead(node: "PosNode", atoms: Sequence[object],
     """
     node.plain_state = EMPTY
     node.plain_atom = None
-    node.minis = []
+    node.minis = ()
     node.left = None
     node.right = None
     if not atoms:
@@ -486,11 +496,11 @@ def build_exploded_with_dead(node: "PosNode", atoms: Sequence[object],
         current.live_count = count - _popcount_range(dead, lo, hi)
         current.id_count = count
         if left_atoms > 0:
-            left = PosNode(parent=(current, LEFT))
+            left = PosNode(current, LEFT)
             current.left = left
             stack.append((left, lo, mid))
         if right_atoms > 0:
-            right = PosNode(parent=(current, RIGHT))
+            right = PosNode(current, RIGHT)
             current.right = right
             stack.append((right, mid + 1, hi))
 
@@ -514,7 +524,7 @@ def build_partial_exploded(node: "PosNode", atoms: Sequence[object],
     """
     node.plain_state = EMPTY
     node.plain_atom = None
-    node.minis = []
+    node.minis = ()
     node.left = None
     node.right = None
     current, lo, hi = node, 0, len(atoms)
@@ -532,13 +542,13 @@ def build_partial_exploded(node: "PosNode", atoms: Sequence[object],
         if around < mid:
             _attach_partial_side(current, RIGHT, atoms, mid + 1, hi,
                                  leaf_min, tree)
-            child = PosNode(parent=(current, LEFT))
+            child = PosNode(current, LEFT)
             current.left = child
             current, hi = child, mid
         elif around > mid:
             _attach_partial_side(current, LEFT, atoms, lo, mid,
                                  leaf_min, tree)
-            child = PosNode(parent=(current, RIGHT))
+            child = PosNode(current, RIGHT)
             current.right = child
             current, lo = child, mid + 1
         else:
@@ -558,10 +568,10 @@ def _attach_partial_side(current: "PosNode", bit: int,
     if hi <= lo:
         return
     if hi - lo >= leaf_min:
-        current.set_child(bit, ArrayLeaf((current, bit),
-                                         list(atoms[lo:hi]), tree))
+        current.set_child(bit, ArrayLeaf(current, bit, list(atoms[lo:hi]),
+                                         tree))
     else:
-        child = PosNode(parent=(current, bit))
+        child = PosNode(current, bit)
         current.set_child(bit, child)
         _fill_complete(child, atoms, lo, hi)
 
@@ -787,7 +797,7 @@ class ArrayLeaf:
     stray reference to it cannot pin the tree.
     """
 
-    __slots__ = ("parent", "atoms", "tree", "dead",
+    __slots__ = ("parent", "side", "atoms", "tree", "dead",
                  "live_count", "id_count", "_live_map")
 
     #: Class-level pseudo-state: a leaf is not an atom slot, but giving
@@ -797,8 +807,8 @@ class ArrayLeaf:
     #: every slot.
     state = "array"
 
-    def __init__(self, parent: ParentLink, atoms: List[object], tree,
-                 dead: int = 0) -> None:
+    def __init__(self, parent: Container, side: int, atoms: List[object],
+                 tree, dead: int = 0) -> None:
         if not atoms:
             raise TreeError("an array leaf must hold at least one atom")
         if dead:
@@ -807,6 +817,7 @@ class ArrayLeaf:
             if dead.bit_count() >= len(atoms):
                 raise TreeError("an array leaf must hold a visible atom")
         self.parent = parent
+        self.side = side
         self.atoms = atoms
         self.tree = tree
         self.dead = dead
@@ -880,12 +891,12 @@ class ArrayLeaf:
 
     def base_elements(self) -> Tuple[PathElement, ...]:
         """Path elements of the region root (the attach point's child)."""
-        if self.parent is None:
+        container = self.parent
+        if container is None:
             raise TreeError("detached array leaf has no path")
-        container, bit = self.parent
         if isinstance(container, MiniNode):
             raise TreeError("array leaf attached under a mini-node")
-        return _node_posid(container).elements + (PathElement(bit),)
+        return _node_posid(container).elements + (PathElement(self.side),)
 
     def __repr__(self) -> str:
         if self.dead:

@@ -721,7 +721,7 @@ def _attach_run_leaf(tree, run: AtomRun) -> Optional[ArrayLeaf]:
     bit = run.base[-1].bit
     if container.child(bit) is not None:
         raise TreeError("state run overlaps earlier segments")
-    leaf = ArrayLeaf((container, bit), list(run.atoms), tree)
+    leaf = ArrayLeaf(container, bit, list(run.atoms), tree)
     container.set_child(bit, leaf)
     return leaf
 

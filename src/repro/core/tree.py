@@ -163,10 +163,10 @@ def _after_mini_region(host: PosNode, index: int) -> Optional[AtomSlot]:
 def _up_successor(node: PosNode) -> Optional[AtomSlot]:
     """Slot following the entire subtree rooted at ``node``."""
     while True:
-        parent = node.parent
-        if parent is None:
+        container = node.parent
+        if container is None:
             return None
-        container, bit = parent
+        bit = node.side
         if isinstance(container, MiniNode):
             if bit == LEFT:
                 return container
@@ -213,10 +213,10 @@ def _before_mini_region(host: PosNode, index: int) -> AtomSlot:
 def _up_predecessor(node: PosNode) -> Optional[AtomSlot]:
     """Slot preceding the entire subtree rooted at ``node``."""
     while True:
-        parent = node.parent
-        if parent is None:
+        container = node.parent
+        if container is None:
             return None
-        container, bit = parent
+        bit = node.side
         if isinstance(container, MiniNode):
             if bit == RIGHT:
                 return container
@@ -376,7 +376,7 @@ class TreedocTree:
         for position, element in enumerate(elements):
             child = context.child(element.bit)
             if child is None:
-                child = PosNode(parent=(context, element.bit))
+                child = PosNode(context, element.bit)
                 context.set_child(element.bit, child)
             elif isinstance(child, ArrayLeaf):
                 child = self.explode_leaf(
@@ -441,10 +441,9 @@ class TreedocTree:
         while node is not None:
             node.live_count += d_live
             node.id_count += d_id
-            parent = node.parent
-            if parent is None:
+            container = node.parent
+            if container is None:
                 break
-            container, _ = parent
             node = container.host if isinstance(container, MiniNode) else container
 
     # -- live-snapshot cache maintenance ------------------------------------------
@@ -834,7 +833,7 @@ class TreedocTree:
             if node.left is not None:
                 index += node.left.live_count
         while node.parent is not None:
-            container, bit = node.parent
+            container, bit = node.parent, node.side
             if isinstance(container, MiniNode):
                 mini = container
                 host = mini.host
@@ -1014,13 +1013,12 @@ class TreedocTree:
         )
         new = self._recount(node)
         d_live, d_id = new[0] - old[0], new[1] - old[1]
-        parent = node.parent
-        while parent is not None:
-            container, _ = parent
+        container = node.parent
+        while container is not None:
             host = container.host if isinstance(container, MiniNode) else container
             host.live_count += d_live
             host.id_count += d_id
-            parent = host.parent
+            container = host.parent
         return new
 
     def _recount(self, node: PosNode) -> Tuple[int, int]:
@@ -1099,10 +1097,9 @@ class TreedocTree:
         """
         if self._bulk_deltas is not None:
             raise TreeError("collapse inside a bulk section")
-        parent = node.parent
-        if node is self.root or parent is None:
+        container, bit = node.parent, node.side
+        if node is self.root or container is None:
             raise TreeError("cannot collapse the root region")
-        container, bit = parent
         if isinstance(container, MiniNode):
             raise TreeError("collapse regions must hang at plain children")
         if container.child(bit) is not node:
@@ -1117,7 +1114,7 @@ class TreedocTree:
             entry for entry in iter_subtree_entries(node)
             if entry.state == LIVE or type(entry) is ArrayLeaf
         ]
-        leaf = ArrayLeaf((container, bit), list(atoms), self, dead=dead)
+        leaf = ArrayLeaf(container, bit, list(atoms), self, dead=dead)
         container.set_child(bit, leaf)
         self._splice_collapsed(region_live, leaf)
         return leaf
@@ -1176,13 +1173,12 @@ class TreedocTree:
         section — remote batch paths resolve into leaves mid-batch —
         because no count deltas are involved.
         """
-        parent = leaf.parent
-        if parent is None:
+        container, bit = leaf.parent, leaf.side
+        if container is None:
             raise TreeError("array leaf already exploded")
-        container, bit = parent
         if container.child(bit) is not leaf:
             raise TreeError("array leaf detached from its container")
-        node = PosNode(parent=(container, bit))
+        node = PosNode(container, bit)
         atoms = leaf.atoms
         if (
             around is not None
@@ -1338,11 +1334,10 @@ class TreedocTree:
         while node is not None and node is not self.root:
             if not node.is_structurally_empty:
                 return
-            parent = node.parent
-            if parent is None:
+            container = node.parent
+            if container is None:
                 return
-            container, bit = parent
-            container.set_child(bit, None)
+            container.set_child(node.side, None)
             if isinstance(container, MiniNode):
                 if container.state == EMPTY and container.is_leaf:
                     host = container.host
@@ -1712,8 +1707,8 @@ class TreedocTree:
             node: Optional[PosNode] = host
             hops = 0
             while node is not None and node.parent is not None:
-                container, bit = node.parent
-                if container.child(bit) is not node:
+                container = node.parent
+                if container.child(node.side) is not node:
                     raise TreeError("broken parent link")
                 node = (
                     container.host
@@ -1757,13 +1752,12 @@ class TreedocTree:
             raise TreeError("array leaf with no visible atoms")
         if leaf.tree is not self:
             raise TreeError("array leaf owned by a different tree")
-        parent = leaf.parent
-        if parent is None:
+        container = leaf.parent
+        if container is None:
             raise TreeError("detached array leaf still reachable")
-        container, bit = parent
         if isinstance(container, MiniNode):
             raise TreeError("array leaf attached under a mini-node")
-        if container.child(bit) is not leaf:
+        if container.child(leaf.side) is not leaf:
             raise TreeError("broken parent link at array leaf")
         region = leaf.id_posids()
         if any(not a < b for a, b in zip(region, region[1:])):

@@ -592,11 +592,10 @@ class Treedoc:
             current = node
             region = None
             while current is not root:
-                parent = current.parent
-                if parent is None:
+                container, bit = current.parent, current.side
+                if container is None:
                     region = None  # floating husk: nothing here is live
                     break
-                container, bit = parent
                 if isinstance(container, MiniNode):
                     if container.child(bit) is not current:
                         region = None
@@ -627,11 +626,10 @@ class Treedoc:
                          if child is not None
                          and type(child) is not ArrayLeaf]
             else:
-                parent = region.parent
-                if parent is None:
+                container = region.parent
+                if container is None:
                     continue
-                container, bit = parent
-                if container.child(bit) is not region:
+                if container.child(region.side) is not region:
                     continue  # detached by an earlier collapse this pass
                 # Descend for canonical pockets: the region is cold but
                 # may be hot-shaped (same rule as the full scan).

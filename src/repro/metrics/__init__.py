@@ -6,6 +6,7 @@ from repro.metrics.overhead import (
     measure_tree,
 )
 from repro.metrics.report import Table, format_table
+from repro.metrics.resident import resident_bytes, resident_census
 
 __all__ = [
     "NODE_RECORD_BYTES",
@@ -13,4 +14,6 @@ __all__ = [
     "measure_tree",
     "Table",
     "format_table",
+    "resident_bytes",
+    "resident_census",
 ]

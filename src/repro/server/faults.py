@@ -9,9 +9,13 @@ proxy at peer B) and injects exactly those:
 
 - **split**: every forwarded chunk is re-chunked at seeded random
   byte boundaries (mid-magic, mid-header, mid-payload — the
-  :class:`~repro.server.framing.FrameReader` must not care);
+  :class:`~repro.server.framing.FrameReader` must not care); a chunk
+  of two or more bytes is always cut at least once;
 - **merge**: chunks are held briefly and coalesced, so one ``read()``
-  on the far side spans several frames;
+  on the far side spans several frames — drawn per chunk, or scripted
+  by chunk ordinal (``merge_chunks``);
+- **corrupt**: scripted by chunk ordinal (``corrupt_chunks``), one
+  byte of a chunk is flipped in transit;
 - **latency**: each chunk waits a seeded uniform delay;
 - **stall**: after every N forwarded bytes the stream freezes for a
   while (the slow-consumer scenario that exercises watermark
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.util.rng import derive_rng
 
@@ -45,6 +49,17 @@ class FaultPlan:
     merge_probability: float = 0.0
     #: Ceiling on held-and-merged bytes before a forced flush.
     merge_limit: int = 65536
+    #: Scripted faults name chunks by 1-based ordinal: the chunks one
+    #: direction of one proxied connection reads from its socket, in
+    #: order (every connection and direction counts from 1). Each chunk
+    #: named here is held and merged with the next one.
+    merge_chunks: FrozenSet[int] = frozenset()
+    #: Each chunk named here has its last byte flipped before it is
+    #: forwarded. A chunk read whole from a socket ends at a segment
+    #: boundary, so the flip lands in the CRC trailer of its last wire
+    #: frame: the receiver's decoder rejects exactly that frame, and
+    #: the framing keeps its alignment.
+    corrupt_chunks: FrozenSet[int] = frozenset()
     #: Max per-chunk delay in seconds (uniform 0..latency).
     latency: float = 0.0
     #: Freeze the stream for ``stall_duration`` after every this many
@@ -75,6 +90,7 @@ class FaultyTransport:
         self.forwarded_bytes = 0
         self.splits = 0
         self.merges = 0
+        self.corruptions = 0
         self.stalls = 0
         self.disconnects = 0
 
@@ -141,6 +157,7 @@ class FaultyTransport:
         plan = self.plan
         state = {"forwarded": 0, "next_stall": plan.stall_every_bytes}
         held = b""
+        ordinal = 0
 
         async def forward(data: bytes) -> bool:
             """Split and forward; False once the link is severed."""
@@ -181,11 +198,17 @@ class FaultyTransport:
                     if held and not await forward(held):
                         return
                     return
+                ordinal += 1
+                if ordinal in plan.corrupt_chunks:
+                    chunk = chunk[:-1] + bytes((chunk[-1] ^ 0xFF,))
+                    self.corruptions += 1
                 if plan.latency > 0.0:
                     await asyncio.sleep(rng.uniform(0.0, plan.latency))
-                if (plan.merge_probability > 0.0
-                        and len(held) + len(chunk) < plan.merge_limit
-                        and rng.random() < plan.merge_probability):
+                if (len(held) + len(chunk) < plan.merge_limit
+                        and (ordinal in plan.merge_chunks
+                             or (plan.merge_probability > 0.0
+                                 and rng.random()
+                                 < plan.merge_probability))):
                     held += chunk
                     self.merges += 1
                     continue
@@ -200,8 +223,11 @@ class FaultyTransport:
             return [data]
         pieces: List[bytes] = []
         position = 0
+        # The first piece stops short of the end: every chunk is cut.
+        limit = len(data) - 1
         while position < len(data):
-            step = rng.randint(1, max(1, min(len(data) - position, 512)))
+            step = rng.randint(1, max(1, min(limit - position, 512)))
+            limit = len(data)
             pieces.append(data[position:position + step])
             position += step
         if len(pieces) > 1:

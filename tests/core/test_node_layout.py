@@ -1,0 +1,167 @@
+"""The in-memory node layout (DESIGN.md section 7, "Node layout").
+
+Three invariants keep the tree lean without changing a serialised byte:
+
+- **flat parent links** — every position node and array leaf names its
+  container in ``parent`` and its branch in ``side``, and
+  ``parent.child(side)`` is the node itself (no ``(container, bit)``
+  tuple per node);
+- **tuple mini-lists** — ``minis`` is a tuple strictly sorted by
+  disambiguator key, and a node without minis holds the shared ``()``;
+- **interned SDIS tags** — every ``Sdis`` reachable from the tree is the
+  one instance for its site.
+
+:func:`check_layout` asserts all three; the state-frame property test
+runs it after every step of its edit histories. The census test counts
+objects, never bytes, so it holds on every CPython version.
+"""
+
+from __future__ import annotations
+
+import gc
+
+from repro.core import disk
+from repro.core.disambiguator import Sdis, Udis
+from repro.core.node import ArrayLeaf, MiniNode, PosNode
+from repro.core.path import ROOT
+from repro.core.treedoc import Treedoc
+from repro.metrics import resident_census
+
+_NO_MINIS = ()
+
+
+def _check_child(child, container, side: int, tree) -> None:
+    assert child.parent is container, "child does not point back"
+    assert child.side == side, "child names the wrong branch"
+    assert container.child(side) is child
+    if isinstance(child, ArrayLeaf):
+        assert isinstance(container, PosNode), "leaf under a mini-node"
+        assert child.tree is tree, "leaf owned by another tree"
+
+
+def check_layout(tree) -> None:
+    """Assert the lean-layout invariants over every node of ``tree``."""
+    root = tree.root
+    assert root.parent is None
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        minis = node.minis
+        assert type(minis) is tuple, f"minis is a {type(minis).__name__}"
+        if not minis:
+            assert minis is _NO_MINIS, "empty minis not the shared ()"
+        keys = [mini.dis.key for mini in minis]
+        assert all(a < b for a, b in zip(keys, keys[1:])), \
+            "minis not strictly sorted by disambiguator"
+        for mini in minis:
+            assert mini.host is node
+            dis = mini.dis
+            if isinstance(dis, Sdis):
+                assert dis is Sdis(dis.site), "Sdis not interned"
+            else:
+                assert isinstance(dis, Udis)
+            for side, child in enumerate((mini.left, mini.right)):
+                if child is not None:
+                    assert isinstance(child, PosNode)
+                    _check_child(child, mini, side, tree)
+                    stack.append(child)
+        for side, child in enumerate((node.left, node.right)):
+            if child is not None:
+                _check_child(child, node, side, tree)
+                if isinstance(child, PosNode):
+                    stack.append(child)
+
+
+def disk_reloads(tree):
+    """``tree`` saved and loaded as a disk image of format v3 and, when
+    it holds no dead-slot leaves (v2 cannot carry them), v2."""
+    versions = [3]
+    if not any(leaf.dead for leaf in tree.array_leaves()):
+        versions.append(2)
+    return [disk.load(disk.save(tree, version=version))
+            for version in versions]
+
+
+def sdis_doc() -> Treedoc:
+    """A fixed SDIS document: three writing sites, mini-nodes,
+    tombstones, a flattened and collapsed body and tree-form edits."""
+    doc = Treedoc(site=1, mode="sdis")
+    doc.insert_text(0, [f"a{i}" for i in range(64)])
+    doc.apply_flatten(doc.make_flatten(ROOT))
+    doc.delete_range(10, 14)
+    for site, index, atoms in ((2, 3, ["x", "y"]), (3, 8, ["w"]),
+                               (2, 40, list("tail"))):
+        other = Treedoc(site=site, mode="sdis")
+        other.load_state(doc.capture_state())
+        doc.apply_batch(other.insert_text(index, atoms))
+    doc.insert_text(5, ["v"])
+    for _ in range(3):
+        doc.note_revision()
+    doc.collapse_cold(min_age=1, min_atoms=4)
+    return doc
+
+
+def _reachable(root):
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or obj is None or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+class TestLayout:
+    def test_fixed_document_holds_the_invariants(self):
+        doc = sdis_doc()
+        assert doc.array_leaf_count
+        assert any(node.minis for node in doc.tree.root.iter_nodes())
+        check_layout(doc.tree)
+
+    def test_minis_rebuild_as_sorted_tuples(self):
+        node = PosNode()
+        for site in (5, 1, 3):
+            node.get_or_create_mini(Sdis(site))
+        assert [mini.dis.site for mini in node.minis] == [1, 3, 5]
+        assert node.get_or_create_mini(Sdis(3)) is node.minis[1]
+        for mini in list(node.minis):
+            node.remove_mini(mini)
+        assert node.minis is _NO_MINIS
+
+    def test_every_path_returns_the_interned_sdis(self):
+        doc = sdis_doc()
+        reloads = disk_reloads(doc.tree)
+        for leaf in doc.tree.array_leaves():
+            if leaf.dead:
+                leaf.explode()
+        reloads += disk_reloads(doc.tree)
+        assert len(reloads) == 3
+        for tree in reloads:
+            assert tree.atoms() == doc.atoms()
+            check_layout(tree)
+        receiver = Treedoc(site=9, mode="sdis")
+        receiver.load_state(doc.capture_state())
+        check_layout(receiver.tree)
+        assert Sdis(4) is Sdis(4) == Sdis(4)
+        assert Sdis(4) != Sdis(5)
+
+
+class TestCensus:
+    def test_no_parent_tuples_and_one_sdis_per_site(self):
+        doc = sdis_doc()
+        sites = {mini.dis.site for node in doc.tree.root.iter_nodes()
+                 for mini in node.minis}
+        assert sites == {1, 2, 3}
+        census = resident_census(doc.tree)
+        assert census["Sdis"][0] == len(sites)
+        nodes = census["PosNode"][0] + census.get("ArrayLeaf", (0, 0))[0]
+        assert nodes > 0 and census["MiniNode"][0] > len(sites)
+        containers = (PosNode, MiniNode)
+        parent_tuples = [
+            obj for obj in _reachable(doc.tree)
+            if type(obj) is tuple and len(obj) == 2
+            and isinstance(obj[0], containers)
+        ]
+        assert parent_tuples == []

@@ -6,8 +6,9 @@ flatten, collapse (bitmap leaves under SDIS), whole and partial
 explodes, tombstone purge — loading either frame of the same document
 gives the same text and identifiers and the same fully-live leaves, and
 the tree-walk load keeps the sender's dead-slot bitmaps (which the
-segment frame cannot carry). Hostile-input cases pin the decoder to
-typed errors.
+segment frame cannot carry). Every step of those histories, every
+load and a disk reload of the result also keep the lean node layout
+(``check_layout``). Hostile-input cases pin the decoder to typed errors.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.core.runs import iter_state_segments
 from repro.core.treedoc import Treedoc
 from repro.errors import DecodeError, EncodingError, SyncError
 from repro.util.bits import BitWriter
+
+from tests.core.test_node_layout import check_layout, disk_reloads
 
 
 def leaf_shapes(doc: Treedoc, dead: bool):
@@ -64,6 +67,8 @@ def assert_frames_agree(doc: Treedoc) -> Treedoc:
     state = doc.capture_state()
     tree_load = loaded(doc, state)
     seg_load = loaded(doc, segment_state(doc))
+    check_layout(tree_load.tree)
+    check_layout(seg_load.tree)
     assert tree_load.atoms() == seg_load.atoms() == doc.atoms()
     assert identity(tree_load) == identity(seg_load) == identity(doc)
     assert leaf_shapes(tree_load, dead=False) == leaf_shapes(
@@ -155,9 +160,15 @@ class TestDifferentialAgainstSegmentFrame:
                 if tombstones:
                     doc.tree.purge_tombstone(
                         tombstones[position % len(tombstones)])
+            check_layout(doc.tree)
+            check_layout(peer.tree)
         if cool_last:
             cool(doc, min_atoms=2)
+            check_layout(doc.tree)
         receiver = assert_frames_agree(doc)
+        for reloaded in disk_reloads(doc.tree):
+            assert reloaded.atoms() == doc.atoms()
+            check_layout(reloaded)
         # The loaded replica keeps converging with the source.
         batch = doc.insert_text(len(doc) // 2, ["after"])
         receiver.apply_batch(batch)

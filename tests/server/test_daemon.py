@@ -311,8 +311,11 @@ class TestFiveDaemonFaultyCluster:
         # PosID identity digest.
         async def scenario():
             ports = free_ports(5)
-            plan = FaultPlan(seed=42, split=True, merge_probability=0.3,
-                             latency=0.01)
+            # Every chunk of two or more bytes is cut; the second chunk
+            # of each direction of each proxied connection is held and
+            # merged with the third.
+            plan = FaultPlan(seed=42, split=True,
+                             merge_chunks=frozenset({2}), latency=0.01)
             # Larger id dials smaller: (3,1), (4,2), (5,3) are real
             # dial paths to splice proxies into.
             proxies = {
@@ -355,9 +358,11 @@ class TestFiveDaemonFaultyCluster:
                 )
                 texts = {d.site.text() for d in daemons}
                 assert len(texts) == 1
-                # The faults actually happened.
-                assert sum(p.splits for p in proxies.values()) > 0
-                assert sum(p.merges for p in proxies.values()) > 0
+                # The scripted faults happened on every proxy: each
+                # carried a hello and then edits in both directions.
+                for proxy in proxies.values():
+                    assert proxy.splits > 0
+                    assert proxy.merges >= 1
                 assert proxies[(4, 2)].disconnects >= 1
                 # And the stream framing absorbed them: no daemon saw
                 # decode errors or resyncs from split/merge chunking.
@@ -368,5 +373,58 @@ class TestFiveDaemonFaultyCluster:
                 await stop_cluster(daemons)
                 for proxy in proxies.values():
                     await proxy.stop()
+
+        run(scenario())
+
+
+class TestScriptedCorruption:
+    def test_corrupted_chunk_costs_one_frame_and_the_pair_converges(self, run):
+        # Site 2 dials site 1 through a proxy that flips the last byte
+        # of the second chunk in each direction (the first chunk after
+        # the hello). That byte ends a segment, so it lands in a wire
+        # frame's CRC trailer: the receiver rejects exactly that frame
+        # as a decode error and the framing never loses alignment.
+        # Site 2 is the only writer, so the frame site 1 loses is one
+        # of its edits (repaired by anti-entropy once the later edits
+        # buffer behind the gap) and the frame site 2 loses is a
+        # heartbeat or ack.
+        async def scenario():
+            ports = free_ports(2)
+            proxy = FaultyTransport(
+                "127.0.0.1", ports[0],
+                FaultPlan(corrupt_chunks=frozenset({2})),
+            )
+            await proxy.start()
+            configs = make_cluster_configs(
+                2, ports=ports,
+                peer_overrides={(2, 1): ("127.0.0.1", proxy.port)},
+                heartbeat_interval=0.1,
+            )
+            daemons = await start_cluster(configs)
+            d1, d2 = daemons
+            try:
+                assert await wait_until(
+                    lambda: 2 in d1.transport.connected
+                    and 1 in d2.transport.connected
+                )
+                words = ("alpha ", "bravo ", "charlie ")
+                for word in words:
+                    d2.site.insert_text(len(d2.site), list(word))
+                    await asyncio.sleep(0.02)
+                assert await wait_until(
+                    lambda: converged(daemons,
+                                      expected_len=len("".join(words))),
+                    timeout=30.0,
+                )
+                assert d1.site.text() == "".join(words)
+                assert await wait_until(lambda: proxy.corruptions == 2)
+                assert await wait_until(
+                    lambda: d1.decode_errors == d2.decode_errors == 1
+                )
+                assert d1.stream_resyncs == d2.stream_resyncs == 0
+                assert proxy.connections == 1
+            finally:
+                await stop_cluster(daemons)
+                await proxy.stop()
 
         run(scenario())
