@@ -18,7 +18,7 @@ from repro.core.treedoc import Treedoc
 
 def _filled_doc(n: int, mode: str = "udis", balanced: bool = True) -> Treedoc:
     doc = Treedoc(site=1, mode=mode, balanced=balanced)
-    doc.insert_run(0, [f"line {i}" for i in range(n)])
+    doc.insert_text(0, [f"line {i}" for i in range(n)])
     return doc
 
 

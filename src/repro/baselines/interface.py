@@ -98,12 +98,6 @@ class SequenceCRDT(abc.ABC):
         default is a no-op.
         """
 
-    def insert_run(self, index: int, atoms: Sequence[object]) -> List[object]:
-        """Insert a consecutive run; compatibility wrapper over the
-        batch path (the old default looped ``insert(index + offset)``,
-        which is quadratic in list-backed implementations)."""
-        return list(self.insert_text(index, atoms).ops)
-
     # -- batch internals (override these for fast paths) ------------------------
 
     def _run_insert_ops(self, index: int,
@@ -140,9 +134,6 @@ class TreedocAdapter(SequenceCRDT):
 
     def insert_text(self, index: int, atoms: Sequence[object]) -> OpBatch:
         return self.doc.insert_text(index, atoms)
-
-    def insert_run(self, index: int, atoms: Sequence[object]) -> List[object]:
-        return self.doc.insert_run(index, atoms)
 
     def delete(self, index: int) -> object:
         return self.doc.delete(index)

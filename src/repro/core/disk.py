@@ -28,15 +28,18 @@ per present child — tree or leaf — and serializes a leaf inline as an
 RLE atom run: the leaf's atoms are appended to the atom file
 contiguously, so one (count, first-reference) pair names them all.
 Cold documents therefore load back as array leaves **without
-exploding**; v1 images (no leaves possible) still load.
+exploding**.
 
 Format v3 (tombstone-tolerant leaves): the leaf record gains an
 optional dead-slot bitmap sidecar — one flag bit, and when set, a
 gamma-coded dead count followed by gamma-coded offset deltas, ahead of
 the run record (which then carries only the *live* atoms; dead slots
 have no payload). SDIS regions whose tombstones are stable can
-therefore persist collapsed. v2 images (no bitmap possible) still
-load, and ``save(version=2)`` rejects trees holding dead-slot leaves.
+therefore persist collapsed.
+
+:func:`save` writes v3 only. The reader keeps all three formats: v1
+images (no leaves possible) and v2 images (leaves, no bitmap) still
+load.
 
 The run record and the atom file are the shared segment codec of
 :mod:`repro.core.runs` (``write_run_record`` / ``AtomTable``) — the
@@ -60,7 +63,6 @@ from repro.core.node import (
     LIVE,
     TOMBSTONE,
     ArrayLeaf,
-    MiniNode,
     PosNode,
 )
 from repro.core.runs import (
@@ -124,26 +126,18 @@ def _read_slot_state(reader: BitReader,
     return state, None
 
 
-def _write_leaf(writer: BitWriter, leaf: ArrayLeaf, atoms: _AtomFile,
-               version: int) -> None:
-    """An array-leaf record: the shared RLE run record of
-    :mod:`repro.core.runs` — atoms appended to the atom file
-    contiguously, one (count, first-reference) pair naming them all.
-    v3 wraps it in the shared leaf record
-    (:func:`repro.core.runs.write_leaf_record`): the dead-slot bitmap
-    sidecar first, then a run record of only the live atoms."""
+def _write_leaf(writer: BitWriter, leaf: ArrayLeaf,
+                atoms: _AtomFile) -> None:
+    """An array-leaf record: the shared leaf record of
+    :mod:`repro.core.runs` (:func:`repro.core.runs.write_leaf_record`)
+    — the dead-slot bitmap sidecar first, then the shared RLE run
+    record of only the live atoms, appended to the atom file
+    contiguously so one (count, first-reference) pair names them all."""
 
     def write_live(out: BitWriter, live) -> None:
         write_run_record(out, len(live), atoms.add_run(live))
 
-    if version >= 3:
-        write_leaf_record(writer, leaf.atoms, leaf.dead, write_live)
-    elif leaf.dead:
-        raise EncodingError(
-            f"format v{version} cannot carry dead-slot bitmaps"
-        )
-    else:
-        write_live(writer, leaf.atoms)
+    write_leaf_record(writer, leaf.atoms, leaf.dead, write_live)
 
 
 def _read_leaf(reader: BitReader, parent, bit: int,
@@ -160,8 +154,8 @@ def _read_leaf(reader: BitReader, parent, bit: int,
     return ArrayLeaf(parent, bit, atoms, None, dead=dead)
 
 
-def _write_subtree(writer: BitWriter, root: PosNode, atoms: _AtomFile,
-                   version: int) -> None:
+def _write_subtree(writer: BitWriter, root: PosNode,
+                   atoms: _AtomFile) -> None:
     """Heap-style level-order encoding of one subtree skeleton."""
     level: List[Tuple[int, PosNode]] = [(0, root)]
     writer.write_bit(1)  # subtree present
@@ -174,7 +168,7 @@ def _write_subtree(writer: BitWriter, root: PosNode, atoms: _AtomFile,
         for index, node in level:
             writer.write_elias_gamma(index - previous)
             previous = index
-            _write_entry(writer, node, atoms, version)
+            _write_entry(writer, node, atoms)
             if isinstance(node.left, PosNode):
                 next_level.append((2 * index, node.left))
             if isinstance(node.right, PosNode):
@@ -182,8 +176,8 @@ def _write_subtree(writer: BitWriter, root: PosNode, atoms: _AtomFile,
         level = next_level
 
 
-def _write_entry(writer: BitWriter, node: PosNode, atoms: _AtomFile,
-                 version: int) -> None:
+def _write_entry(writer: BitWriter, node: PosNode,
+                 atoms: _AtomFile) -> None:
     _write_slot_state(writer, node.plain_state, node.plain_atom, atoms)
     writer.write_elias_gamma(len(node.minis) + 1)
     for mini in node.minis:
@@ -198,24 +192,21 @@ def _write_entry(writer: BitWriter, node: PosNode, atoms: _AtomFile,
                 )  # pragma: no cover - the tree never builds one
             else:
                 # Escape: a mini-node's child subtree, recursively.
-                _write_subtree(writer, child, atoms, version)
+                _write_subtree(writer, child, atoms)
     # Plain-child presence: the next heap level cannot be peeked at read
-    # time, so record which children exist. v2 spends a second bit on
-    # present children to distinguish tree subtrees from array leaves
+    # time, so record which children exist. Since v2 a second bit on
+    # present children distinguishes tree subtrees from array leaves
     # (serialized inline, not in the heap layout).
     for child in (node.left, node.right):
         if child is None:
             writer.write_bit(0)
             continue
         writer.write_bit(1)
-        if version >= 2:
-            if isinstance(child, ArrayLeaf):
-                writer.write_bit(1)
-                _write_leaf(writer, child, atoms, version)
-            else:
-                writer.write_bit(0)
-        elif isinstance(child, ArrayLeaf):
-            raise EncodingError("format v1 cannot carry array leaves")
+        if isinstance(child, ArrayLeaf):
+            writer.write_bit(1)
+            _write_leaf(writer, child, atoms)
+        else:
+            writer.write_bit(0)
 
 
 def _read_subtree(reader: BitReader, parent, bit: int,
@@ -271,20 +262,15 @@ def _read_entry(reader: BitReader, node: PosNode,
     return children
 
 
-def save(tree: TreedocTree, version: int = FORMAT_VERSION) -> DiskImage:
-    """Serialize a tree to its on-disk image.
-
-    ``version=1`` writes the legacy record (rejecting trees that hold
-    array leaves); ``version=2`` serializes leaves as RLE atom runs
-    (rejecting dead-slot bitmaps); the default v3 adds the bitmap
-    sidecar, so tombstone-bearing leaves persist collapsed.
-    """
+def save(tree: TreedocTree) -> DiskImage:
+    """Serialize a tree to its on-disk image, in the current format
+    (:data:`FORMAT_VERSION`): leaves as RLE atom runs with the
+    dead-slot bitmap sidecar, so tombstone-bearing leaves persist
+    collapsed."""
     writer = BitWriter()
     atoms = _AtomFile()
-    _write_subtree(writer, tree.root, atoms, version)
-    return DiskImage(
-        writer.getvalue(), writer.bit_length, atoms.payloads, version
-    )
+    _write_subtree(writer, tree.root, atoms)
+    return DiskImage(writer.getvalue(), writer.bit_length, atoms.payloads)
 
 
 def load(image: DiskImage) -> TreedocTree:
@@ -414,11 +400,10 @@ def read_image(path: Path) -> DiskImage:
     return image_from_bytes(Path(path).read_bytes())
 
 
-def save_file(tree: TreedocTree, path: Path,
-              version: int = FORMAT_VERSION, fsync: bool = True) -> int:
+def save_file(tree: TreedocTree, path: Path, fsync: bool = True) -> int:
     """Serialize ``tree`` straight to an image file (atomically);
     returns the file size in bytes."""
-    return write_image(save(tree, version), path, fsync=fsync)
+    return write_image(save(tree), path, fsync=fsync)
 
 
 def load_file(path: Path) -> TreedocTree:

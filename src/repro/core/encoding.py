@@ -80,7 +80,7 @@ from repro.core.node import (
     ArrayLeaf,
     MiniNode,
     PosNode,
-    collect_array_atoms,
+    collect_leaf_slots,
 )
 from repro.core.ops import DeleteOp, FlattenOp, InsertOp, OpBatch, Operation
 from repro.core.path import PathElement, PosID
@@ -865,12 +865,12 @@ def _write_tree(writer: BitWriter, root: PosNode,
                 atoms, dead = child.atoms, child.dead
                 live += child.live_count
             else:
-                atoms, dead = collect_array_atoms(
-                    child, STATE_RUN_MIN_ATOMS), 0
-                if atoms is None:
+                harvest = collect_leaf_slots(child, STATE_RUN_MIN_ATOMS)
+                if harvest is None:
                     writer.write_bits(0b10, 2)
                     below.append(child)
                     continue
+                atoms, dead = harvest
                 live += len(atoms)
             writer.write_bits(0b11, 2)
             write_leaf_record(writer, atoms, dead, _write_atom_list)

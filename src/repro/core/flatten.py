@@ -15,22 +15,25 @@ guarantees; the functions here are the local state transformations.
 section 5.1: position nodes are stamped with the revision that last
 touched them, and the largest subtree untouched for ``min_age``
 revisions (holding at least ``min_slots`` identifiers) is picked for
-flattening.
+flattening. ``find_collapsible`` reads the same stamps to pick the cold
+canonical regions that collapse into array leaves (section 4.2 mixed
+storage, DESIGN.md section 7).
+
+Both rebuild and harvest go through the one canonical-form pair of
+:mod:`repro.core.node`: :func:`repro.core.node.build_exploded` and
+:func:`repro.core.node.collect_leaf_slots`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.node import (  # noqa: F401  (re-exported: historical home)
-    EMPTY,
+from repro.core.node import (
     LIVE,
     ArrayLeaf,
-    MiniNode,
     PosNode,
     build_exploded,
-    entry_atoms,
-    explode_depth,
+    collect_leaf_slots,
     iter_subtree_entries,
 )
 from repro.core.path import LEFT, RIGHT, PosID
@@ -258,8 +261,54 @@ class ColdRegionFinder:
                 leafy.add(id(current))
         return newest, leafy
 
-    @classmethod
-    def _newest_stamps(cls, node: PosNode, stamps: dict) -> dict:
-        """id(PosNode) -> newest stamp in that node's subtree (see
-        :meth:`_survey`; kept for callers that need only the stamps)."""
-        return cls._survey(node, stamps)[0]
+
+def find_collapsible(
+    tree: TreedocTree,
+    stamps: dict,
+    current_revision: int,
+    min_age: int = 2,
+    min_atoms: int = 8,
+    allow_tombstones: bool = False,
+    withhold=None,
+) -> List[Tuple[PosID, PosNode, List[object], int]]:
+    """Cold canonical subtrees ready to collapse into array leaves.
+
+    Returns ``(plain path, subtree root, atoms, dead bitmap)``
+    4-tuples, top-down and left-to-right. A subtree qualifies when it
+    has been untouched for ``min_age`` revisions (by the
+    :class:`ColdRegionFinder` stamps), is in canonical exploded form
+    (:func:`repro.core.node.collect_leaf_slots` — the shape flatten
+    builds), and holds at least ``min_atoms`` identifiers. With
+    ``allow_tombstones`` (SDIS mode), stable-tombstone slots are
+    harvested into the leaf's dead bitmap instead of blocking the
+    collapse; the bitmap is 0 for fully live regions. The root itself
+    never collapses (mirroring the flatten heuristic); a
+    cold-but-hot-shaped subtree is descended, so smaller canonical
+    pockets inside it are still found. Already collapsed children are
+    skipped.
+
+    ``withhold`` is the re-collapse hysteresis hook: an optional
+    ``(bits, node, age) -> bool`` callable consulted on regions that
+    qualify structurally; returning True withholds the region whole —
+    its inner pockets are the same region, so the scan does not descend
+    into it either.
+    """
+    newest = ColdRegionFinder._survey(tree.root, stamps)[0]
+    regions: List[Tuple[PosID, PosNode, List[object], int]] = []
+    stack: List[Tuple[PosNode, Tuple[int, ...]]] = [(tree.root, ())]
+    while stack:
+        node, bits = stack.pop()
+        age = current_revision - newest[id(node)]
+        if bits and age >= min_age:
+            harvest = collect_leaf_slots(node, min_atoms, allow_tombstones)
+            if harvest is not None:
+                if withhold is not None and withhold(bits, node, age):
+                    continue
+                atoms, dead = harvest
+                regions.append((PosID.from_bits(bits), node, atoms, dead))
+                continue
+        for bit, child in ((LEFT, node.left), (RIGHT, node.right)):
+            if child is not None and not isinstance(child, ArrayLeaf):
+                stack.append((child, bits + (bit,)))
+    regions.sort(key=lambda item: item[0].bits())
+    return regions

@@ -32,9 +32,16 @@ always stands for the **canonical exploded form** of its atoms (the
 shape :func:`build_exploded` produces — what flatten leaves behind), so
 exploding it back rebuilds the identical identifier structure
 deterministically, without any replicated operation (the paper's
-section 4.2.1 argument). The canonical-form machinery lives here, next
-to the nodes, so :mod:`repro.core.tree` can explode on touch without an
-import cycle; :mod:`repro.core.flatten` re-exports it.
+section 4.2.1 argument).
+
+The canonical form has exactly one builder, :func:`build_exploded`
+(with an optional dead-slot bitmap for tombstone-bearing SDIS regions),
+and one harvester, :func:`collect_leaf_slots`, its inverse: flatten,
+collapse, explode, the state codecs and the run harvest all go through
+this pair. :func:`build_partial_exploded` is the large-leaf variant that
+materializes only the spine toward a touch point; it shares the same
+fill routine. The machinery lives here, next to the nodes, so
+:mod:`repro.core.tree` can explode on touch without an import cycle.
 """
 
 from __future__ import annotations
@@ -403,9 +410,17 @@ def _canonical_split(count: int) -> Tuple[int, int]:
     return left, count - 1 - left
 
 
-def build_exploded(node: "PosNode", atoms: Sequence[object]) -> None:
+def build_exploded(node: "PosNode", atoms: Sequence[object],
+                   dead: int = 0) -> None:
     """Rebuild ``node``'s subtree as the canonical exploded form of
     ``atoms`` (Algorithm 2), in place. The node keeps its parent link.
+
+    ``dead`` is a tombstone-bearing region's offset bitmap: the slots at
+    its set offsets come back as SDIS tombstones instead of live atoms
+    (``atoms`` holds None there). This is the exact inverse of
+    :func:`collect_leaf_slots`, so a region collapsed with its stable
+    tombstones explodes back to the identical structure and the leaf
+    stays invisible to remote operations.
 
     With no atoms the subtree becomes a bare empty node.
     """
@@ -418,11 +433,11 @@ def build_exploded(node: "PosNode", atoms: Sequence[object]) -> None:
         node.live_count = 0
         node.id_count = 0
         return
-    _fill_complete(node, list(atoms), 0, len(atoms))
+    _fill_complete(node, atoms, 0, len(atoms), dead)
 
 
 def _fill_complete(node: "PosNode", atoms: Sequence[object],
-                   lo: int, hi: int) -> None:
+                   lo: int, hi: int, dead: int = 0) -> None:
     """Assign ``atoms[lo:hi]`` infix-style to a complete subtree under
     ``node``.
 
@@ -430,7 +445,9 @@ def _fill_complete(node: "PosNode", atoms: Sequence[object],
     recurse into freshly created children. Surplus positions are simply
     never created, which realizes Algorithm 2's "remove any remaining
     nodes" without a second pass. Children are complete trees, so the
-    result equals building the full tree and pruning.
+    result equals building the full tree and pruning. Slots at the set
+    offsets of ``dead`` become tombstones; a fully live fill (``dead``
+    0) never computes a bitmap mask.
     """
     # Iterative splitting to cope with large arrays without recursion
     # limits: stack of (node, atom-slice bounds).
@@ -444,57 +461,12 @@ def _fill_complete(node: "PosNode", atoms: Sequence[object],
         current.plain_atom = atoms[mid]
         current.live_count = count
         current.id_count = count
-        if left_atoms > 0:
-            left = PosNode(current, LEFT)
-            current.left = left
-            stack.append((left, lo, mid))
-        if right_atoms > 0:
-            right = PosNode(current, RIGHT)
-            current.right = right
-            stack.append((right, mid + 1, hi))
-
-
-def _popcount_range(dead: int, lo: int, hi: int) -> int:
-    """Number of set bits of the ``dead`` bitmap in offsets [lo, hi)."""
-    return ((dead >> lo) & ((1 << (hi - lo)) - 1)).bit_count()
-
-
-def build_exploded_with_dead(node: "PosNode", atoms: Sequence[object],
-                             dead: int) -> None:
-    """Rebuild ``node``'s subtree as the canonical exploded form of a
-    tombstone-bearing region, in place: the shape of ``len(atoms)``
-    identifiers, with the slots at the set offsets of the ``dead``
-    bitmap restored as SDIS tombstones instead of live atoms.
-
-    This is the inverse of :func:`collect_leaf_slots`, exactly as
-    :func:`build_exploded` is the inverse of :func:`collect_array_atoms`:
-    a region collapsed with its stable tombstones explodes back to the
-    identical structure, so the bitmap leaf stays invisible to remote
-    operations.
-    """
-    node.plain_state = EMPTY
-    node.plain_atom = None
-    node.minis = ()
-    node.left = None
-    node.right = None
-    if not atoms:
-        node.live_count = 0
-        node.id_count = 0
-        return
-    stack: List[Tuple[PosNode, int, int]] = [(node, 0, len(atoms))]
-    while stack:
-        current, lo, hi = stack.pop()
-        count = hi - lo
-        left_atoms, right_atoms = _canonical_split(count)
-        mid = lo + left_atoms
-        if (dead >> mid) & 1:
-            current.plain_state = TOMBSTONE
-            current.plain_atom = None
-        else:
-            current.plain_state = LIVE
-            current.plain_atom = atoms[mid]
-        current.live_count = count - _popcount_range(dead, lo, hi)
-        current.id_count = count
+        if dead:
+            current.live_count -= (
+                (dead >> lo) & ((1 << count) - 1)).bit_count()
+            if (dead >> mid) & 1:
+                current.plain_state = TOMBSTONE
+                current.plain_atom = None
         if left_atoms > 0:
             left = PosNode(current, LEFT)
             current.left = left
@@ -576,84 +548,38 @@ def _attach_partial_side(current: "PosNode", bit: int,
         _fill_complete(child, atoms, lo, hi)
 
 
-def collect_array_atoms(child: Child, min_atoms: int = 1) -> Optional[List[object]]:
-    """The subtree's atoms when it is in canonical exploded form, else
-    None (the collapse predicate and atom harvest in one walk).
-
-    Canonical means: every position node holds a LIVE plain atom, no
-    mini-nodes, no tombstones, no empty structural nodes, and the left/
-    right split at every level matches :func:`build_exploded` — so a
-    later explode rebuilds the *identical* structure. An already
-    collapsed child (:class:`ArrayLeaf`) counts as canonical for its own
-    atoms, which lets neighbouring leaves merge into a larger one.
-
-    Verifying split counts before descending bounds the walk to the
-    canonical depth (O(log n) recursion), so this is safe on trees far
-    deeper than the recursion limit: a non-canonical deep chain fails
-    its count check at the top.
-    """
-    expected = (
-        len(child.atoms) if isinstance(child, ArrayLeaf) else child.live_count
-    )
-    if expected < min_atoms:
-        return None
-    out: List[object] = []
-    if _collect_canonical(child, expected, out):
-        return out
-    return None
-
-
-def _collect_canonical(child: Child, expected: int, out: List[object]) -> bool:
-    if isinstance(child, ArrayLeaf):
-        # A tombstone-bearing leaf is not *fully live* canonical form;
-        # the tombstone-tolerant harvest is collect_leaf_slots.
-        if child.dead or len(child.atoms) != expected:
-            return False
-        out.extend(child.atoms)
-        return True
-    node = child
-    if (
-        node.plain_state != LIVE
-        or node.minis
-        or node.live_count != expected
-        or node.id_count != expected
-    ):
-        return False
-    left_atoms, right_atoms = _canonical_split(expected)
-    if left_atoms == 0:
-        if node.left is not None:
-            return False
-    elif node.left is None or not _collect_canonical(node.left, left_atoms, out):
-        return False
-    out.append(node.plain_atom)
-    if right_atoms == 0:
-        return node.right is None
-    if node.right is None:
-        return False
-    return _collect_canonical(node.right, right_atoms, out)
-
-
 def collect_leaf_slots(child: Child, min_atoms: int = 1,
                        allow_tombstones: bool = False
                        ) -> Optional[Tuple[List[object], int]]:
-    """``(atoms, dead)`` of a subtree in canonical *shape* whose only
-    deviation from full liveness is stable SDIS tombstones, else None —
-    the tombstone-tolerant collapse predicate and harvest in one walk.
+    """``(atoms, dead)`` of a subtree in canonical exploded form, else
+    None — the collapse predicate and the harvest in one walk, and the
+    exact inverse of :func:`build_exploded`.
 
-    The shape check is keyed on **identifier** counts (a tombstone still
-    occupies its slot), so a region that was canonical when built stays
-    collapsible after some of its atoms are deleted under SDIS. The
-    returned ``atoms`` list has the region's full identifier length with
-    None at each dead offset; ``dead`` is the offset bitmap. With
-    ``allow_tombstones`` False this degenerates to the fully live
-    harvest (any tombstone rejects). A region with no visible atoms at
-    all returns None — an all-dead leaf would be invisible yet
-    unprunable, and purge+flatten handles it better.
+    Canonical means: no mini-nodes, no empty structural nodes, and the
+    left/right split at every level matches :func:`build_exploded` — so
+    a later explode rebuilds the *identical* structure. An already
+    collapsed child (:class:`ArrayLeaf`) counts as canonical for its own
+    atoms, which lets neighbouring leaves merge into a larger one.
+
+    With ``allow_tombstones`` False every slot must be LIVE (any
+    tombstone or dead-slot leaf rejects) and ``dead`` is 0: the fully
+    live form that flatten builds and the run codecs ship. With it True
+    (SDIS collapse) the shape check is keyed on **identifier** counts —
+    a tombstone still occupies its slot — so a region that was canonical
+    when built stays collapsible after some of its atoms are deleted;
+    ``atoms`` then has the region's full identifier length with None at
+    each dead offset, and ``dead`` is the offset bitmap. A region with
+    no visible atoms at all returns None — an all-dead leaf would be
+    invisible yet unprunable, and purge+flatten handles it better.
     """
     expected = (
-        len(child.atoms) if isinstance(child, ArrayLeaf) else child.id_count
+        len(child.atoms) if type(child) is ArrayLeaf else child.id_count
     )
-    if expected < min_atoms:
+    if expected < min_atoms or (
+        not allow_tombstones and child.live_count != expected
+    ):
+        # A fully live harvest rejects any tombstone in O(1) from the
+        # subtree's own counts, before walking it.
         return None
     out: List[object] = []
     dead_acc = [0]
@@ -669,7 +595,12 @@ def collect_leaf_slots(child: Child, min_atoms: int = 1,
 def _collect_canonical_slots(child: Child, expected: int, out: List[object],
                              allow_tombstones: bool,
                              dead_acc: List[int]) -> bool:
-    if isinstance(child, ArrayLeaf):
+    # Verifying split counts before descending bounds the walk to the
+    # canonical depth (O(log n) recursion), so this is safe on trees far
+    # deeper than the recursion limit: a non-canonical deep chain fails
+    # its count check at the top. The live case is tested first and the
+    # bitmap accumulator is touched only at a tombstone.
+    if type(child) is ArrayLeaf:
         if len(child.atoms) != expected:
             return False
         if child.dead:
@@ -679,10 +610,10 @@ def _collect_canonical_slots(child: Child, expected: int, out: List[object],
         out.extend(child.atoms)
         return True
     node = child
-    if node.minis or node.id_count != expected:
-        return False
     state = node.plain_state
-    if state == EMPTY or (state == TOMBSTONE and not allow_tombstones):
+    if node.minis or node.id_count != expected or (
+        state != LIVE and (state != TOMBSTONE or not allow_tombstones)
+    ):
         return False
     left_atoms, right_atoms = _canonical_split(expected)
     if left_atoms == 0:
@@ -692,11 +623,11 @@ def _collect_canonical_slots(child: Child, expected: int, out: List[object],
         node.left, left_atoms, out, allow_tombstones, dead_acc
     ):
         return False
-    if state == TOMBSTONE:
+    if state == LIVE:
+        out.append(node.plain_atom)
+    else:
         dead_acc[0] |= 1 << len(out)
         out.append(None)
-    else:
-        out.append(node.plain_atom)
     if right_atoms == 0:
         return node.right is None
     if node.right is None:

@@ -47,9 +47,8 @@ from repro.core.node import (
     TOMBSTONE,
     ArrayLeaf,
     MiniNode,
-    PosNode,
     canonical_posids,
-    collect_array_atoms,
+    collect_leaf_slots,
     explode_depth,
 )
 from repro.core.ops import DeleteOp, InsertOp, Operation
@@ -509,7 +508,7 @@ def iter_state_segments(tree, origin: SiteId,
     (identifier used, no atom). Run eligibility: the subtree hangs at a
     plain child of a position node (never under a mini-node — a leaf
     cannot attach there), is not the root, passes
-    :func:`collect_array_atoms`, and holds ``min_run_atoms`` atoms.
+    :func:`collect_leaf_slots` fully live, and holds ``min_run_atoms`` atoms.
 
     With a :class:`RegionFilter` the walk prunes every subtree disjoint
     from the cover and emits only intersecting slots and runs — the
@@ -548,9 +547,9 @@ def iter_state_segments(tree, origin: SiteId,
                             segments.append(InsertOp(posid, atom, origin))
                 continue
             if plain_child:
-                atoms = collect_array_atoms(child, min_run_atoms)
-                if atoms is not None:
-                    segments.append(AtomRun(elements, tuple(atoms)))
+                harvest = collect_leaf_slots(child, min_run_atoms)
+                if harvest is not None:
+                    segments.append(AtomRun(elements, tuple(harvest[0])))
                     continue
             stack.append(("node", child, elements))
         elif kind == "node":

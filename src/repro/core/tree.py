@@ -77,11 +77,10 @@ from repro.core.node import (
     MiniNode,
     PosNode,
     build_exploded,
-    build_exploded_with_dead,
     build_partial_exploded,
     canonical_bits_to_index,
     canonical_path_bits,
-    collect_array_atoms,
+    collect_leaf_slots,
     iter_subtree_entries,
     parent_host,
     slot_depth,
@@ -1079,12 +1078,11 @@ class TreedocTree:
         """Replace ``node``'s subtree by an :class:`ArrayLeaf` holding
         its atoms — zero per-atom metadata.
 
-        The subtree must be in canonical exploded form (fully live,
-        fully plain, :func:`repro.core.node.collect_array_atoms`) — or,
-        for the tombstone-tolerant form, canonical in *shape* with
-        stable SDIS tombstones at the offsets of the ``dead`` bitmap
-        (:func:`repro.core.node.collect_leaf_slots`, which the caller
-        must have run to produce ``atoms`` and ``dead``). Either way a
+        The subtree must be in canonical exploded form
+        (:func:`repro.core.node.collect_leaf_slots`) — fully live, or,
+        for the tombstone-tolerant form, with stable SDIS tombstones at
+        the offsets of the ``dead`` bitmap (the caller then passes the
+        ``atoms`` and ``dead`` that harvest produced). Either way a
         later explode-on-touch rebuilds the identical structure and the
         transformation is invisible to remote operations; that is what
         makes collapse a purely local decision needing no replication.
@@ -1105,11 +1103,12 @@ class TreedocTree:
         if container.child(bit) is not node:
             raise TreeError("collapse region detached from its container")
         if atoms is None:
-            atoms = collect_array_atoms(node, min_atoms)
-            if atoms is None:
+            harvest = collect_leaf_slots(node, min_atoms)
+            if harvest is None:
                 raise TreeError(
                     "subtree is not an array-representable canonical region"
                 )
+            atoms, dead = harvest
         region_live = [
             entry for entry in iter_subtree_entries(node)
             if entry.state == LIVE or type(entry) is ArrayLeaf
@@ -1193,10 +1192,7 @@ class TreedocTree:
             )
             self.partial_explodes += 1
         else:
-            if leaf.dead:
-                build_exploded_with_dead(node, atoms, leaf.dead)
-            else:
-                build_exploded(node, atoms)
+            build_exploded(node, atoms, leaf.dead)
             self.explodes += 1
         container.set_child(bit, node)
         depth = slot_depth(container) + leaf.implicit_depth

@@ -1,8 +1,9 @@
 """The Treedoc document replica: the library's main entry point.
 
 A :class:`Treedoc` is one replica of the shared edit buffer. Local edits
-(`insert`, `delete`, `insert_run`) allocate fresh PosIDs and return the
-operations to broadcast; remote operations are replayed with ``apply``.
+(`insert`, `delete`, `insert_text`, `delete_range`) allocate fresh
+PosIDs and return the operations to broadcast; remote operations are
+replayed with ``apply``.
 Because the type is a CRDT, replicas that apply the same set of
 operations in any happened-before-compatible order converge (section 2.2).
 
@@ -24,10 +25,10 @@ import weakref
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.alloc import Allocator
-from repro.core.array_region import find_collapsible
 from repro.core.disambiguator import DisambiguatorFactory, SiteId
 from repro.core.flatten import (
     ColdRegionFinder,
+    find_collapsible,
     flatten_subtree,
     resolve_region,
     subtree_atoms,
@@ -263,14 +264,6 @@ class Treedoc:
             self.tree.end_bulk()
         self._touch_many(slots)
         return OpBatch.build(ops, self.site, seq_start)
-
-    def insert_run(self, index: int, atoms: Sequence[object]) -> List[InsertOp]:
-        """Insert a consecutive run of atoms starting at ``index``.
-
-        Compatibility wrapper over :meth:`insert_text`, returning the
-        batch's operations as a list.
-        """
-        return list(self.insert_text(index, atoms).ops)
 
     def delete(self, index: int) -> DeleteOp:
         """Delete the visible atom at ``index``; returns the operation."""

@@ -89,7 +89,7 @@ class WikiPage:
         inserted = deleted = 0
         for op in edit_script(self.paragraphs(), target):
             if op.kind == "insert":
-                ops.extend(self.doc.insert_run(op.index, list(op.atoms)))
+                ops.extend(self.doc.insert_text(op.index, list(op.atoms)).ops)
                 inserted += len(op.atoms)
             else:
                 for _ in range(op.count):
@@ -117,7 +117,7 @@ class WikiPage:
     def edit_paragraph(self, index: int, new_text: str) -> List[Operation]:
         """Rewrite one paragraph (the drive-by wiki edit)."""
         ops = [self.doc.delete(index)]
-        ops.extend(self.doc.insert_run(index, [new_text]))
+        ops.extend(self.doc.insert_text(index, [new_text]).ops)
         self.doc.note_revision()
         self.history.append(WikiRevision(self.revision + 1, 1, 1, self.site))
         return ops

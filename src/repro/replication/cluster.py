@@ -434,7 +434,7 @@ class Cluster:
                   site: Optional[SiteId] = None) -> None:
         """Create initial content at one site and replicate it."""
         origin = self.sites[site if site is not None else self.site_ids[0]]
-        origin.insert_run(0, list(atoms))
+        origin.insert_text(0, list(atoms))
         self.settle()
 
     def gossip_acks(self) -> None:

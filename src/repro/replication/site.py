@@ -199,11 +199,6 @@ class ReplicaSite:
         self._ship_batch(batch)
         return batch
 
-    def insert_run(self, index: int, atoms: Sequence[object]) -> List[InsertOp]:
-        """Compatibility wrapper over :meth:`insert_text` (one envelope
-        per run, not one per atom)."""
-        return list(self.insert_text(index, atoms).ops)
-
     def delete(self, index: int) -> DeleteOp:
         """Delete locally and broadcast; returns the operation."""
         bits = self.doc.posid_at(index).bits()
@@ -736,11 +731,6 @@ class ReplicaSite:
             self._send_decline(request.requester, DECLINE_NOT_AHEAD)
             return
         strictly = clock.dominates(request.clock)
-        if not strictly and self.broadcast.blocked_since is not None:
-            # Concurrent with the requester and fighting our own gap:
-            # serving a sound diff is unlikely; route the requester on.
-            self._send_decline(request.requester, DECLINE_BUSY)
-            return
         if strictly and not any(True for _ in request.clock.items()):
             # A fresh joiner has no frontier to diff from: bootstrap it
             # with the full snapshot (collapsed runs load straight into
@@ -774,7 +764,14 @@ class ReplicaSite:
             self.sync_responses_sent += 1
             return
         # Concurrent frontiers and no sound diff: decline with a hint.
-        self._send_decline(request.requester, DECLINE_NOT_AHEAD)
+        # A diff is tried first even while this site fights a gap of its
+        # own: two sites that each lost one envelope from the other are
+        # both gap-blocked and concurrent, and declining BUSY there
+        # before looking would starve both of the repair forever.
+        if self.broadcast.blocked_since is not None:
+            self._send_decline(request.requester, DECLINE_BUSY)
+        else:
+            self._send_decline(request.requester, DECLINE_NOT_AHEAD)
 
     def _send_decline(self, requester: SiteId, reason: int) -> None:
         hint: Optional[SiteId] = None

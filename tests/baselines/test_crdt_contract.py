@@ -65,8 +65,8 @@ class TestListSemantics:
 
     def test_insert_run_semantics(self, factory):
         doc = factory(1)
-        doc.insert_run(0, list("ad"))
-        doc.insert_run(1, list("bc"))
+        doc.insert_text(0, list("ad"))
+        doc.insert_text(1, list("bc"))
         assert doc.text() == "abcd"
 
 
@@ -152,12 +152,12 @@ class TestBatchContract:
         path must produce the same visible sequence as single inserts,
         and its operations must replay to the same state remotely."""
         run_doc, single_doc = factory(1), factory(1)
-        run_doc.insert_run(0, list("hello world"))
+        run_doc.insert_text(0, list("hello world"))
         for offset, atom in enumerate("hello world"):
             single_doc.insert(offset, atom)
         assert run_doc.atoms() == single_doc.atoms()
         # A mid-document run, replayed on a replica.
-        ops = run_doc.insert_run(5, list("XYZ"))
+        run_doc.insert_text(5, list("XYZ"))
         for offset, atom in enumerate("XYZ"):
             single_doc.insert(5 + offset, atom)
         assert run_doc.atoms() == single_doc.atoms()

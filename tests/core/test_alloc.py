@@ -108,7 +108,7 @@ class TestBalancing:
 
     def test_insert_run_builds_minimal_subtree(self):
         doc = build(balanced=True)
-        doc.insert_run(0, list(range(31)))
+        doc.insert_text(0, list(range(31)))
         # A 31-atom run fits a depth-5 complete subtree (+1 for the
         # run's anchor position).
         assert doc.tree.height <= 6
@@ -117,8 +117,8 @@ class TestBalancing:
 
     def test_run_betweenness(self):
         doc = build(balanced=True)
-        doc.insert_run(0, ["a", "z"])
-        doc.insert_run(1, ["b", "c", "d", "e"])
+        doc.insert_text(0, ["a", "z"])
+        doc.insert_text(1, ["b", "c", "d", "e"])
         assert doc.text() == "abcdez"
         doc.check()
 

@@ -1,17 +1,19 @@
-"""Mixed tree/array storage (section 4.2)."""
+"""Array regions of the live mixed tree/array storage (section 4.2).
 
-import pytest
+A quiescent subtree in canonical exploded form collapses into an
+:class:`repro.core.node.ArrayLeaf` (zero per-atom metadata) and explodes
+back, deterministically and locally, when a path lands inside it.
+"""
 
-from repro.core.array_region import (
-    ARRAY_SLOT_BYTES,
-    MixedStorage,
-    find_array_regions,
-    storage_cost,
-)
+from repro.core.flatten import find_collapsible
+from repro.core.node import collect_leaf_slots
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
-from repro.errors import TreeError
-from repro.metrics.overhead import NODE_RECORD_BYTES
+from repro.metrics.overhead import (
+    ARRAY_SLOT_BYTES,
+    NODE_RECORD_BYTES,
+    measure_tree,
+)
 
 
 def _flattened_doc(n=40, tombstones=10):
@@ -25,45 +27,66 @@ def _flattened_doc(n=40, tombstones=10):
     return doc
 
 
+def _collapse(doc):
+    doc.note_revision()
+    return doc.collapse_cold(min_age=1, min_atoms=2)
+
+
+def _explode_all(doc):
+    for leaf in doc.tree.array_leaves():
+        leaf.explode()
+
+
 class TestFindRegions:
     def test_flattened_document_is_one_region(self):
         doc = _flattened_doc()
-        regions = find_array_regions(doc.tree)
-        assert len(regions) == 1
-        path, node = regions[0]
-        assert path == ROOT
-        assert node.live_count == 30
+        atoms, dead = collect_leaf_slots(doc.tree.root)
+        assert atoms == doc.atoms() and len(atoms) == 30
+        assert dead == 0
+        # The root itself never collapses: the maximal collapsible
+        # regions are its two canonical halves.
+        regions = find_collapsible(doc.tree, {}, doc.revision + 1,
+                                   min_age=1, min_atoms=2)
+        assert [path.bits() for path, _, _, _ in regions] == [(0,), (1,)]
+        assert sum(len(atoms) for _, _, atoms, _ in regions) == 29
 
     def test_active_document_has_no_regions_at_root(self):
         doc = Treedoc(site=1, mode="sdis")
         for i in range(20):
             doc.insert(i, i)
-        doc.delete(5)  # tombstone blocks array representation
-        regions = find_array_regions(doc.tree)
+        doc.delete(5)
         # every atom is a mini-node (disambiguated), so nothing here is
-        # array-representable
-        assert regions == []
+        # in canonical form, tombstones tolerated or not
+        assert collect_leaf_slots(doc.tree.root, 1, True) is None
+        assert find_collapsible(doc.tree, {}, doc.revision + 1, min_age=1,
+                                min_atoms=2, allow_tombstones=True) == []
 
     def test_mixed_document_finds_quiescent_subtrees(self):
         doc = _flattened_doc()
         doc.insert(3, "hot edit")  # creates a mini-node somewhere
-        regions = find_array_regions(doc.tree)
+        doc.note_revision()
+        regions = find_collapsible(doc.tree, doc._touch_stamps,
+                                   doc.revision, min_age=1, min_atoms=2)
         assert regions  # the untouched side remains an array region
-        assert all(path != ROOT for path, _ in regions)
+        assert all(path != ROOT for path, _, _, _ in regions)
+        assert collect_leaf_slots(doc.tree.root, 1, True) is None
 
 
 class TestMixedStorage:
     def test_compact_and_read(self):
         doc = _flattened_doc()
         content = doc.atoms()
-        storage = MixedStorage(doc.tree)
-        assert storage.compact() == 1
-        assert storage.atoms() == content
-        assert len(storage.regions) == 1
+        assert len(_collapse(doc)) == 2
+        assert doc.atoms() == content
+        assert doc.array_leaf_count == 2
+        doc.check()
 
     def test_storage_cost_drops_to_near_array(self):
         doc = _flattened_doc()
-        pure, mixed = storage_cost(doc.tree)
+        _collapse(doc)
+        stats = measure_tree(doc.tree, with_disk=False)
+        pure, mixed = (stats.memory_overhead_bytes,
+                       stats.mixed_memory_overhead_bytes)
         # A 30-atom flattened doc: tree form pays 26 B/node; array form
         # pays one pointer per atom plus a tiny header.
         assert pure >= 30 * NODE_RECORD_BYTES
@@ -72,35 +95,28 @@ class TestMixedStorage:
 
     def test_explode_on_demand_restores_tree_editing(self):
         doc = _flattened_doc()
-        storage = MixedStorage(doc.tree)
-        storage.compact()
-        # An edit touching the region must explode it first.
-        target = doc.posid_at(7)
-        storage.ensure_tree_at(target)
-        assert storage.regions == []
+        _collapse(doc)
+        explodes = doc.tree.explodes + doc.tree.partial_explodes
+        # An edit touching the region explodes it first, implicitly.
         doc.insert(7, "after explode")
+        assert doc.tree.explodes + doc.tree.partial_explodes > explodes
+        assert doc.array_leaf_count < 2
         assert "after explode" in [str(a) for a in doc.atoms()]
         doc.check()
 
-    def test_bypassing_the_manager_is_detected(self):
-        doc = _flattened_doc()
-        storage = MixedStorage(doc.tree)
-        storage.compact()
-        doc.insert(0, "rogue edit")  # did not call ensure_tree_at
-        with pytest.raises(TreeError):
-            storage.explode_all()
-
     def test_explode_is_deterministic_across_replicas(self):
+        plain = _flattened_doc()
         a = _flattened_doc()
         b = _flattened_doc()
         for doc in (a, b):
-            storage = MixedStorage(doc.tree)
-            storage.compact()
-            storage.explode_all()
-        assert [repr(p) for p in a.posids()] == [repr(p) for p in b.posids()]
+            _collapse(doc)
+            _explode_all(doc)
+            assert doc.array_leaf_count == 0
+        expected = [repr(p) for p in plain.posids()]
+        assert [repr(p) for p in a.posids()] == expected
+        assert [repr(p) for p in b.posids()] == expected
 
     def test_compact_idempotent(self):
         doc = _flattened_doc()
-        storage = MixedStorage(doc.tree)
-        assert storage.compact() == 1
-        assert storage.compact() == 0
+        assert len(_collapse(doc)) == 2
+        assert _collapse(doc) == []

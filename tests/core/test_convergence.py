@@ -86,10 +86,10 @@ class TestRunInsertConvergence:
     def test_concurrent_run_inserts(self, seed):
         rng = random.Random(seed)
         a, b = Treedoc(site=1), Treedoc(site=2)
-        for op in a.insert_run(0, list("0123456789")):
+        for op in a.insert_text(0, list("0123456789")).ops:
             b.apply(op)
-        run_a = a.insert_run(rng.randint(0, len(a)), ["A1", "A2", "A3"])
-        run_b = b.insert_run(rng.randint(0, len(b)), ["B1", "B2"])
+        run_a = a.insert_text(rng.randint(0, len(a)), ["A1", "A2", "A3"]).ops
+        run_b = b.insert_text(rng.randint(0, len(b)), ["B1", "B2"]).ops
         for op in run_b:
             a.apply(op)
         for op in run_a:

@@ -4,12 +4,11 @@ import pytest
 
 from repro.core.flatten import (
     ColdRegionFinder,
-    build_exploded,
     explode,
-    explode_depth,
     flatten_subtree,
     subtree_atoms,
 )
+from repro.core.node import build_exploded, explode_depth
 from repro.core.path import PosID, ROOT
 from repro.core.treedoc import Treedoc
 from repro.errors import TreeError

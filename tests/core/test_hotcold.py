@@ -9,14 +9,13 @@ identifier-identical through every one of these paths.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import disk
+from repro.core.node import collect_leaf_slots
 from repro.core.path import ROOT
 from repro.core.tree import TreedocTree
 from repro.core.treedoc import Treedoc
-from repro.errors import EncodingError
 from repro.metrics.overhead import measure_tree
+from tests.core.test_node_layout import legacy_disk_trees
 
 
 def make_pair(n, mode="sdis", min_atoms=8):
@@ -142,19 +141,26 @@ class TestDiskV3:
         ) == sorted(leaf.dead for leaf in mixed.tree.array_leaves())
         loaded.check_invariants()
 
-    def test_v2_save_rejects_dead_leaves(self):
-        mixed, _ = TestBitmapLeaves()._deleted_pair()
-        with pytest.raises(EncodingError):
-            disk.save(mixed.tree, version=2)
-
     def test_v2_image_without_bitmaps_still_loads(self):
-        mixed, _ = make_pair(48)
-        image = disk.save(mixed.tree, version=2)
-        assert image.version == 2
-        loaded = disk.load(image)
-        assert loaded.atoms() == mixed.atoms()
-        assert len(loaded.array_leaves()) == mixed.array_leaf_count
+        # No v2 writer exists: the checked-in image's leaves load
+        # collapsed and bitmap-free, and once one re-collapses around a
+        # tombstone the tree saves as v3, bitmap included.
+        (loaded,) = [tree for tree in legacy_disk_trees()
+                     if tree.array_leaves()]
+        leaves = loaded.array_leaves()
+        assert leaves and not any(leaf.dead for leaf in leaves)
         loaded.check_invariants()
+        node = leaves[0].explode()
+        loaded.make_tombstone(node)
+        atoms, dead = collect_leaf_slots(node, 1, True)
+        assert dead
+        loaded.collapse_subtree(node, atoms=atoms, dead=dead)
+        image = disk.save(loaded)
+        assert image.version == disk.FORMAT_VERSION == 3
+        again = disk.load(image)
+        assert again.atoms() == loaded.atoms()
+        assert again.posids() == loaded.posids()
+        assert [leaf.dead for leaf in again.array_leaves()] == [dead]
 
 
 class TestIncrementalSweep:

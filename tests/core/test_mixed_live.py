@@ -28,11 +28,17 @@ from hypothesis import strategies as st
 
 from repro.baselines import LogootDoc, RgaDoc, TreedocAdapter, WootDoc
 from repro.core import disk
-from repro.core.array_region import find_collapsible
-from repro.core.node import ArrayLeaf, collect_array_atoms
+from repro.core.flatten import find_collapsible
+from repro.core.node import (
+    ArrayLeaf,
+    PosNode,
+    build_exploded,
+    collect_leaf_slots,
+)
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
 from repro.errors import TreeError
+from tests.core.test_node_layout import check_layout, legacy_disk_trees
 
 
 def _quiescent_doc(n=64, mode="sdis", min_atoms=4):
@@ -113,7 +119,7 @@ class TestCollapse:
         # whole is still canonical, but rooted at ROOT (never
         # collapsed). Verify leaves count as canonical substructure.
         for leaf in doc.tree.array_leaves():
-            assert collect_array_atoms(leaf) == leaf.atoms
+            assert collect_leaf_slots(leaf) == (leaf.atoms, 0)
 
     def test_auto_collapse_at_revision_boundaries(self):
         doc = Treedoc(site=1, mode="sdis", collapse_every=2,
@@ -217,15 +223,48 @@ class TestExplodeOnTouch:
         assert a.atoms() == b.atoms()
         a.check()
 
-    def test_explode_is_exact_inverse_of_collapse(self):
-        doc = _quiescent_doc(n=48)
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 4095])
+    @pytest.mark.parametrize("mode", ["udis", "sdis"])
+    def test_explode_is_exact_inverse_of_collapse(self, mode, n):
+        # The canonical builder and harvester are each other's inverse,
+        # dead-slot bitmaps included: under SDIS every third atom is
+        # deleted after the flatten and before the collapse, so the
+        # leaves carry tombstones.
+        doc = Treedoc(site=1, mode=mode)
+        doc.insert_text(0, [f"line {i}" for i in range(n)])
+        doc.note_revision()
+        doc.flatten_local(ROOT)
+        expected_dead = 0
+        if mode == "sdis":
+            for offset in reversed(range(1, n, 3)):
+                doc.delete(offset)
+                expected_dead |= 1 << offset
+        atoms, dead = collect_leaf_slots(doc.tree.root, 1, True)
+        assert len(atoms) == n and dead == expected_dead
+        assert all((atoms[offset] is None) == bool((dead >> offset) & 1)
+                   for offset in range(n))
+        rebuilt = PosNode()
+        build_exploded(rebuilt, atoms, dead)
+        assert collect_leaf_slots(rebuilt, 1, True) == (atoms, dead)
+        assert (rebuilt.live_count, rebuilt.id_count) == (
+            doc.tree.root.live_count, doc.tree.root.id_count)
+
         posids = [repr(p) for p in doc.posids()]
         content = doc.atoms()
-        for leaf in doc.tree.array_leaves():
-            doc.tree.explode_leaf(leaf)
+        doc.note_revision()
+        doc.collapse_cold(min_age=1, min_atoms=1)
+        check_layout(doc.tree)
+        leaves = doc.tree.array_leaves()
+        if mode == "sdis" and n >= 7:
+            assert any(leaf.dead for leaf in leaves)
+        for leaf in leaves:
+            harvest = (list(leaf.atoms), leaf.dead)
+            node = doc.tree.explode_leaf(leaf)
+            assert collect_leaf_slots(node, 1, True) == harvest
         assert doc.array_leaf_count == 0
         assert doc.atoms() == content
         assert [repr(p) for p in doc.posids()] == posids
+        check_layout(doc.tree)
         doc.check()
 
     def test_double_explode_is_loud(self):
@@ -300,15 +339,18 @@ class TestDiskRoundTripWithLeaves:
         assert len(loaded.array_leaves()) == doc.array_leaf_count
         loaded.check_invariants()
 
-    def test_v1_save_rejects_leaves_but_handles_plain_trees(self):
-        doc = self._mixed_doc()
-        with pytest.raises(Exception):
-            disk.save(doc.tree, version=1)
-        plain = Treedoc(site=1, mode="sdis")
-        plain.insert_text(0, list("abc"))
-        image = disk.save(plain.tree, version=1)
-        assert image.version == 1
-        assert disk.load(image).atoms() == list("abc")
+    def test_v1_image_of_a_plain_tree_still_loads(self):
+        # No v1 writer exists: the checked-in image (a plain SDIS tree
+        # with mini-nodes and tombstones) loads, and saving it again
+        # writes the current format.
+        (plain,) = [tree for tree in legacy_disk_trees()
+                    if not tree.array_leaves()]
+        assert "".join(plain.atoms()) == "d legacy plain tree v1"
+        assert plain.id_length > len(plain.atoms())
+        plain.check_invariants()
+        image = disk.save(plain)
+        assert image.version == disk.FORMAT_VERSION
+        assert disk.load(image).posids() == plain.posids()
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)

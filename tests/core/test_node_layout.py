@@ -19,6 +19,7 @@ objects, never bytes, so it holds on every CPython version.
 from __future__ import annotations
 
 import gc
+from pathlib import Path
 
 from repro.core import disk
 from repro.core.disambiguator import Sdis, Udis
@@ -72,14 +73,20 @@ def check_layout(tree) -> None:
                     stack.append(child)
 
 
-def disk_reloads(tree):
-    """``tree`` saved and loaded as a disk image of format v3 and, when
-    it holds no dead-slot leaves (v2 cannot carry them), v2."""
-    versions = [3]
-    if not any(leaf.dead for leaf in tree.array_leaves()):
-        versions.append(2)
-    return [disk.load(disk.save(tree, version=version))
-            for version in versions]
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+def disk_reload(tree):
+    """``tree`` saved and loaded as a disk image."""
+    return disk.load(disk.save(tree))
+
+
+def legacy_disk_trees():
+    """The checked-in v1 (SDIS mini-nodes from two sites, tombstones)
+    and v2 (array leaves) disk images, loaded: no writer for those
+    formats remains, but the reader must still build lean trees."""
+    return [disk.load(disk.image_from_bytes((GOLDEN / name).read_bytes()))
+            for name in ("disk_v1.bin", "disk_v2.bin")]
 
 
 def sdis_doc() -> Treedoc:
@@ -132,14 +139,15 @@ class TestLayout:
 
     def test_every_path_returns_the_interned_sdis(self):
         doc = sdis_doc()
-        reloads = disk_reloads(doc.tree)
+        reloads = [disk_reload(doc.tree)]
         for leaf in doc.tree.array_leaves():
             if leaf.dead:
                 leaf.explode()
-        reloads += disk_reloads(doc.tree)
-        assert len(reloads) == 3
+        reloads.append(disk_reload(doc.tree))
         for tree in reloads:
             assert tree.atoms() == doc.atoms()
+            check_layout(tree)
+        for tree in legacy_disk_trees():
             check_layout(tree)
         receiver = Treedoc(site=9, mode="sdis")
         receiver.load_state(doc.capture_state())

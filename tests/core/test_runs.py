@@ -257,7 +257,7 @@ class TestHuskGc:
         # (_touch_region); once that region goes cold and collapses,
         # the freed node's id() must leave the stamp table instead of
         # lingering forever.
-        from repro.core.array_region import find_collapsible
+        from repro.core.flatten import find_collapsible
 
         doc = Treedoc(site=1, mode="sdis")
         doc.insert_text(0, [f"l{i}" for i in range(64)])

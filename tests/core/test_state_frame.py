@@ -34,7 +34,7 @@ from repro.core.treedoc import Treedoc
 from repro.errors import DecodeError, EncodingError, SyncError
 from repro.util.bits import BitWriter
 
-from tests.core.test_node_layout import check_layout, disk_reloads
+from tests.core.test_node_layout import check_layout, disk_reload
 
 
 def leaf_shapes(doc: Treedoc, dead: bool):
@@ -166,9 +166,9 @@ class TestDifferentialAgainstSegmentFrame:
             cool(doc, min_atoms=2)
             check_layout(doc.tree)
         receiver = assert_frames_agree(doc)
-        for reloaded in disk_reloads(doc.tree):
-            assert reloaded.atoms() == doc.atoms()
-            check_layout(reloaded)
+        reloaded = disk_reload(doc.tree)
+        assert reloaded.atoms() == doc.atoms()
+        check_layout(reloaded)
         # The loaded replica keeps converging with the source.
         batch = doc.insert_text(len(doc) // 2, ["after"])
         receiver.apply_batch(batch)

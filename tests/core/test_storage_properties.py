@@ -1,8 +1,8 @@
 """Property tests across the storage stack (hypothesis).
 
 Random edit histories driven through flatten, the disk format and the
-mixed storage must always preserve content, identifier order and the
-tree invariants.
+live mixed storage (collapse into array leaves, explode back) must
+always preserve content, identifier order and the tree invariants.
 """
 
 import random
@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import disk
-from repro.core.array_region import MixedStorage, storage_cost
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
+from repro.metrics.overhead import measure_tree
 
 
 def _random_doc(seed: int, mode: str, steps: int = 60) -> Treedoc:
@@ -79,11 +79,15 @@ class TestMixedStorageProperties:
         doc.note_revision()
         doc.flatten_local(ROOT)
         content = doc.atoms()
-        storage = MixedStorage(doc.tree)
-        storage.compact()
-        assert storage.atoms() == content
-        storage.explode_all()
+        posids = [repr(p) for p in doc.posids()]
+        doc.note_revision()
+        doc.collapse_cold(min_age=1, min_atoms=2)
         assert doc.atoms() == content
+        for leaf in doc.tree.array_leaves():
+            leaf.explode()
+        assert doc.array_leaf_count == 0
+        assert doc.atoms() == content
+        assert [repr(p) for p in doc.posids()] == posids
         doc.check()
 
     @given(seed=st.integers(0, 2**31))
@@ -92,7 +96,10 @@ class TestMixedStorageProperties:
         doc = _random_doc(seed, "sdis", steps=40)
         doc.note_revision()
         doc.flatten_local(ROOT)
-        pure, mixed = storage_cost(doc.tree)
+        doc.note_revision()
+        doc.collapse_cold(min_age=1, min_atoms=2)
+        stats = measure_tree(doc.tree, with_disk=False)
         if len(doc) >= 2:
-            assert mixed <= pure
+            assert (stats.mixed_memory_overhead_bytes
+                    <= stats.memory_overhead_bytes)
         doc.check()

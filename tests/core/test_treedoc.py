@@ -54,7 +54,8 @@ class TestLocalEditing:
 
     def test_insert_run_empty_is_noop(self):
         doc = Treedoc(site=1)
-        assert doc.insert_run(0, []) == []
+        assert list(doc.insert_text(0, []).ops) == []
+        assert len(doc) == 0
 
 
 class TestRemoteReplay:

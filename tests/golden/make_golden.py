@@ -28,6 +28,15 @@ and ``state_tree_sdis.bin`` (mini-nodes from two sites, leaves, and
 under SDIS tombstones and a dead-slot bitmap), with their headers in
 ``state_tree.json``.
 
+``disk_legacy`` — written by the last disk writers that still emitted
+the older record formats: ``disk_v1.bin``, a v1 image of a plain tree
+(mini-nodes from two sites and SDIS tombstones, no leaves), and
+``disk_v2.bin``, a v2 image with array leaves and no dead-slot bitmap.
+Only the readers of those formats remain, so this group runs only
+against a source tree whose ``disk.save`` still takes ``version``; the
+texts, leaf counts and identifier digests the images must load to are
+recorded in ``test_golden_bytes.py``.
+
 Each group is generated once by the codec whose bytes it freezes and
 then checked in; ``test_golden_bytes.py`` decodes every file with the
 current code and re-encodes (or recovers) it. Regenerating a group is a
@@ -145,6 +154,33 @@ def disk_image() -> bytes:
     return disk.image_to_bytes(image)
 
 
+def legacy_disk_images() -> dict:
+    """A plain SDIS tree as a v1 image and a collapsed UDIS tree as a
+    v2 image (the ``version`` argument of the writer that made them)."""
+    plain = Treedoc(site=1, mode="sdis")
+    other = Treedoc(site=2, mode="sdis")
+    other.apply_batch(plain.insert_text(0, list("legacy plain tree")))
+    first = plain.insert_text(len(plain), list(" v1"))
+    second = other.insert_text(0, list("old "))
+    plain.apply_batch(second)
+    plain.apply_batch(plain.delete_range(0, 2))
+    plain.apply_batch(first)
+    assert any(node.minis for node in plain.tree.root.iter_nodes())
+    assert plain.tree.id_length > len(plain) and not plain.array_leaf_count
+    mixed = Treedoc(site=1, mode="udis")
+    mixed.insert_text(0, [f"b{i}" for i in range(40)])
+    mixed.apply_flatten(mixed.make_flatten(ROOT))
+    for _ in range(3):
+        mixed.note_revision()
+    mixed.collapse_cold(min_age=1, min_atoms=4)
+    mixed.insert_text(20, list("hot"))
+    assert mixed.array_leaf_count >= 1
+    return {
+        "disk_v1.bin": disk.image_to_bytes(disk.save(plain.tree, version=1)),
+        "disk_v2.bin": disk.image_to_bytes(disk.save(mixed.tree, version=2)),
+    }
+
+
 def posid_digest(site) -> str:
     """SHA-256 of every visible identifier with its disambiguators
     (``identity_digest`` hashes branch bits only)."""
@@ -247,12 +283,17 @@ def write_state_tree(out: Path) -> None:
     write_json(out / "state_tree.json", headers)
 
 
+def write_disk_legacy(out: Path) -> None:
+    for name, data in legacy_disk_images().items():
+        (out / name).write_bytes(data)
+
+
 def write_json(path: Path, value: dict) -> None:
     path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 GROUPS = {"corpus": write_corpus, "checkpoint": write_checkpoint,
-          "state_tree": write_state_tree}
+          "state_tree": write_state_tree, "disk_legacy": write_disk_legacy}
 
 
 def main(out: Path, groups) -> None:

@@ -6,8 +6,9 @@ re-encodes the result: the bytes must come back identical, so a codec
 change that moves a single wire, WAL, state-frame or disk bit fails
 here rather than in a mixed-version cluster. Stores and state frames
 written by an older codec must also still *load*: the checkpoint store
-recovers to its recorded text and identifiers, and the segment state
-frames load into a replica.
+recovers to its recorded text and identifiers, the segment state
+frames load into a replica, and the v1/v2 disk images (whose writers
+are gone) load to their recorded text and identifiers.
 """
 
 from __future__ import annotations
@@ -117,6 +118,38 @@ def test_disk_v3_image_reencodes_identically():
     tree = disk.load(image)
     assert any(leaf.dead for leaf in tree.array_leaves())
     assert disk.image_to_bytes(disk.save(tree)) == data
+
+
+#: What the legacy disk images (``disk_legacy`` group) load to: text,
+#: collapsed leaves, and the SHA-256 of every visible identifier's repr.
+LEGACY_DISK = {
+    "disk_v1.bin": (1, "d legacy plain tree v1", 0,
+                    "071b4a23102146d7ad761b743599b9229b60365c3fa9365899550621ab25f5ad"),
+    "disk_v2.bin": (2, "".join(f"b{i}" for i in range(20)) + "hot"
+                    + "".join(f"b{i}" for i in range(20, 40)), 1,
+                    "5465a7e39355951c0d253c7be4ebb770b3ed94772dcb7da69dc3c34351a5d64b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY_DISK))
+def test_legacy_disk_image_loads(name):
+    version, text, leaves, digest = LEGACY_DISK[name]
+    image = disk.image_from_bytes(golden(name))
+    assert image.version == version
+    tree = disk.load(image)
+    assert "".join(tree.atoms()) == text
+    posids = "\n".join(repr(posid) for posid in tree.posids())
+    assert hashlib.sha256(posids.encode("utf-8")).hexdigest() == digest
+    # v2 leaves load collapsed, stay collapsed through the reads, and
+    # carry no bitmap.
+    assert len(tree.array_leaves()) == leaves
+    assert tree.explodes == tree.partial_explodes == 0
+    assert not any(leaf.dead for leaf in tree.array_leaves())
+    tree.check_invariants()
+    # Saving writes the current format, which loads back identically.
+    again = disk.load(disk.save(tree))
+    assert again.atoms() == tree.atoms()
+    assert again.posids() == tree.posids()
 
 
 def test_segment_state_frames_still_load():

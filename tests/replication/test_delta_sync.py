@@ -16,7 +16,7 @@ from repro.core.treedoc import Treedoc
 from repro.errors import CorruptFrameError, DecodeError, TreeError
 from repro.replication.clock import VectorClock
 from repro.replication.cluster import Cluster
-from repro.replication.network import SimulatedNetwork
+from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.site import ReplicaSite
 from repro.replication.sync import AntiEntropyPolicy
 from repro.replication.wire import (
@@ -44,6 +44,16 @@ def _future_envelope(origin, sequence=99, text="x"):
     payload, bits = encode_operation(doc.insert(0, text))
     return EnvelopeFrame(origin, VectorClock({origin: sequence}),
                          payload, bits)
+
+
+def _identical(a, b) -> bool:
+    """Same atoms and same identifiers (PosID identity), nothing
+    buffered behind a gap at either site."""
+    return (a.atoms() == b.atoms()
+            and [repr(p) for p in a.doc.posids()]
+            == [repr(p) for p in b.doc.posids()]
+            and a.broadcast.blocked_since is None
+            and b.broadcast.blocked_since is None)
 
 
 class TestRegionFilter:
@@ -309,16 +319,69 @@ class TestDeclineAndRotation:
         assert cluster[1].sync_requests_received == 1
 
     def test_busy_decline_when_responder_is_gap_blocked(self):
+        # BUSY only when no sound delta exists: b learned site 1's
+        # latest edit as a snapshot (its opaque frontier), c is behind
+        # that frontier and concurrent, and b is fighting its own gap.
         cluster = Cluster(3, mode="sdis", seed=7, policy=EAGER0)
         cluster.bootstrap(list("abc"))
-        b, c = cluster[2], cluster[3]
-        b.broadcast.on_frame(_future_envelope(9, sequence=5))
-        # c's clock is concurrent with b's (c invents local edits).
-        c.insert(0, "!")
-        c.request_sync(2)
-        cluster.settle()
-        assert b.sync_declines_sent == 1
-        assert c.sync_declines_received == 1
+        a, b, c = cluster[1], cluster[2], cluster[3]
+        with cluster.partitioned({1}, {2, 3}):
+            a.insert(0, "+")
+            b.sync_from(a)
+            b.broadcast.on_frame(_future_envelope(9, sequence=5))
+            # c's clock is concurrent with b's: its own edit is still in
+            # flight when its request is answered.
+            c.insert(0, "!")
+            request = SyncRequest(3, c.broadcast.clock.copy())
+            assert b.make_sync_delta(request.clock) is None
+            b._answer_sync_request(request)
+            assert b.sync_declines_sent == 1
+            assert b.sync_deltas_sent == b.sync_responses_sent == 0
+            cluster.settle()
+            assert c.sync_declines_received == 1
+
+    def test_symmetric_loss_converges_by_delta(self):
+        # Each site of a pair loses one envelope from the other (the
+        # scripted corruption; the retransmission lands far beyond the
+        # horizon). Both then hold the other's later envelope behind a
+        # gap, so each is gap-blocked and concurrent with its only
+        # peer. Declining BUSY without looking for a delta would leave
+        # the pair waiting forever; serving the sound delta converges
+        # it well before any retransmission.
+        horizon = 1e9
+        net = SimulatedNetwork(
+            NetworkConfig(corrupt_transmissions=frozenset({3, 4}),
+                          retransmit_delay=horizon),
+            seed=5,
+        )
+        a = ReplicaSite(1, net, mode="sdis", policy=EAGER0)
+        b = ReplicaSite(2, net, mode="sdis", policy=EAGER0)
+        a.insert_text(0, list("shared "))
+        b.insert_text(0, list("base "))
+        net.run()
+        assert net.transmissions == 2
+        a.insert(0, "A1")  # transmission 3: corrupted on its way to b
+        b.insert(0, "B1")  # transmission 4: corrupted on its way to a
+        a.insert(0, "A2")
+        b.insert(0, "B2")
+        # The lag-detector loop (Cluster.anti_entropy's rounds) over
+        # the traffic due before the horizon only.
+        blocked = set()
+        for _ in range(32):
+            while net._queue and net._queue[0].time < horizon:
+                net.step()
+                blocked.update(site.site for site in (a, b)
+                               if site.broadcast.blocked_since is not None)
+            if _identical(a, b):
+                break
+            if not any([a.maybe_request_sync(), b.maybe_request_sync()]):
+                net.advance(1000.0)
+        assert blocked == {1, 2}
+        assert net.corrupted_transmissions == 2
+        assert _identical(a, b)
+        assert net.now < horizon
+        assert a.sync_deltas_sent + b.sync_deltas_sent >= 1
+        assert {"A1", "A2", "B1", "B2"} <= set(a.atoms())
 
     def test_dead_requester_gets_no_answer(self):
         net = SimulatedNetwork(seed=8)

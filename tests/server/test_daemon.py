@@ -384,10 +384,11 @@ class TestScriptedCorruption:
         # the hello). That byte ends a segment, so it lands in a wire
         # frame's CRC trailer: the receiver rejects exactly that frame
         # as a decode error and the framing never loses alignment.
-        # Site 2 is the only writer, so the frame site 1 loses is one
-        # of its edits (repaired by anti-entropy once the later edits
-        # buffer behind the gap) and the frame site 2 loses is a
-        # heartbeat or ack.
+        # Both daemons write, so each can lose one of the other's
+        # edits and hold the later ones behind a gap: both are then
+        # gap-blocked and concurrent with their only peer, and the
+        # pair converges only because a blocked responder still serves
+        # the sound delta instead of declining BUSY.
         async def scenario():
             ports = free_ports(2)
             proxy = FaultyTransport(
@@ -407,16 +408,20 @@ class TestScriptedCorruption:
                     lambda: 2 in d1.transport.connected
                     and 1 in d2.transport.connected
                 )
-                words = ("alpha ", "bravo ", "charlie ")
-                for word in words:
-                    d2.site.insert_text(len(d2.site), list(word))
-                    await asyncio.sleep(0.02)
+                words = {d1: ("one ", "two ", "three "),
+                         d2: ("alpha ", "bravo ", "charlie ")}
+                for turn in range(3):
+                    for daemon, own in words.items():
+                        daemon.site.insert_text(len(daemon.site),
+                                                list(own[turn]))
+                        await asyncio.sleep(0.02)
+                typed = "".join("".join(own) for own in words.values())
                 assert await wait_until(
-                    lambda: converged(daemons,
-                                      expected_len=len("".join(words))),
+                    lambda: converged(daemons, expected_len=len(typed)),
                     timeout=30.0,
                 )
-                assert d1.site.text() == "".join(words)
+                assert d1.site.text() == d2.site.text()
+                assert sorted(d1.site.text()) == sorted(typed)
                 assert await wait_until(lambda: proxy.corruptions == 2)
                 assert await wait_until(
                     lambda: d1.decode_errors == d2.decode_errors == 1
