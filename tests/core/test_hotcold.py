@@ -9,11 +9,16 @@ identifier-identical through every one of these paths.
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.core import disk
 from repro.core.node import collect_leaf_slots
 from repro.core.path import ROOT
 from repro.core.tree import TreedocTree
 from repro.core.treedoc import Treedoc
+from repro.errors import EncodingError
 from repro.metrics.overhead import measure_tree
 from tests.core.test_node_layout import legacy_disk_trees
 
@@ -140,6 +145,18 @@ class TestDiskV3:
             leaf.dead for leaf in loaded.array_leaves()
         ) == sorted(leaf.dead for leaf in mixed.tree.array_leaves())
         loaded.check_invariants()
+
+    def test_v2_save_rejects_dead_leaves(self):
+        # No v2 writer is left to drop a dead-slot bitmap: save takes no
+        # version and writes a dead-leaf tree as v3, and those bytes read
+        # under the bitmap-free v2 grammar are rejected, not mis-loaded.
+        mixed, _ = TestBitmapLeaves()._deleted_pair()
+        with pytest.raises(TypeError):
+            disk.save(mixed.tree, version=2)
+        image = disk.save(mixed.tree)
+        assert image.version == disk.FORMAT_VERSION == 3
+        with pytest.raises(EncodingError):
+            disk.load(dataclasses.replace(image, version=2))
 
     def test_v2_image_without_bitmaps_still_loads(self):
         # No v2 writer exists: the checked-in image's leaves load
