@@ -23,6 +23,11 @@ Position nodes cache two subtree aggregates maintained incrementally:
 - ``id_count`` — LIVE + TOMBSTONE slots (used identifiers), which drives
   the tombstone-aware neighbour search of DESIGN.md section 3.2.
 
+No node stores its identifier: :func:`slot_posid` derives a slot's
+PosID from the parent links when asked (DESIGN.md section 7.1), and
+:func:`slot_posids` derives a batch, sharing prefixes through a
+:class:`PathMemo` that lives for one call.
+
 Mixed storage (section 4.2)
 ---------------------------
 
@@ -49,7 +54,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.disambiguator import Disambiguator
-from repro.core.path import LEFT, RIGHT, PathElement, PosID
+from repro.core.path import LEFT, PLAIN, RIGHT, PathElement, PosID
 from repro.errors import TreeError
 
 # Atom-slot states.
@@ -120,7 +125,6 @@ class PosNode:
         "right",
         "live_count",
         "id_count",
-        "cached_posid",
     )
 
     def __init__(self, parent: Container = None, side: int = LEFT) -> None:
@@ -139,11 +143,6 @@ class PosNode:
         self.right: Optional[PosNode] = None
         self.live_count = 0
         self.id_count = 0
-        #: Memoized PosID of this node's plain slot. Parent links never
-        #: mutate after creation (structure is only ever added or
-        #: detached whole; flatten builds fresh nodes), so the path is
-        #: stable for the node's lifetime.
-        self.cached_posid: Optional[PosID] = None
 
     # -- structure -----------------------------------------------------------
 
@@ -325,54 +324,117 @@ def parent_host(node: PosNode) -> Optional[PosNode]:
     return container.host if isinstance(container, MiniNode) else container
 
 
-def _node_posid(node: PosNode) -> PosID:
-    """PosID of a position node's plain slot, memoized on the node.
+def slot_posid(slot: AtomSlot) -> PosID:
+    """The PosID naming ``slot``, derived from the parent links.
 
-    Walks up only as far as the first ancestor with a cached path, then
-    fills the caches back down — a run of *k* fresh slots under one
-    subtree costs O(depth + k) total instead of O(k * depth).
+    An identifier is implied by its slot's place in the tree (section
+    3), so no node stores one: this is one upward walk that collects
+    the path elements — the shared :data:`~repro.core.path.PLAIN`
+    element of each position node's side, and each mini-node's host
+    side tagged with its disambiguator — and builds the element tuple
+    once. O(depth), with no tuple copy and no new plain element per
+    level. A caller deriving many identifiers at once uses
+    :func:`slot_posids`, which shares common prefixes for the length of
+    the call.
     """
-    chain: List[PosNode] = []
-    current = node
-    while current.cached_posid is None and current.parent is not None:
-        chain.append(current)
-        container = current.parent
-        current = container.host if isinstance(container, MiniNode) else container
-    if current.cached_posid is None:  # the root
-        current.cached_posid = PosID._of(())
-    for current in reversed(chain):
-        container, bit = current.parent, current.side
-        if isinstance(container, MiniNode):
-            host_elements = container.host.cached_posid.elements
-            if not host_elements:
+    out: List[PathElement] = []
+    append = out.append
+    node: AtomSlot = slot
+    while True:
+        if type(node) is MiniNode:
+            host = node.host
+            container = host.parent
+            if container is None:
                 # A mini-node directly at the root would need a
                 # zero-length path carrying a disambiguator, which the
                 # identifier space cannot express; the tree never
                 # creates one.
                 raise TreeError("mini-node attached to the root position node")
-            current.cached_posid = PosID._of(
-                host_elements[:-1]
-                + (
-                    PathElement(host_elements[-1].bit, container.dis),
-                    PathElement(bit),
-                )
-            )
+            append(PathElement(host.side, node.dis))
         else:
-            current.cached_posid = container.cached_posid.child(bit)
-    return node.cached_posid
+            container = node.parent
+            if container is None:
+                break
+            append(PLAIN[node.side])
+        node = container
+    out.reverse()
+    return PosID._of(tuple(out))
 
 
-def slot_posid(slot: AtomSlot) -> PosID:
-    """Reconstruct the PosID naming ``slot`` (memoized per node)."""
-    if isinstance(slot, MiniNode):
-        host_elements = _node_posid(slot.host).elements
-        if not host_elements:
-            raise TreeError("mini-node attached to the root position node")
-        return PosID._of(
-            host_elements[:-1]
-            + (PathElement(host_elements[-1].bit, slot.dis),)
-        )
-    return _node_posid(slot)
+class PathMemo:
+    """Path elements of the slots one call derives, shared by prefix.
+
+    A batch mint or a listing derives many identifiers whose paths
+    share long prefixes; this memo lets each walk stop at the nearest
+    slot already passed. It lives for one call and is then dropped, so
+    no identifier outlives the request. Every slot passed maps to
+    ``(elements, length)``: its path is ``elements[:length]``, a prefix
+    of some derived slot's tuple, so recording an ancestor costs one
+    dict entry and no tuple copy.
+    """
+
+    __slots__ = ("_known",)
+
+    def __init__(self) -> None:
+        self._known: dict = {}
+
+    def elements(self, slot: AtomSlot) -> Tuple[PathElement, ...]:
+        """The path elements of ``slot``: the walk of :func:`slot_posid`
+        (the same step per level, kept inline on this hot path), cut
+        short at the first slot already passed."""
+        known = self._known
+        walked: List[AtomSlot] = []
+        tail: List[PathElement] = []
+        node: AtomSlot = slot
+        while True:
+            hit = known.get(node)
+            if hit is not None:
+                base, length = hit
+                break
+            if type(node) is MiniNode:
+                host = node.host
+                container = host.parent
+                if container is None:
+                    raise TreeError(
+                        "mini-node attached to the root position node")
+                tail.append(PathElement(host.side, node.dis))
+            else:
+                container = node.parent
+                if container is None:
+                    base, length = (), 0
+                    break
+                tail.append(PLAIN[node.side])
+            walked.append(node)
+            node = container
+        prefix = base if length == len(base) else base[:length]
+        if not tail:
+            return prefix
+        tail.reverse()
+        elements = prefix + tuple(tail)
+        for depth, passed in enumerate(reversed(walked), length + 1):
+            known[passed] = (elements, depth)
+        return elements
+
+    def posid(self, slot: AtomSlot) -> PosID:
+        """The PosID naming ``slot``."""
+        return PosID._of(self.elements(slot))
+
+
+#: Fewest slots a batch needs before :func:`slot_posids` shares prefixes
+#: through a :class:`PathMemo`. Recording a level in the memo costs about
+#: three plain steps, so below this a walk per slot is cheaper (and a
+#: lone slot must not pay for recording its ancestors at all).
+MEMO_MIN_SLOTS = 4
+
+
+def slot_posids(slots: Sequence[AtomSlot]) -> List[PosID]:
+    """The PosIDs naming ``slots``, in order: one :func:`slot_posid` walk
+    each for a small batch, else through one call-long
+    :class:`PathMemo`."""
+    if len(slots) < MEMO_MIN_SLOTS:
+        return [slot_posid(slot) for slot in slots]
+    memo = PathMemo()
+    return [memo.posid(slot) for slot in slots]
 
 
 def slot_depth(slot: AtomSlot) -> int:
@@ -694,9 +756,9 @@ def canonical_posids(base: Tuple[PathElement, ...], count: int) -> List[PosID]:
         mid = lo + left_atoms
         out[mid] = PosID._of(elements)
         if left_atoms > 0:
-            stack.append((elements + (PathElement(LEFT),), lo, mid))
+            stack.append((elements + (PLAIN[LEFT],), lo, mid))
         if right_atoms > 0:
-            stack.append((elements + (PathElement(RIGHT),), mid + 1, hi))
+            stack.append((elements + (PLAIN[RIGHT],), mid + 1, hi))
     return out  # type: ignore[return-value]
 
 
@@ -827,7 +889,7 @@ class ArrayLeaf:
             raise TreeError("detached array leaf has no path")
         if isinstance(container, MiniNode):
             raise TreeError("array leaf attached under a mini-node")
-        return _node_posid(container).elements + (PathElement(self.side),)
+        return slot_posid(container).elements + (PLAIN[self.side],)
 
     def __repr__(self) -> str:
         if self.dead:

@@ -24,7 +24,7 @@ from repro.core.disambiguator import SiteId
 from repro.core.path import PosID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertOp:
     """``insert(PosID, atom)``: add a fresh (atom, PosID) couple."""
 
@@ -40,7 +40,7 @@ class InsertOp:
         return f"insert({self.posid!r}, {self.atom!r}) @{self.origin}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteOp:
     """``delete(PosID)``: remove the atom with that identifier."""
 
@@ -74,7 +74,7 @@ def content_digest(atoms: Tuple[object, ...]) -> str:
     return hasher.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlattenOp:
     """``flatten(path)``: replace the subtree at ``path`` by its canonical
     exploded form, discarding tombstones and disambiguators.

@@ -87,7 +87,7 @@ class PathElement:
         """This element with the disambiguator removed."""
         if self.dis is None:
             return self
-        return PathElement(self.bit)
+        return PLAIN[self.bit]
 
     @property
     def size_bits(self) -> int:
@@ -99,6 +99,12 @@ class PathElement:
         if self.dis is None:
             return str(self.bit)
         return f"({self.bit}:{self.dis!r})"
+
+
+#: The two plain elements, shared: a plain element carries nothing but
+#: its bit and is never mutated, so identifiers derived from the tree
+#: reuse these instead of allocating one element per level.
+PLAIN = (PathElement(LEFT), PathElement(RIGHT))
 
 
 # Comparison outcome constants.

@@ -75,6 +75,7 @@ from repro.core.node import (
     AtomSlot,
     Entry,
     MiniNode,
+    PathMemo,
     PosNode,
     build_exploded,
     build_partial_exploded,
@@ -88,8 +89,9 @@ from repro.core.node import (
     slot_is_id_holder,
     slot_is_live,
     slot_posid,
+    slot_posids,
 )
-from repro.core.path import LEFT, RIGHT, PathElement, PosID
+from repro.core.path import LEFT, PLAIN, RIGHT, PosID
 from repro.errors import MissingAtomError, TreeError
 
 
@@ -1450,9 +1452,9 @@ class TreedocTree:
                 bits = canonical_path_bits(
                     len(entry.atoms), entry.live_to_slot(offset)
                 )
-                return PosID(
+                return PosID._of(
                     entry.base_elements()
-                    + tuple(PathElement(bit) for bit in bits)
+                    + tuple(PLAIN[bit] for bit in bits)
                 )
             return slot_posid(entry)
         return slot_posid(self.live_slot_at(index))
@@ -1574,10 +1576,6 @@ class TreedocTree:
         """All slots in identifier order (including EMPTY ones)."""
         return self.root.iter_slots()
 
-    def iter_id_slots(self) -> Iterator[AtomSlot]:
-        """Used-identifier slots (LIVE and TOMBSTONE) in order."""
-        return (s for s in self.iter_slots() if slot_is_id_holder(s))
-
     def iter_live_slots(self) -> Iterator[AtomSlot]:
         """Visible atom slots in document order — always a *fresh* tree
         walk, never the cache (the property tests use it as the
@@ -1618,14 +1616,15 @@ class TreedocTree:
         regions answer from their implied canonical paths)."""
         live = self._ensure_live()
         if live is not None and not self._live_has_leaf:
-            return [slot_posid(slot) for slot in live]
+            return slot_posids(live)
         entries = live if live is not None else iter_subtree_entries(self.root)
+        memo = PathMemo()
         posids: List[PosID] = []
         for entry in entries:
             if isinstance(entry, ArrayLeaf):
                 posids.extend(entry.posids())
             elif entry.state == LIVE:
-                posids.append(slot_posid(entry))
+                posids.append(memo.posid(entry))
         return posids
 
     def first_slot(self) -> Optional[AtomSlot]:
@@ -1694,6 +1693,7 @@ class TreedocTree:
             if total != self.root.live_count:
                 raise TreeError("live-snapshot cache width out of sync")
         previous: Optional[PosID] = None
+        memo = PathMemo()
         for entry in iter_subtree_entries(self.root):
             if isinstance(entry, ArrayLeaf):
                 previous = self._check_leaf(entry, previous)
@@ -1724,7 +1724,7 @@ class TreedocTree:
                     f"at {slot_posid(slot)!r}"
                 )
             if slot_is_id_holder(slot):
-                posid = slot_posid(slot)
+                posid = memo.posid(slot)
                 if self.lookup(posid) is not slot:
                     raise TreeError(f"posid round-trip failed for {posid!r}")
                 if previous is not None and not previous < posid:

@@ -43,6 +43,7 @@ from repro.core.node import (
     slot_host,
     slot_is_live,
     slot_posid,
+    slot_posids,
 )
 from repro.core.ops import (
     DeleteOp,
@@ -251,7 +252,9 @@ class Treedoc:
         seq_start = self._claim_seqs(len(atoms))
         dises = [self._dis_factory.fresh() for _ in atoms]
         slots = self.allocator.place_run(p_slot, f_slot, dises)
-        ops: List[InsertOp] = []
+        site = self.site
+        ops = [InsertOp(posid, atom, site)
+               for posid, atom in zip(slot_posids(slots), atoms)]
         self.tree.begin_bulk()
         # The run's atoms become the live range starting at ``index``:
         # the cache splices there without per-slot rank queries.
@@ -259,7 +262,6 @@ class Treedoc:
         try:
             for slot, atom in zip(slots, atoms):
                 self.tree.set_live(slot, atom)
-                ops.append(InsertOp(slot_posid(slot), atom, self.site))
         finally:
             self.tree.end_bulk()
         self._touch_many(slots)
@@ -305,7 +307,7 @@ class Treedoc:
                 if slot is None:
                     raise TreeError("live count out of sync with slot walk")
                 slots.append(slot)
-        ops = tuple(DeleteOp(slot_posid(s), self.site) for s in slots)
+        ops = tuple(DeleteOp(posid, self.site) for posid in slot_posids(slots))
         self._touch_many(slots)
         self.tree.begin_bulk()
         if sliced:

@@ -111,10 +111,15 @@ class StaleStateError(SyncError):
 
 class StorageError(ReproError):
     """The durable store was misused (wrong site or mode for a
-    recovered image, unknown record kind, appends to a closed log).
-    Torn or corrupted log *content* is never a StorageError — it
-    surfaces internally as :class:`DecodeError` and recovery truncates
-    to the last intact record."""
+    recovered image, unknown record kind, appends to a closed log), or
+    an append failed in the operating system (``errno`` then names the
+    cause, e.g. ``ENOSPC``). Torn or corrupted log *content* is never a
+    StorageError — it surfaces internally as :class:`DecodeError` and
+    recovery truncates to the last intact record."""
+
+    def __init__(self, message: str, errno: int | None = None) -> None:
+        super().__init__(message)
+        self.errno = errno
 
 
 class ReplicationError(ReproError):

@@ -28,8 +28,8 @@ from repro.core.node import (
     LIVE,
     TOMBSTONE,
     ArrayLeaf,
+    PathMemo,
     iter_subtree_entries,
-    slot_posid,
 )
 from repro.core.tree import TreedocTree
 
@@ -280,6 +280,7 @@ def measure_tree(tree: TreedocTree, with_disk: bool = True,
     if root.plain_state == EMPTY and not root.minis:
         structural_nodes -= 1
     stats.nodes = max(0, structural_nodes)
+    paths = PathMemo()
     for entry in iter_subtree_entries(tree.root):
         if isinstance(entry, ArrayLeaf):
             stats.array_leaves += 1
@@ -301,8 +302,7 @@ def measure_tree(tree: TreedocTree, with_disk: bool = True,
             continue
         slot = entry
         if slot.state == LIVE:
-            posid = slot_posid(slot)
-            bits = posid.size_bits
+            bits = paths.posid(slot).size_bits
             stats.posid_bits.append(bits)
             total_bits += bits
             total_id_bits += bits
@@ -314,7 +314,7 @@ def measure_tree(tree: TreedocTree, with_disk: bool = True,
         elif slot.state == TOMBSTONE:
             stats.tombstones += 1
             stats.used_ids += 1
-            total_id_bits += slot_posid(slot).size_bits
+            total_id_bits += paths.posid(slot).size_bits
     stats.total_posid_bits = total_bits
     stats._total_id_bits = total_id_bits
     if stats.live_atoms:

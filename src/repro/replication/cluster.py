@@ -418,11 +418,12 @@ class Cluster:
     @staticmethod
     def _identity(site: ReplicaSite) -> List[Tuple[object, object]]:
         """The site's (PosID, atom) sequence, in document order."""
-        from repro.core.node import slot_posid
+        from repro.core.node import slot_posids
 
         slots = site.doc.tree.live_slice(0, len(site.doc))
         if slots is not None:
-            return [(slot_posid(slot), slot.atom) for slot in slots]
+            return [(posid, slot.atom)
+                    for posid, slot in zip(slot_posids(slots), slots)]
         return [
             (site.doc.posid_at(index), atom)
             for index, atom in enumerate(site.atoms())

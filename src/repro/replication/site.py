@@ -236,13 +236,13 @@ class ReplicaSite:
     def _check_range_unlocked(self, start: int, end: int, verb: str) -> None:
         if not len(self._locks):
             return
-        from repro.core.node import slot_posid
+        from repro.core.node import slot_posids
 
         # One live-snapshot slice instead of an index descent per atom;
         # the walk fallback covers an invalidated cache.
         slots = self.doc.tree.live_slice(start, end)
         if slots is not None:
-            posids = (slot_posid(slot) for slot in slots)
+            posids = slot_posids(slots)
         else:
             posids = (self.doc.posid_at(i) for i in range(start, end))
         for offset, posid in enumerate(posids):

@@ -35,11 +35,12 @@ from repro.replication.site import ReplicaSite
 
 def identity_pairs(site: ReplicaSite) -> List[Tuple[Tuple[int, ...], object]]:
     """The document's (PosID bits, atom) sequence, in order."""
-    from repro.core.node import slot_posid
+    from repro.core.node import slot_posids
 
     slots = site.doc.tree.live_slice(0, len(site.doc))
     if slots is not None:
-        return [(slot_posid(slot).bits(), slot.atom) for slot in slots]
+        return [(posid.bits(), slot.atom)
+                for posid, slot in zip(slot_posids(slots), slots)]
     return [
         (site.doc.posid_at(index).bits(), atom)
         for index, atom in enumerate(site.atoms())

@@ -206,12 +206,23 @@ class DurableStore:
 
     def append(self, kind: int, payload: bytes = b"") -> None:
         """Append one record (and fsync it, by default) — the log-
-        before-apply step of the durability protocol."""
+        before-apply step of the durability protocol.
+
+        A record is acknowledged only when this returns. An ``OSError``
+        from the write or flush (a full disk, say) truncates the segment
+        back to where the record began and raises :class:`StorageError`
+        with the errno; the store stays usable. A failed fsync leaves
+        the file's durable state unknown, so the store also drops the
+        unacknowledged record as far as it can and then closes. Either
+        way no torn record is left in front of later appends, where it
+        would end every later recovery scan.
+        """
         if self._closed:
             raise StorageError(f"store {self.root} is closed")
         self._crash("wal.append.before")
         record = pack_record(kind, payload)
         handle = self._append_handle()
+        offset = handle.tell()
         injector = self.crash_points
         if injector is not None:
             keep = injector.torn_write("wal.append.torn", len(record))
@@ -223,10 +234,26 @@ class DurableStore:
                 if self.fsync:
                     os.fsync(handle.fileno())
                 raise CrashError("injected crash mid-append (torn write)")
-        handle.write(record)
-        handle.flush()
+        try:
+            handle.write(record)
+            handle.flush()
+        except OSError as exc:
+            self._drop_tail(offset)
+            raise StorageError(
+                f"WAL append to {self.wal_path} failed: {exc}",
+                errno=exc.errno,
+            ) from exc
         if self.fsync:
-            os.fsync(handle.fileno())
+            try:
+                os.fsync(handle.fileno())
+            except OSError as exc:
+                self._drop_tail(offset)
+                self.close()
+                raise StorageError(
+                    f"WAL fsync of {self.wal_path} failed: {exc}; "
+                    "store closed",
+                    errno=exc.errno,
+                ) from exc
         self._crash("wal.append.after")
         self.records_appended += 1
         self.bytes_appended += len(record)
@@ -439,6 +466,23 @@ class DurableStore:
         for path in sorted(self.root.glob(_SEGMENT_GLOB)):
             if _file_id(path) < keep_from:
                 path.unlink()
+
+    def _drop_tail(self, offset: int) -> None:
+        """Cut the current segment back to ``offset`` after a failed
+        append. The handle is closed first — its buffer may still hold
+        the rest of the failed record, and closing may write some of it
+        — so the truncation removes whatever reached the file. If even
+        the truncation fails, the store closes: appending behind a torn
+        record would strand everything after it."""
+        handle, self._handle = self._handle, None
+        try:
+            handle.close()
+        except OSError:
+            pass  # the buffered remainder could not be written either
+        try:
+            self._truncate_segment(self.wal_path, offset)
+        except OSError:
+            self.close()
 
     def _truncate_segment(self, path: Path, offset: int) -> None:
         if self._handle is not None:

@@ -1,6 +1,6 @@
 """The in-memory node layout (DESIGN.md section 7, "Node layout").
 
-Three invariants keep the tree lean without changing a serialised byte:
+Four invariants keep the tree lean without changing a serialised byte:
 
 - **flat parent links** — every position node and array leaf names its
   container in ``parent`` and its branch in ``side``, and
@@ -9,11 +9,16 @@ Three invariants keep the tree lean without changing a serialised byte:
 - **tuple mini-lists** — ``minis`` is a tuple strictly sorted by
   disambiguator key, and a node without minis holds the shared ``()``;
 - **interned SDIS tags** — every ``Sdis`` reachable from the tree is the
-  one instance for its site.
+  one instance for its site;
+- **derived identifiers** — no node stores a PosID: an identifier is
+  derived from the parent links when asked for, so no ``PosID`` is
+  reachable from the tree, whatever was minted or read before.
 
-:func:`check_layout` asserts all three; the state-frame property test
-runs it after every step of its edit histories. The census test counts
-objects, never bytes, so it holds on every CPython version.
+:func:`check_layout` asserts all four; the state-frame property test
+runs it after every step of its edit histories, together with
+:func:`check_identifiers`, which pins every derived identifier to its
+slot. The census tests count objects, never bytes, so they hold on
+every CPython version.
 """
 
 from __future__ import annotations
@@ -21,12 +26,27 @@ from __future__ import annotations
 import gc
 from pathlib import Path
 
+import pytest
+
 from repro.core import disk
 from repro.core.disambiguator import Sdis, Udis
-from repro.core.node import ArrayLeaf, MiniNode, PosNode
+from repro.core.node import (
+    EMPTY,
+    LIVE,
+    ArrayLeaf,
+    MiniNode,
+    PathMemo,
+    PosNode,
+    iter_subtree_entries,
+    slot_posid,
+    slot_posids,
+)
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
+from repro.errors import TreeError
 from repro.metrics import resident_census
+from repro.replication.cluster import Cluster
+from repro.server.admin import identity_digest
 
 _NO_MINIS = ()
 
@@ -42,6 +62,8 @@ def _check_child(child, container, side: int, tree) -> None:
 
 def check_layout(tree) -> None:
     """Assert the lean-layout invariants over every node of ``tree``."""
+    assert "cached_posid" not in PosNode.__slots__
+    assert "PosID" not in resident_census(tree), "a PosID is stored"
     root = tree.root
     assert root.parent is None
     stack = [root]
@@ -71,6 +93,23 @@ def check_layout(tree) -> None:
                 _check_child(child, node, side, tree)
                 if isinstance(child, PosNode):
                     stack.append(child)
+
+
+def check_identifiers(tree) -> None:
+    """Every used identifier, derived from its slot, looks up that very
+    slot, and the batch listing ``tree.posids()`` equals a fresh
+    per-slot derivation (collapsed regions answer from their implied
+    paths either way)."""
+    reference = []
+    for entry in iter_subtree_entries(tree.root):
+        if isinstance(entry, ArrayLeaf):
+            reference.extend(entry.posids())
+        elif entry.state != EMPTY:
+            posid = slot_posid(entry)
+            assert tree.lookup(posid) is entry, f"{posid!r} names another slot"
+            if entry.state == LIVE:
+                reference.append(posid)
+    assert tree.posids() == reference
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -154,6 +193,49 @@ class TestLayout:
         check_layout(receiver.tree)
         assert Sdis(4) is Sdis(4) == Sdis(4)
         assert Sdis(4) != Sdis(5)
+
+
+class TestDerivedIdentifiers:
+    def test_reads_leave_no_identifier_in_the_tree(self):
+        cluster = Cluster(2, mode="sdis", seed=3)
+        a, b = cluster[1], cluster[2]
+        a.insert_text(0, list("derived, never stored"))
+        cluster.settle()
+        b.insert_text(7, list(" on demand"))
+        a.delete_range(2, 5)
+        cluster.settle()
+        cluster.assert_converged(identities=True)
+        for site in (a, b):
+            assert identity_digest(site) == identity_digest(a)
+            check_layout(site.doc.tree)
+            posids = site.doc.posids()
+            check_layout(site.doc.tree)
+            assert [site.doc.posid_at(index)
+                    for index in range(len(site.doc))] == posids
+            check_layout(site.doc.tree)
+            check_identifiers(site.doc.tree)
+        doc = sdis_doc()
+        check_identifiers(doc.tree)
+        check_layout(doc.tree)
+
+    def test_batch_ops_carry_per_slot_identifiers(self):
+        doc = sdis_doc()
+        batch = doc.insert_text(20, [f"n{i}" for i in range(9)])
+        assert [op.posid for op in batch.ops] == [
+            slot_posid(doc.tree.live_slot_at(index))
+            for index in range(20, 29)]
+        before = [doc.posid_at(index) for index in range(3, 12)]
+        assert [op.posid for op in doc.delete_range(3, 12).ops] == before
+        check_layout(doc.tree)
+
+    def test_a_mini_node_at_the_root_has_no_identifier(self):
+        root = PosNode()
+        mini = root.get_or_create_mini(Sdis(1))
+        with pytest.raises(TreeError):
+            slot_posid(mini)
+        with pytest.raises(TreeError):
+            PathMemo().posid(mini)
+        assert slot_posids([root]) == [ROOT]
 
 
 class TestCensus:

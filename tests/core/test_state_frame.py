@@ -8,7 +8,10 @@ gives the same text and identifiers and the same fully-live leaves, and
 the tree-walk load keeps the sender's dead-slot bitmaps (which the
 segment frame cannot carry). Every step of those histories, every
 load and a disk reload of the result also keep the lean node layout
-(``check_layout``). Hostile-input cases pin the decoder to typed errors.
+(``check_layout``, including "no PosID stored in the tree") and derive
+every identifier back to its own slot (``check_identifiers``), and
+each minted batch carries the per-slot identifiers. Hostile-input cases
+pin the decoder to typed errors.
 """
 
 from __future__ import annotations
@@ -34,7 +37,11 @@ from repro.core.treedoc import Treedoc
 from repro.errors import DecodeError, EncodingError, SyncError
 from repro.util.bits import BitWriter
 
-from tests.core.test_node_layout import check_layout, disk_reload
+from tests.core.test_node_layout import (
+    check_identifiers,
+    check_layout,
+    disk_reload,
+)
 
 
 def leaf_shapes(doc: Treedoc, dead: bool):
@@ -86,6 +93,24 @@ def assert_frames_agree(doc: Treedoc) -> Treedoc:
     return tree_load
 
 
+def minted(doc: Treedoc, index: int, atoms):
+    """``doc.insert_text``, checking that the batch's op PosIDs are the
+    per-slot derivations of the slots it filled."""
+    batch = doc.insert_text(index, atoms)
+    assert [op.posid for op in batch.ops] == [
+        doc.posid_at(at) for at in range(index, index + len(atoms))]
+    return batch
+
+
+def deleted(doc: Treedoc, start: int, end: int):
+    """``doc.delete_range``, checking that the batch's op PosIDs are the
+    identifiers the range read as before the delete."""
+    before = [doc.posid_at(at) for at in range(start, end)]
+    batch = doc.delete_range(start, end)
+    assert [op.posid for op in batch.ops] == before
+    return batch
+
+
 def cool(doc: Treedoc, min_atoms: int) -> None:
     """Let the document go cold, then collapse it (bitmap leaves where
     SDIS tombstones sit in canonical regions)."""
@@ -126,16 +151,16 @@ class TestDifferentialAgainstSegmentFrame:
                 atoms = [f"a{tag}.{k}" for k in range(payload)]
                 tag += 1
                 peer.apply_batch(
-                    doc.insert_text(position % (len(doc) + 1), atoms))
+                    minted(doc, position % (len(doc) + 1), atoms))
             elif kind == "local_delete" and len(doc):
                 start = position % len(doc)
                 peer.apply_batch(
-                    doc.delete_range(start, min(len(doc), start + payload)))
+                    deleted(doc, start, min(len(doc), start + payload)))
             elif kind == "remote_batch":
                 atoms = [f"p{tag}.{k}" for k in range(payload)]
                 tag += 1
                 doc.apply_batch(
-                    peer.insert_text(position % (len(peer) + 1), atoms))
+                    minted(peer, position % (len(peer) + 1), atoms))
             elif kind == "flatten":
                 op = doc.make_flatten(ROOT)
                 doc.apply_flatten(op)
@@ -149,7 +174,7 @@ class TestDifferentialAgainstSegmentFrame:
             elif kind == "interior_edit" and len(doc):
                 # Lands inside a leaf when one covers the position.
                 peer.apply_batch(
-                    doc.insert_text(position % len(doc), [f"i{tag}"]))
+                    minted(doc, position % len(doc), [f"i{tag}"]))
                 tag += 1
             elif kind == "purge":
                 tombstones = [
@@ -160,8 +185,15 @@ class TestDifferentialAgainstSegmentFrame:
                 if tombstones:
                     doc.tree.purge_tombstone(
                         tombstones[position % len(tombstones)])
+            # The peer stays one exploded 600-atom tree: its identifiers
+            # are checked once, after the history.
+            check_identifiers(doc.tree)
+            if len(doc):
+                doc.posid_at(position % len(doc))
             check_layout(doc.tree)
             check_layout(peer.tree)
+        check_identifiers(peer.tree)
+        check_layout(peer.tree)
         if cool_last:
             cool(doc, min_atoms=2)
             check_layout(doc.tree)
@@ -241,6 +273,16 @@ class TestShapes:
         assert again.frame == state.frame
         for index in (0, 1500, len(doc) - 1):
             assert receiver.posid_at(index) == doc.posid_at(index)
+        # Every identifier derives by iteration, with no recursion: the
+        # listing shares prefixes through its call-long memo and matches
+        # the per-slot walk (compared by depth, and in full at a few
+        # indices; a full comparison is quadratic too).
+        listings = [replica.posids() for replica in (doc, receiver)]
+        assert ([posid.depth for posid in listings[0]]
+                == [posid.depth for posid in listings[1]])
+        for index in (0, 999, 1000, len(doc) - 1):
+            assert listings[0][index] == listings[1][index] == doc.posid_at(
+                index)
 
     def test_capture_ships_no_segment_records(self, monkeypatch):
         def refuse(*args, **kwargs):
