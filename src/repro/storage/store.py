@@ -209,13 +209,13 @@ class DurableStore:
         before-apply step of the durability protocol.
 
         A record is acknowledged only when this returns. An ``OSError``
-        from the write or flush (a full disk, say) truncates the segment
-        back to where the record began and raises :class:`StorageError`
-        with the errno; the store stays usable. A failed fsync leaves
-        the file's durable state unknown, so the store also drops the
-        unacknowledged record as far as it can and then closes. Either
-        way no torn record is left in front of later appends, where it
-        would end every later recovery scan.
+        from the write, flush or fsync (a full disk, say) is fail-stop:
+        the segment is cut back to where the record began, the
+        store closes and :class:`StorageError` is raised with the errno.
+        Callers change their state before they journal it, so a later
+        record may depend on the one that failed; closing keeps the log
+        a causally complete prefix instead of acknowledging records
+        behind a hole.
         """
         if self._closed:
             raise StorageError(f"store {self.root} is closed")
@@ -237,23 +237,15 @@ class DurableStore:
         try:
             handle.write(record)
             handle.flush()
+            if self.fsync:
+                os.fsync(handle.fileno())
         except OSError as exc:
             self._drop_tail(offset)
             raise StorageError(
-                f"WAL append to {self.wal_path} failed: {exc}",
+                f"WAL append to {self.wal_path} failed: {exc}; "
+                "store closed",
                 errno=exc.errno,
             ) from exc
-        if self.fsync:
-            try:
-                os.fsync(handle.fileno())
-            except OSError as exc:
-                self._drop_tail(offset)
-                self.close()
-                raise StorageError(
-                    f"WAL fsync of {self.wal_path} failed: {exc}; "
-                    "store closed",
-                    errno=exc.errno,
-                ) from exc
         self._crash("wal.append.after")
         self.records_appended += 1
         self.bytes_appended += len(record)
@@ -469,11 +461,10 @@ class DurableStore:
 
     def _drop_tail(self, offset: int) -> None:
         """Cut the current segment back to ``offset`` after a failed
-        append. The handle is closed first — its buffer may still hold
-        the rest of the failed record, and closing may write some of it
-        — so the truncation removes whatever reached the file. If even
-        the truncation fails, the store closes: appending behind a torn
-        record would strand everything after it."""
+        append, as far as the file allows, and close the store. The
+        handle is closed first — its buffer may still hold the rest of
+        the failed record, and closing may write some of it — so the
+        truncation removes whatever reached the file."""
         handle, self._handle = self._handle, None
         try:
             handle.close()
@@ -482,7 +473,8 @@ class DurableStore:
         try:
             self._truncate_segment(self.wal_path, offset)
         except OSError:
-            self.close()
+            pass  # recovery's scan cuts a torn tail
+        self.close()
 
     def _truncate_segment(self, path: Path, offset: int) -> None:
         if self._handle is not None:

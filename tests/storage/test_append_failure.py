@@ -1,11 +1,14 @@
-"""A WAL append that fails in the operating system strands nothing.
+"""A WAL append that fails in the operating system stops the store.
 
 A record is acknowledged when ``DurableStore.append`` returns. If the
 write fails part-way (a full disk) the segment would otherwise keep a
 torn prefix, and recovery's scan stops at the first torn record — so
-every record acknowledged *after* the failure would be lost. These
-tests make the file handle write a prefix and then fail, and check that
-recovery returns exactly the acknowledged records.
+every record acknowledged *after* the failure would be lost. Callers
+change state before they journal, so a later record may depend on the
+failed one: the store therefore cuts the torn prefix and closes, and
+refuses every later append. These tests make the file handle write a
+prefix and then fail, and check that recovery returns exactly the
+acknowledged records.
 """
 
 import errno
@@ -48,19 +51,18 @@ def _opened(root, fsync: bool = False) -> DurableStore:
 
 
 @pytest.mark.parametrize("keep", [0, 1, 7, 40])
-def test_failed_write_leaves_later_records_recoverable(tmp_path, keep):
+def test_failed_write_closes_the_store(tmp_path, keep):
     store = _opened(tmp_path)
     size = store.wal_bytes
     store._handle = FailingHandle(store._handle, keep, errno.ENOSPC)
     with pytest.raises(StorageError) as info:
         store.append(RECORD_ENVELOPE, b"never acknowledged" * 4)
     assert info.value.errno == errno.ENOSPC
-    assert store.wal_bytes == size
-    # The store stays usable, and what it acknowledges next survives.
-    store.append(RECORD_ENVELOPE, b"second")
-    store.append(RECORD_ENVELOPE, b"third")
-    store.close()
-    assert _payloads(tmp_path) == [b"first", b"second", b"third"]
+    assert store.wal_bytes == size  # the torn prefix is cut
+    # Nothing is acknowledged behind the failed record.
+    with pytest.raises(StorageError, match="closed"):
+        store.append(RECORD_ENVELOPE, b"second")
+    assert _payloads(tmp_path) == [b"first"]
 
 
 def test_failed_fsync_closes_the_store(tmp_path, monkeypatch):
