@@ -113,8 +113,13 @@ def _summary(root: Path) -> str:
         lines.append(
             f"  hotcold/edit p99 at 10x cold   "
             f"{largest['p99_ns']:>12,.0f} ns "
-            f"({data['p99_ratio']:.2f}x the 1x p99, "
-            f"{data['steady_cache_drops']} cache drops)"
+            f"({data['p99_ratio']:.2f}x the 1x p99)"
+        )
+        scattered = data["scattered"]
+        lines.append(
+            f"  hotcold/scattered 16x/1x       "
+            f"{scattered['scattered_ratio']:>12.2f} x "
+            f"(worst of {len(scattered['ratios'])} columns)"
         )
         touch = data["cold_touch"][-1]
         lines.append(

@@ -1,16 +1,21 @@
 """Hot/cold sustained-edit benchmark: steady-state mixed-workload cost.
 
-Measures what the segment cache, partial explode and re-collapse
-hysteresis (DESIGN.md section 12) are for: a document with a large cold
-body and a small hot window being edited continuously.
+Measures what the counted descent, partial explode and re-collapse
+hysteresis (DESIGN.md sections 6 and 12) are for: a document with a
+large cold body being edited continuously.
 
 1. **Edit latency vs cold size** — the document's cold region grows
    10x while the hot window (and the edit trace over it) stays fixed;
-   per-edit p50/p99 must stay flat, which they only do when edits
-   splice the live-snapshot cache instead of dropping it and explode
-   O(edit) of a touched leaf instead of the whole region.
-2. **Cache stability** — ``cache_drops`` counted over the steady-state
-   trace (the acceptance bar asks for ~0: every edit path splices).
+   per-edit p50/p99 must stay flat, which they only do when an index
+   resolves in O(depth) and an edit explodes O(edit) of a touched leaf
+   instead of the whole region.
+2. **Scattered edits vs document size** — the end-to-end benchmark's
+   big-doc base (every 31st atom deleted, collapsed) at three sizes
+   16x apart, and one seeded set of scattered edits minted on a writer
+   and applied on a receiver, with a 40-atom window read after each
+   apply. Every column must stay flat from the smallest size to the
+   largest (``scattered_ratio``): edits and reads far apart in a big
+   document must not pay O(n).
 3. **Steady-state resident bytes** — gc-reachability size of the tree
    at the largest cold size, after the trace (cold region still
    collapsed thanks to hysteresis re-collapse, hot window in tree
@@ -35,7 +40,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
@@ -44,6 +49,20 @@ from repro.metrics import resident_bytes
 #: Cold-region multipliers for the scaling sweep (the acceptance bar
 #: names the 10x point).
 SCALES = (1, 2, 5, 10)
+
+#: Base sizes (atoms before the holes) of the scattered-edit table,
+#: the same 16x span in both modes, and the edit count: quick mode is
+#: the full table at a quarter of the scale, so edits land as densely
+#: per collapsed region.
+SCATTERED_SIZES = {"quick": (1_250, 5_000, 20_000),
+                   "full": (5_000, 20_000, 80_000)}
+SCATTERED_EDITS = {"quick": 100, "full": 400}
+#: Every n-th base atom is deleted before the collapse, so the base
+#: settles into many small leaves (the big-doc workload's base).
+SCATTERED_HOLES = 31
+SCATTERED_WINDOW = 40
+SCATTERED_COLUMNS = ("remote_insert", "remote_delete", "window_read",
+                     "local_insert", "local_delete")
 
 
 def build_doc(cold_lines: int, hot_lines: int, *, collapse_every=None,
@@ -72,8 +91,8 @@ def run_trace(doc: Treedoc, hot_lines: int, edits: int, warmup: int,
               seed: int = 7) -> dict:
     """The steady-state trace: alternating insert/delete confined to the
     hot window, revision boundaries every 8 edits, a snapshot read every
-    16 (all off the live cache). Latencies cover the edit call only;
-    boundary sweeps are totalled separately."""
+    16. Latencies cover the edit call only; boundary sweeps are
+    totalled separately."""
     rng = random.Random(seed)
     tree = doc.tree
 
@@ -88,10 +107,9 @@ def run_trace(doc: Treedoc, hot_lines: int, edits: int, warmup: int,
         one_edit(step)
         if step % 8 == 7:
             doc.note_revision()
-    doc.text()  # steady state: the live cache is built and stays spliced
+    doc.text()
 
-    base = (tree.cache_drops, tree.cache_splices,
-            tree.explodes, tree.partial_explodes)
+    base = (tree.explodes, tree.partial_explodes)
     durations: List[float] = []
     sweep_seconds = 0.0
     for step in range(edits):
@@ -111,10 +129,8 @@ def run_trace(doc: Treedoc, hot_lines: int, edits: int, warmup: int,
         "p99_ns": durations[min(len(durations) - 1,
                                 int(len(durations) * 0.99))] * 1e9,
         "boundary_seconds": sweep_seconds,
-        "cache_drops": tree.cache_drops - base[0],
-        "cache_splices": tree.cache_splices - base[1],
-        "explodes": tree.explodes - base[2],
-        "partial_explodes": tree.partial_explodes - base[3],
+        "explodes": tree.explodes - base[0],
+        "partial_explodes": tree.partial_explodes - base[1],
     }
 
 
@@ -139,6 +155,107 @@ def measure_scaling(cfg: dict) -> List[dict]:
             row["resident_bytes"] = resident_bytes(doc.tree, atom_ids)
         rows.append(row)
     return rows
+
+
+def build_scattered_pair(atoms: int) -> Tuple[Treedoc, Treedoc]:
+    """Writer and receiver holding the same quiescent base: ``atoms``
+    characters typed, flattened, every 31st deleted, collapsed, and
+    shipped to the receiver as one state frame (leaves stay leaves)."""
+    writer = Treedoc(site=1, mode="udis")
+    for start in range(0, atoms, 200):
+        writer.insert_text(len(writer), [
+            chr(97 + (start + k) % 26)
+            for k in range(min(200, atoms - start))])
+    writer.note_revision()
+    writer.flatten_local(ROOT)
+    for index in range(len(writer) - SCATTERED_HOLES, 0, -SCATTERED_HOLES):
+        writer.delete(index)
+    for _ in range(3):
+        writer.note_revision()
+    writer.collapse_cold()
+    receiver = Treedoc(site=2, mode="udis")
+    receiver.load_state(writer.capture_state())
+    return writer, receiver
+
+
+def scattered_edits(count: int,
+                    seed: int = 7) -> List[Tuple[bool, float, int, float]]:
+    """The seeded edit set, size-free: (insert?, position as a fraction
+    of the length, run length, window position as a fraction)."""
+    rng = random.Random(seed)
+    return [(rng.random() < 0.5, rng.random(), rng.randint(1, 2),
+             rng.random()) for _ in range(count)]
+
+
+def _p50(samples: List[float]) -> float:
+    ordered = sorted(samples)
+    return ordered[len(ordered) // 2]
+
+
+def _middle_mean(samples: List[float]) -> float:
+    """Mean of the middle half (quartile 1 to 3) of ``samples``."""
+    ordered = sorted(samples)
+    quarter = len(ordered) // 4
+    middle = ordered[quarter:len(ordered) - quarter]
+    return sum(middle) / len(middle)
+
+
+def measure_scattered(mode: str) -> dict:
+    """Per base size, the p50 of every edit path and of a window read,
+    over the same edit set; then each column's largest/smallest ratio.
+
+    The ratios compare middle-half means, not the p50s: an apply that
+    lands in a region not yet exploded pays the explode, and at the
+    smallest size about half of them do (more of the seeded edits reuse
+    a region an earlier one exploded), so the p50 there sits between
+    the two modes and jumps from run to run. The middle-half mean moves
+    smoothly with that share and still drops timer outliers."""
+    edits = scattered_edits(SCATTERED_EDITS[mode])
+    sizes = SCATTERED_SIZES[mode]
+    pairs = [build_scattered_pair(atoms) for atoms in sizes]
+    rows = [{"base_atoms": atoms, "live_atoms": len(writer),
+             "array_leaves": writer.array_leaf_count}
+            for atoms, (writer, _) in zip(sizes, pairs)]
+    samples = [{c: [] for c in SCATTERED_COLUMNS} for _ in sizes]
+    clock = time.perf_counter
+    # Each edit runs at every size before the next edit, so a change in
+    # the host's speed during the run hits all sizes alike.
+    for insert, where, length, window in edits:
+        for (writer, receiver), taken in zip(pairs, samples):
+            position = int(where * len(writer))
+            started = clock()
+            if insert:
+                batch = writer.insert_text(position, ["x"] * length)
+            else:
+                position = min(position, len(writer) - length)
+                batch = writer.delete_range(position, position + length)
+            minted = clock()
+            receiver.apply_batch(batch)
+            applied = clock()
+            start = int(window * (len(receiver) - SCATTERED_WINDOW))
+            for index in range(start, start + SCATTERED_WINDOW):
+                receiver.atom_at(index)
+            read = clock()
+            kind = "insert" if insert else "delete"
+            taken["local_" + kind].append(minted - started)
+            taken["remote_" + kind].append(applied - minted)
+            taken["window_read"].append(read - applied)
+    for row, (writer, receiver), taken in zip(rows, pairs, samples):
+        if receiver.text() != writer.text():
+            raise RuntimeError("scattered replicas diverged")
+        for c in SCATTERED_COLUMNS:
+            row[c + "_p50_ns"] = _p50(taken[c]) * 1e9
+            row[c + "_mid_mean_ns"] = _middle_mean(taken[c]) * 1e9
+    ratios = {c: rows[-1][c + "_mid_mean_ns"] / rows[0][c + "_mid_mean_ns"]
+              for c in SCATTERED_COLUMNS}
+    return {
+        "edits": len(edits),
+        "holes": SCATTERED_HOLES,
+        "window": SCATTERED_WINDOW,
+        "rows": rows,
+        "ratios": ratios,
+        "scattered_ratio": max(ratios.values()),
+    }
 
 
 def measure_cold_touch(cfg: dict, repeats: int) -> List[dict]:
@@ -234,26 +351,37 @@ def _render(results: dict) -> str:
         "Hot/cold sustained-edit benchmark "
         "(fixed hot window, growing cold body)",
         "",
-        "  scale   atoms  leaves   edit p50    edit p99"
-        "   drops  splices  partial",
+        "  scale   atoms  leaves   edit p50    edit p99  partial",
     ]
     for row in results["hot_cold"]:
         lines.append(
             f"  {row['scale']:>4d}x {row['atoms']:>7,d} "
             f"{row['array_leaves']:>7d} {_fmt_ns(row['p50_ns']):>10s} "
-            f"{_fmt_ns(row['p99_ns']):>11s} {row['cache_drops']:>7d} "
-            f"{row['cache_splices']:>8d} {row['partial_explodes']:>8d}"
+            f"{_fmt_ns(row['p99_ns']):>11s} {row['partial_explodes']:>8d}"
         )
     largest = results["hot_cold"][-1]
     lines += [
         "",
         f"  edit p99 at 10x cold       {results['p99_ratio']:.2f}x the 1x "
         f"p99 (flat = O(edit), not O(document))",
-        f"  steady-state cache drops   "
-        f"{results['steady_cache_drops']} across "
-        f"{sum(r['edits'] for r in results['hot_cold'])} edits",
         f"  resident tree bytes (10x)  {largest['resident_bytes']:,d} B "
         f"({largest['array_leaves']} leaves held collapsed)",
+        "",
+        f"scattered edits ({results['scattered']['edits']} seeded, "
+        f"p50 per column):",
+        "  live atoms  leaves  remote ins  remote del  40-atom read"
+        "   local ins   local del",
+    ]
+    for row in results["scattered"]["rows"]:
+        lines.append(
+            f"  {row['live_atoms']:>10,d} {row['array_leaves']:>7d} "
+            + " ".join(f"{_fmt_ns(row[c + '_p50_ns']):>11s}"
+                       for c in SCATTERED_COLUMNS)
+        )
+    lines += [
+        f"  largest/smallest size      "
+        f"{results['scattered']['scattered_ratio']:.2f}x at worst, "
+        f"middle-half means (flat = O(depth), not O(document))",
         "",
         "first touch into the cold leaf interior "
         "(partial explode vs wholesale):",
@@ -307,7 +435,7 @@ def main(argv=None) -> int:
         },
         "hot_cold": rows,
         "p99_ratio": rows[-1]["p99_ns"] / rows[0]["p99_ns"],
-        "steady_cache_drops": max(row["cache_drops"] for row in rows),
+        "scattered": measure_scattered("quick" if args.quick else "full"),
         "cold_touch": measure_cold_touch(cfg, repeats),
         "sweep": measure_sweeps(cfg, repeats),
     }

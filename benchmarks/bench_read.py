@@ -1,17 +1,15 @@
 """Read-path benchmark: snapshot and replay throughput, all four CRDTs.
 
-Measures the two workloads the incremental read subsystem targets:
+Measures the two read workloads:
 
 1. **Repeated snapshot reads** — ``atoms()`` / ``text()`` on a built
    document, the read the editor, convergence checks and the experiment
-   tables all hammer. For Treedoc this is measured twice: with the
-   live-snapshot cache + edit finger on (the shipped configuration) and
-   with both disabled (the pre-cache behavior: a full infix tree walk
-   per read), giving an honest A/B speedup on identical code.
+   tables all hammer. For Treedoc ``atoms()`` is one entry walk per
+   call and ``text()`` is cached per generation (DESIGN.md section 6).
 2. **Revision replay end-to-end** — ``replay_history`` over a synthetic
    history (the paper's section 5 procedure), whose per-revision
-   convergence check reads the whole snapshot; cache on vs. off, plus
-   ``replay_into`` throughput for the Logoot/WOOT/RGA baselines.
+   convergence check reads the whole snapshot, plus ``replay_into``
+   throughput for the Logoot/WOOT/RGA baselines.
 
 Writes ``BENCH_read.json`` (checked into the repo root; CI refreshes it
 as an artifact) and prints a summary table. Run::
@@ -88,14 +86,6 @@ def measure_snapshot(atom_count: int, reads: int, repeats: int) -> List[dict]:
             "seconds": _best_of(repeats, read_all),
         }
         row["reads_per_second"] = reads / row["seconds"]
-        if isinstance(doc, TreedocAdapter):
-            tree = doc.doc.tree
-            tree.configure_read_cache(snapshot=False, finger=False)
-            row["seconds_uncached"] = _best_of(repeats, read_all)
-            tree.configure_read_cache(snapshot=True, finger=True)
-            row["speedup_vs_uncached"] = (
-                row["seconds_uncached"] / row["seconds"]
-            )
         rows.append(row)
     return rows
 
@@ -113,27 +103,16 @@ def _history(revisions: int, final_atoms: int, seed: int = 2009):
 
 
 def measure_replay(revisions: int, final_atoms: int, repeats: int) -> List[dict]:
-    """End-to-end revision replay, cache on vs. off, plus baselines."""
+    """End-to-end revision replay, Treedoc and the baselines."""
     history = _history(revisions, final_atoms)
     rows: List[dict] = []
-
-    def treedoc_run(cache_on: bool) -> float:
-        def run():
-            doc = Treedoc(site=1, mode="sdis")
-            if not cache_on:
-                doc.tree.configure_read_cache(snapshot=False, finger=False)
-            replay_history(doc, history, flatten_every=8)
-        return _best_of(repeats, run)
-
-    cached = treedoc_run(True)
-    uncached = treedoc_run(False)
+    seconds = _best_of(repeats, lambda: replay_history(
+        Treedoc(site=1, mode="sdis"), history, flatten_every=8))
     rows.append({
         "crdt": "treedoc-sdis",
         "revisions": revisions,
-        "seconds": cached,
-        "seconds_uncached": uncached,
-        "speedup_vs_uncached": uncached / cached,
-        "revisions_per_second": revisions / cached,
+        "seconds": seconds,
+        "revisions_per_second": revisions / seconds,
     })
     for name in ("logoot", "woot", "rga"):
         seconds = _best_of(
@@ -150,8 +129,8 @@ def measure_replay(revisions: int, final_atoms: int, repeats: int) -> List[dict]
 
 #: Self-contained measurement driver run in a subprocess against an
 #: arbitrary source tree (PYTHONPATH selects the version); it only uses
-#: APIs that exist both before and after this PR, so running it against
-#: a pre-PR checkout gives the honest end-to-end before/after numbers.
+#: long-standing public APIs, so running it against an older checkout
+#: gives the end-to-end before/after numbers.
 _DRIVER = r"""
 import json, sys, time
 from repro.baselines import TreedocAdapter
@@ -251,33 +230,19 @@ def measure_vs_prepr(baseline_src: Path, snapshot_cfg: dict,
 
 def _render(results: dict) -> str:
     lines = ["Read-path throughput (best of N)", ""]
-    lines.append(f"{'snapshot reads':16s} {'atoms':>6s} {'reads/s':>10s} "
-                 f"{'uncached reads/s':>17s} {'speedup':>8s}")
+    lines.append(f"{'snapshot reads':16s} {'atoms':>6s} {'reads/s':>10s}")
     for row in results["snapshot"]:
-        uncached = row.get("seconds_uncached")
-        lines.append(
-            f"{row['crdt']:16s} {row['atoms']:6d} "
-            f"{row['reads_per_second']:10.0f} "
-            + (f"{row['reads'] / uncached:17.0f} "
-               f"{row['speedup_vs_uncached']:7.1f}x"
-               if uncached else f"{'—':>17s} {'—':>8s}")
-        )
+        lines.append(f"{row['crdt']:16s} {row['atoms']:6d} "
+                     f"{row['reads_per_second']:10.0f}")
     lines.append("")
-    lines.append(f"{'revision replay':16s} {'revs':>6s} {'revs/s':>10s} "
-                 f"{'uncached revs/s':>17s} {'speedup':>8s}")
+    lines.append(f"{'revision replay':16s} {'revs':>6s} {'revs/s':>10s}")
     for row in results["replay"]:
-        uncached = row.get("seconds_uncached")
-        lines.append(
-            f"{row['crdt']:16s} {row['revisions']:6d} "
-            f"{row['revisions_per_second']:10.1f} "
-            + (f"{row['revisions'] / uncached:17.1f} "
-               f"{row['speedup_vs_uncached']:7.2f}x"
-               if uncached else f"{'—':>17s} {'—':>8s}")
-        )
+        lines.append(f"{row['crdt']:16s} {row['revisions']:6d} "
+                     f"{row['revisions_per_second']:10.1f}")
     prepr = results.get("vs_pre_pr")
     if prepr:
         lines.append("")
-        lines.append("vs. pre-PR main (same driver, both source trees):")
+        lines.append("vs. the baseline checkout (same driver, both source trees):")
         lines.append(
             f"  snapshot reads: {prepr['snapshot']['speedup']:.1f}x   "
             f"revision replay: {prepr['replay']['speedup']:.2f}x"
@@ -294,7 +259,7 @@ def main(argv=None) -> int:
                         / "BENCH_read.json",
                         help="where to write the JSON report")
     parser.add_argument("--baseline-src", type=Path, default=None,
-                        help="path to a pre-PR checkout's src/ directory; "
+                        help="path to an older checkout's src/ directory; "
                         "adds an end-to-end before/after comparison")
     args = parser.parse_args(argv)
     if args.quick:

@@ -50,10 +50,6 @@ def explode(atoms: Sequence[object]) -> TreedocTree:
     tree = TreedocTree()
     build_exploded(tree.root, atoms)
     tree.height = _subtree_height(tree.root)
-    # The atoms were written directly into the nodes, bypassing
-    # set_live: the fresh tree's (valid, empty) snapshot cache would be
-    # stale — invalidate it.
-    tree.invalidate_live_cache()
     return tree
 
 

@@ -786,8 +786,8 @@ class ArrayLeaf:
     fully live leaf has ``dead == 0`` and pays nothing for the feature.
 
     ``tree`` is the owning :class:`repro.core.tree.TreedocTree`: explode
-    must splice the tree's live-snapshot cache, and navigation helpers
-    that step into a leaf have no other route to the tree. Explode
+    counts itself there and notifies the tree's owner, and navigation
+    helpers that step into a leaf have no other route to the tree. Explode
     clears both ``parent`` and ``tree`` on the way out, so an exploded
     husk is fully detached: it dies by reference counting alone and a
     stray reference to it cannot pin the tree.
@@ -818,8 +818,8 @@ class ArrayLeaf:
         self.tree = tree
         self.dead = dead
         #: Visible atoms / used identifiers of the region. Plain
-        #: attributes, not properties: the snapshot cache's width
-        #: arithmetic reads them on hot paths.
+        #: attributes, not properties: the counted descent reads them
+        #: as a child's aggregates on hot paths.
         self.live_count = len(atoms) - dead.bit_count()
         self.id_count = len(atoms)
         #: Lazily built live-offset -> slot-offset table (None until a
@@ -863,7 +863,7 @@ class ArrayLeaf:
 
     def explode(self, around: Optional[int] = None) -> "PosNode":
         """Rebuild the region as tree structure; returns the new subtree
-        root. Delegates to the owning tree (cache maintenance).
+        root. Delegates to the owning tree (counters, explode listener).
         ``around`` is the slot offset about to be touched — large leaves
         then explode partially around it."""
         if self.tree is None:
@@ -936,11 +936,3 @@ def iter_subtree_entries(root: "PosNode") -> Iterator[Entry]:
                     stack.append((mini.right, 0))
         else:  # ArrayLeaf: the whole region, in one entry
             yield item
-
-
-def entry_atoms(entry: Entry) -> Iterator[object]:
-    """The visible atoms an entry contributes (0, 1, or a whole region)."""
-    if isinstance(entry, ArrayLeaf):
-        yield from entry.live_atoms()
-    elif entry.state == LIVE:
-        yield entry.atom

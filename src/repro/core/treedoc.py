@@ -41,7 +41,6 @@ from repro.core.node import (
     collect_leaf_slots,
     parent_host,
     slot_host,
-    slot_is_live,
     slot_posid,
     slot_posids,
 )
@@ -54,7 +53,7 @@ from repro.core.ops import (
     content_digest,
 )
 from repro.core.path import PosID
-from repro.core.tree import TreedocTree, successor_slot
+from repro.core.tree import TreedocTree
 from repro.errors import MissingAtomError, TreeError
 from repro.util.text import join_atoms
 
@@ -176,8 +175,9 @@ class Treedoc:
         self._dis_factory.restore_counter(value)
 
     def atoms(self) -> List[object]:
-        """The visible document as a list of atoms (amortized O(n) copy
-        off the tree's live-snapshot cache)."""
+        """The visible document as a list of atoms: one O(n) walk per
+        call (collapsed regions contribute their arrays whole). Repeat
+        readers go through :meth:`text`, which caches per generation."""
         return self.tree.atoms()
 
     def text(self, separator: str = "") -> str:
@@ -256,9 +256,6 @@ class Treedoc:
         ops = [InsertOp(posid, atom, site)
                for posid, atom in zip(slot_posids(slots), atoms)]
         self.tree.begin_bulk()
-        # The run's atoms become the live range starting at ``index``:
-        # the cache splices there without per-slot rank queries.
-        self.tree.hint_bulk_added_at(index)
         try:
             for slot, atom in zip(slots, atoms):
                 self.tree.set_live(slot, atom)
@@ -283,10 +280,10 @@ class Treedoc:
         """Delete the visible atoms in ``[start, end)``; returns one
         :class:`OpBatch` to broadcast.
 
-        The range is resolved once — a slice of the live-snapshot cache
-        when valid, else an index descent for ``start`` plus successor
-        walks — instead of re-resolving a live index per deleted atom,
-        and count maintenance is deferred to batch end.
+        The range is resolved once — an index descent for ``start``
+        plus successor steps (:meth:`TreedocTree.live_slice`) — instead
+        of re-resolving a live index per deleted atom, and count
+        maintenance is deferred to batch end.
         """
         length = self.tree.live_length
         if not 0 <= start <= end <= length:
@@ -296,24 +293,9 @@ class Treedoc:
         if count == 0:
             return OpBatch.build((), self.site, seq_start)
         slots = self.tree.live_slice(start, end)
-        sliced = slots is not None
-        if slots is None:
-            slot: Optional[AtomSlot] = self.tree.live_slot_at(start)
-            slots = [slot]
-            while len(slots) < count:
-                slot = successor_slot(slot)
-                while slot is not None and not slot_is_live(slot):
-                    slot = successor_slot(slot)
-                if slot is None:
-                    raise TreeError("live count out of sync with slot walk")
-                slots.append(slot)
         ops = tuple(DeleteOp(posid, self.site) for posid in slot_posids(slots))
         self._touch_many(slots)
         self.tree.begin_bulk()
-        if sliced:
-            # The removals are exactly [start, end): the cache can
-            # splice instead of compacting at end_bulk.
-            self.tree.hint_bulk_removed_range(start, end)
         try:
             for s in slots:
                 if self.keeps_tombstones:
@@ -816,10 +798,8 @@ class Treedoc:
         """Adjacent used identifiers around visible position ``index``
         (DESIGN.md section 3.2: the successor includes tombstones).
 
-        Localized edits resolve in O(1) off the live-snapshot cache, or
-        by an edit-finger chain walk when the cache is invalidated —
-        both inside :meth:`TreedocTree.live_slot_at` (DESIGN.md
-        section 6)."""
+        The predecessor resolves by one counted descent
+        (:meth:`TreedocTree.live_slot_at`, DESIGN.md section 6)."""
         length = self.tree.live_length
         if index < 0 or index > length:
             raise IndexError(f"insert index {index} out of range 0..{length}")

@@ -94,13 +94,10 @@ class TreeStats:
     #: Measured bytes of the SyncRequest probe that solicited it.
     sync_request_bytes: int = 0
     #: Storage-health counters, cumulative over the tree's lifetime
-    #: (:class:`repro.core.tree.TreedocTree`): full region explosions,
-    #: partial (leaf/core/leaf) explosions, live-snapshot cache drops,
-    #: and in-place cache splices.
+    #: (:class:`repro.core.tree.TreedocTree`): full region explosions
+    #: and partial (leaf/core/leaf) explosions.
     explodes: int = 0
     partial_explodes: int = 0
-    cache_drops: int = 0
-    cache_splices: int = 0
     #: Per-atom PosID sizes (bits), for distribution plots.
     posid_bits: List[int] = field(default_factory=list)
 
@@ -322,8 +319,6 @@ def measure_tree(tree: TreedocTree, with_disk: bool = True,
     stats.height = tree.height
     stats.explodes = tree.explodes
     stats.partial_explodes = tree.partial_explodes
-    stats.cache_drops = tree.cache_drops
-    stats.cache_splices = tree.cache_splices
     if with_disk:
         overhead, document = measure_on_disk(tree)
         stats.disk_overhead_bytes = overhead

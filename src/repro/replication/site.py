@@ -238,13 +238,8 @@ class ReplicaSite:
             return
         from repro.core.node import slot_posids
 
-        # One live-snapshot slice instead of an index descent per atom;
-        # the walk fallback covers an invalidated cache.
-        slots = self.doc.tree.live_slice(start, end)
-        if slots is not None:
-            posids = slot_posids(slots)
-        else:
-            posids = (self.doc.posid_at(i) for i in range(start, end))
+        # One descent plus successor steps instead of a descent per atom.
+        posids = slot_posids(self.doc.tree.live_slice(start, end))
         for offset, posid in enumerate(posids):
             if self._locks.is_locked(posid.bits()):
                 raise RegionLockedError(

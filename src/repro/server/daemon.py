@@ -429,14 +429,12 @@ class SiteDaemon:
             "site": self.config.site,
             "atoms": len(self.site),
             # Storage health (live mixed tree/array form): collapsed
-            # regions resident, and the tree's cumulative
-            # explode/cache counters.
+            # regions resident, and the tree's cumulative explode
+            # counters.
             "storage": {
                 "array_leaves": len(tree.array_leaves()),
                 "explodes": tree.explodes,
                 "partial_explodes": tree.partial_explodes,
-                "cache_drops": tree.cache_drops,
-                "cache_splices": tree.cache_splices,
             },
             "clock": {str(k): v for k, v in
                       sorted(self.site.broadcast.clock.items())},

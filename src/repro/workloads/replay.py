@@ -84,9 +84,7 @@ def replay_history(
         if probe is not None:
             probe(current.number, doc)
         result.revisions += 1
-        # The per-revision convergence check reads the whole snapshot;
-        # with the live-snapshot cache this is a list comparison, not a
-        # tree walk per revision.
+        # The per-revision convergence check reads the whole snapshot.
         if tuple(doc.atoms()) != current.atoms:
             raise WorkloadError(
                 f"replay diverged from snapshot at revision {current.number}"

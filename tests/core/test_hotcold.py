@@ -291,10 +291,8 @@ class TestCounters:
     def test_measure_tree_mirrors_tree_counters(self):
         mixed, _ = make_pair(64, min_atoms=4)
         mixed.text()
-        mixed.insert_text(20, ["mid"])  # explode + splice
+        mixed.insert_text(20, ["mid"])  # explodes the touched region
         stats = measure_tree(mixed.tree)
         tree = mixed.tree
         assert stats.explodes == tree.explodes >= 1
         assert stats.partial_explodes == tree.partial_explodes
-        assert stats.cache_drops == tree.cache_drops
-        assert stats.cache_splices == tree.cache_splices >= 1

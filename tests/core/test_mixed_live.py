@@ -15,7 +15,7 @@ optimization safe:
   ``posid_at``/``posids`` never explode a region;
 - **structure on demand**: edits, remote paths and slot walks explode
   exactly the touched region, and ``check_invariants`` validates leaf
-  boundaries and the snapshot cache throughout.
+  boundaries throughout.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from repro.baselines import LogootDoc, RgaDoc, TreedocAdapter, WootDoc
 from repro.core import disk
 from repro.core.flatten import find_collapsible
 from repro.core.node import (
+    LIVE,
     ArrayLeaf,
     PosNode,
     build_exploded,
     collect_leaf_slots,
+    slot_posid,
 )
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
@@ -137,25 +139,49 @@ class TestCollapse:
 class TestPureReadsStayCollapsed:
     def test_reads_do_not_explode(self):
         doc = _quiescent_doc()
-        leaves = doc.array_leaf_count
-        content = doc.atoms()
+        # Same history without collapsing: the slot walk is the reference.
+        walk = list(_quiescent_doc(min_atoms=10_000).tree.iter_live_slots())
+        content = [slot.atom for slot in walk]
+        posids = [slot_posid(slot) for slot in walk]
+        leaves = doc.tree.array_leaves()
+        assert leaves
+        assert doc.atoms() == content
         assert doc.text() == "".join(content)
-        for index in (0, 5, len(content) // 2, len(content) - 1):
+        assert doc.posids() == posids
+        for index in range(len(content)):
             assert doc.atom_at(index) == content[index]
-        posids = doc.posids()
-        assert posids == sorted(posids)
-        for index in (0, len(content) // 2, len(content) - 1):
             assert doc.posid_at(index) == posids[index]
-        assert doc.array_leaf_count == leaves  # nothing exploded
+        after = doc.tree.array_leaves()  # nothing exploded
+        assert len(after) == len(leaves)
+        assert all(a is b for a, b in zip(after, leaves))
+        # Slot reads explode only what they land in, and agree too.
+        for index in (0, 5, len(content) // 2, len(content) - 1):
+            slot = doc.tree.live_slot_at(index)
+            assert (slot.atom, slot_posid(slot)) == (
+                content[index], posids[index])
+        middle = len(content) // 2
+        sliced = doc.tree.live_slice(middle - 3, middle + 3)
+        assert [slot.atom for slot in sliced] == content[middle - 3:middle + 3]
         doc.check()
 
     def test_cache_holds_leaves_as_single_entries(self):
+        # The descent treats a collapsed region as one entry: it stops
+        # there and answers with the offset inside it.
         doc = _quiescent_doc()
-        doc.atoms()  # build the cache
-        entries = doc.tree._live
-        assert entries is not None
-        assert sum(1 for e in entries if isinstance(e, ArrayLeaf)) >= 1
+        entries = list(doc.tree.iter_entries())
+        leaves = [e for e in entries if isinstance(e, ArrayLeaf)]
+        assert leaves
         assert len(entries) < doc.tree.live_length  # slices, not slots
+        index = 0
+        for entry in entries:
+            if isinstance(entry, ArrayLeaf):
+                for offset in (0, entry.live_count - 1):
+                    assert doc.tree.locate(index + offset) == (entry, offset)
+                index += entry.live_count
+            elif entry.state == LIVE:
+                assert doc.tree.locate(index) == (entry, 0)
+                index += 1
+        assert doc.tree.array_leaves() == leaves
 
     def test_posids_match_exploded_form(self):
         collapsed = _quiescent_doc()
@@ -275,21 +301,19 @@ class TestExplodeOnTouch:
             doc.tree.explode_leaf(leaf)
 
     def test_live_slots_explodes_even_with_cache_disabled(self):
-        # Regression: the uncached-read configuration (the benchmark A/B
-        # knob) must not crash on a collapsed tree — live_slots promises
+        # Regression (from when reads could bypass a snapshot cache):
+        # live_slots must not crash on a collapsed tree — it promises
         # real slots, so it explodes first.
         doc = _quiescent_doc()
-        doc.tree.configure_read_cache(snapshot=False, finger=False)
         slots = doc.tree.live_slots()
         assert [s.atom for s in slots] == doc.atoms()
         assert doc.array_leaf_count == 0
         doc.check()
 
     def test_live_slice_out_of_range_is_empty_and_side_effect_free(self):
-        # Regression: an out-of-range start on a leaf-bearing cache must
+        # Regression: an out-of-range start on a collapsed tree must
         # keep slice semantics (empty result) and must not explode.
         doc = _quiescent_doc()
-        doc.atoms()  # build the mixed cache
         leaves = doc.array_leaf_count
         total = len(doc)
         assert doc.tree.live_slice(total + 5, total + 7) == []
@@ -378,8 +402,9 @@ class TestDiskRoundTripWithLeaves:
         ]
         assert len(loaded.array_leaves()) == doc.array_leaf_count
         loaded.check_invariants()
-        # The cache is rebuilt valid after load and reads serve from it.
-        assert loaded.atoms() == loaded.walk_atoms()
+        # Index reads descend the loaded counts.
+        assert [loaded.live_atom_at(i) for i in range(loaded.live_length)] \
+            == loaded.atoms()
         loaded.check_invariants()
 
 
@@ -453,7 +478,8 @@ class TestMixedStorageConvergenceProperty:
             assert [repr(p) for p in mixed.doc.posids()] == [
                 repr(p) for p in plain.doc.posids()
             ]
-            assert mixed.doc.atoms() == mixed.doc.tree.walk_atoms()
+            assert [mixed.doc.atom_at(i) for i in range(len(mixed.doc))] \
+                == mixed.doc.atoms()
             mixed.doc.check()
             plain.doc.check()
 

@@ -1,12 +1,15 @@
-"""Snapshot-cache identity: the incremental read path never lies.
+"""Index identity: the counted descent never lies.
 
-The tree's live-snapshot cache (DESIGN.md section 6) is maintained by
-splices; these properties pin it to the ground truth — a fresh
-``iter_live_slots()`` infix walk — after arbitrary interleavings of
+Every index resolves by one descent over the subtree counts (DESIGN.md
+section 6). These properties pin ``atom_at``, ``posid_at``,
+``live_slot_at``, ``live_slice`` and ``posids()`` to the ground truth —
+an ``iter_live_slots()`` infix walk, or an entry walk where collapsed
+regions are present — after every step of arbitrary interleavings of
 local batches, remote batches, flatten/explode, tombstone purge and
-``recount_subtree``. A second suite checks snapshot identity over all
-four CRDTs, and a third exercises the edit finger with the snapshot
-cache disabled.
+``recount_subtree``, and check that the pure reads leave collapsed
+regions collapsed. A second suite checks snapshot identity over all
+four CRDTs, and a third drives localized single-slot edits against a
+list model.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from repro.baselines import LogootDoc, RgaDoc, TreedocAdapter, WootDoc
 from repro.core.flatten import explode
 from repro.core.node import (
+    LIVE,
     TOMBSTONE,
     ArrayLeaf,
     iter_subtree_entries,
@@ -34,16 +38,69 @@ def fresh_walk_atoms(tree):
     return [slot.atom for slot in tree.iter_live_slots()]
 
 
-def assert_cache_identity(doc: Treedoc) -> None:
-    """The cached snapshot, index lookups and ranks all agree with a
-    fresh walk (and with each other)."""
-    walk = list(doc.tree.iter_live_slots())
-    assert doc.atoms() == [slot.atom for slot in walk]
-    assert len(doc) == len(walk)
+def reference_reads(tree):
+    """Visible atoms and PosIDs by an entry walk that never explodes:
+    slots derive their own paths, leaves list their canonical ones."""
+    atoms, posids = [], []
+    for entry in iter_subtree_entries(tree.root):
+        if isinstance(entry, ArrayLeaf):
+            atoms.extend(entry.live_atoms())
+            posids.extend(entry.posids())
+        elif entry.state == LIVE:
+            atoms.append(entry.atom)
+            posids.append(slot_posid(entry))
+    return atoms, posids
+
+
+def assert_index_identity(doc: Treedoc) -> None:
+    """Every index read agrees with a fresh walk. Pure reads are checked
+    first and must leave the collapsed regions untouched; slot reads
+    (which may explode) are checked against ``iter_live_slots()``."""
+    tree = doc.tree
+    leaves = tree.array_leaves()
+    atoms, posids = reference_reads(tree)
+    assert len(doc) == len(atoms)
+    assert doc.atoms() == atoms
+    assert tree.posids() == posids
+    assert [doc.atom_at(i) for i in range(len(atoms))] == atoms
+    assert [doc.posid_at(i) for i in range(len(atoms))] == posids
+    after = tree.array_leaves()
+    assert len(after) == len(leaves)
+    assert all(a is b for a, b in zip(after, leaves))
+    # Slot reads: live_slot_at explodes what it lands in, then the
+    # whole tree is slots and the plain walk is the reference.
+    for index in range(len(atoms)):
+        slot = tree.live_slot_at(index)
+        assert slot.atom == atoms[index]
+        assert slot_posid(slot) == posids[index]
+    for leaf in tree.array_leaves():
+        leaf.explode()
+    walk = list(tree.iter_live_slots())
+    assert [slot.atom for slot in walk] == atoms
     for index, slot in enumerate(walk):
-        assert doc.tree.live_slot_at(index) is slot
-        assert doc.tree.live_rank(slot) == index
-    doc.check()  # includes the cache-vs-walk structural invariant
+        assert tree.live_slot_at(index) is slot
+        assert tree.live_rank(slot) == index
+    middle = len(walk) // 2
+    for start, end in ((0, len(walk)), (middle, middle + 3), (1, 1)):
+        sliced = tree.live_slice(start, end)
+        assert len(sliced) == len(walk[start:end])
+        assert all(a is b for a, b in zip(sliced, walk[start:end]))
+    doc.check()
+
+
+def assert_pure_reads(doc: Treedoc) -> None:
+    """The non-exploding half of :func:`assert_index_identity`, for
+    checks between steps that must not change the representation."""
+    tree = doc.tree
+    leaves = tree.array_leaves()
+    atoms, posids = reference_reads(tree)
+    assert doc.atoms() == atoms
+    assert tree.posids() == posids
+    assert [doc.atom_at(i) for i in range(len(atoms))] == atoms
+    assert [doc.posid_at(i) for i in range(len(atoms))] == posids
+    after = tree.array_leaves()
+    assert len(after) == len(leaves)
+    assert all(a is b for a, b in zip(after, leaves))
 
 
 # One step of the interleaving: (kind, position seed, payload seed).
@@ -58,6 +115,9 @@ _step = st.tuples(
 
 
 class TestCachedSnapshotIdentity:
+    """Interleavings of every representation change, with the index
+    reads checked against the walks after each step."""
+
     @pytest.mark.parametrize("mode", ["udis", "sdis"])
     @given(steps=st.lists(_step, min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -65,8 +125,9 @@ class TestCachedSnapshotIdentity:
         # Three replicas in causal lockstep (the commitment protocol
         # guarantees exactly this around a flatten): ``doc`` edits
         # locally, ``peer`` mints the remote batches, ``mirror`` only
-        # ever replays — so doc exercises the local splice paths, peer
-        # the mixed paths, and mirror the pure apply_batch path.
+        # ever replays — so doc exercises the local edit paths and
+        # collapsed storage, peer the mixed paths, and mirror the pure
+        # apply_batch path.
         doc = Treedoc(site=1, mode=mode)
         mirror = Treedoc(site=2, mode=mode)
         peer = Treedoc(site=3, mode=mode)
@@ -124,29 +185,29 @@ class TestCachedSnapshotIdentity:
             elif kind == "recount":
                 doc.tree.recount_subtree(doc.tree.root)
             elif kind == "collapse":
-                # Purely local representation change: leaf entries join
-                # the cache as opaque segments, spliced around (never
-                # dropped) by the surrounding steps.
+                # Purely local representation change: the descent stops
+                # at the new leaves and reads answer from their arrays.
                 doc.note_revision()
                 doc.collapse_cold(min_age=1, min_atoms=2)
-                assert doc.atoms() == doc.tree.walk_atoms()
             elif kind == "leaf_explode":
                 leaves = doc.tree.array_leaves()
                 if leaves:
                     leaves[position % len(leaves)].explode()
             elif kind == "read":
-                # walk_atoms handles mixed storage (a collapse step may
-                # have left array leaves in the tree).
-                assert doc.atoms() == doc.tree.walk_atoms()
-        # Explode any remaining leaves (itself a splice path) so the
-        # slot-level identity below can walk every slot.
-        for leaf in doc.tree.array_leaves():
-            leaf.explode()
-        assert_cache_identity(doc)
-        # The mirror applied every batch remotely: same visible content,
-        # and its own cache holds the identity too.
+                # A slot read lands in (and explodes) at most the
+                # region covering the index.
+                if len(doc):
+                    index = position % len(doc)
+                    expected = doc.atom_at(index)
+                    assert doc.tree.live_slot_at(index).atom == expected
+            # After every step: doc keeps its collapsed regions through
+            # the pure reads; the mirror never collapses, so its slot
+            # reads are checked against the plain walk each time.
+            assert_pure_reads(doc)
+            assert_index_identity(mirror)
+        assert_index_identity(doc)
+        # The mirror applied every batch remotely: same visible content.
         assert mirror.atoms() == doc.atoms()
-        assert_cache_identity(mirror)
 
     @pytest.mark.parametrize("mode", ["udis", "sdis"])
     def test_batch_inserting_then_deleting_same_identifier(self, mode):
@@ -159,7 +220,7 @@ class TestCachedSnapshotIdentity:
         b2 = source.delete_range(0, 1)
         receiver.apply_batch(b1.merge(b2))
         assert receiver.atoms() == []
-        assert_cache_identity(receiver)
+        assert_index_identity(receiver)
 
     def test_shipped_batches_carry_a_pretransport_digest(self):
         from repro.replica import Replica
@@ -191,12 +252,10 @@ class TestCachedSnapshotIdentity:
         doc.note_revision()
         generation = doc.generation
         doc.flatten_local(ROOT)
-        # Flatten rewrote the structure: the cache must have been
-        # dropped (never stale) and the generation bumped so derived
-        # caches (text/lines/snapshots) refresh.
+        # Flatten rewrote the structure: the generation is bumped so
+        # derived caches (text/lines/snapshots) refresh.
         assert doc.generation > generation
-        assert doc.tree._live is None
-        assert_cache_identity(doc)
+        assert_index_identity(doc)
 
     def test_text_fast_path_handles_non_string_atoms(self):
         doc = Treedoc(site=1)
@@ -214,80 +273,6 @@ class TestCachedSnapshotIdentity:
         assert doc.text() == "abc"  # cached hit
         doc.insert_text(3, list("d"))
         assert doc.text() == "abcd"  # generation bump refreshed it
-
-
-class TestBulkHintDrift:
-    """The flush-time drift detectors (previously ``pragma: no cover``
-    safety nets): a bulk hint that does not match the changes actually
-    made must invalidate the cache — never leave it stale, never crash.
-    Each test doctors one mismatch and checks the next read rebuilds."""
-
-    def _leafy_doc(self):
-        doc = Treedoc(site=1, mode="sdis")
-        doc.insert_text(0, [f"l{i}" for i in range(16)])
-        doc.note_revision()
-        doc.flatten_local(ROOT)
-        for _ in range(3):
-            doc.note_revision()
-        doc.collapse_cold(min_age=1, min_atoms=4)
-        assert doc.array_leaf_count >= 1
-        doc.atoms()
-        assert doc.tree._live_has_leaf
-        return doc
-
-    def test_wrong_removed_range_hint_invalidates(self):
-        doc = Treedoc(site=1, mode="sdis")
-        doc.insert_text(0, list("abcdef"))
-        doc.atoms()
-        tree = doc.tree
-        slot = tree.live_slot_at(0)
-        tree.begin_bulk()
-        tree.make_tombstone(slot)
-        tree.hint_bulk_removed_range(0, 0)  # lies: one removal happened
-        tree.end_bulk()
-        assert tree._live is None
-        assert doc.atoms() == list("bcdef")
-        assert_cache_identity(doc)
-
-    def test_removed_range_hint_into_leaf_interior_invalidates(self):
-        doc = self._leafy_doc()
-        before = doc.atoms()
-        tree = doc.tree
-        tree.begin_bulk()
-        tree._bulk_removed = True  # a removal recorded, range mid-leaf
-        tree.hint_bulk_removed_range(1, 2)
-        tree.end_bulk()
-        assert tree._live is None
-        assert doc.atoms() == before
-        assert doc.atoms() == doc.tree.walk_atoms()
-        doc.check()
-
-    def test_wrong_added_at_hint_invalidates(self):
-        doc = Treedoc(site=1, mode="sdis")
-        doc.insert_text(0, list("abc"))
-        doc.atoms()
-        tree = doc.tree
-        slot = tree.live_slot_at(0)
-        tree.begin_bulk()
-        tree._bulk_added.extend([slot, slot])  # drifted: listed twice
-        tree.hint_bulk_added_at(1)
-        tree.end_bulk()
-        assert tree._live is None
-        assert doc.atoms() == list("abc")
-        assert_cache_identity(doc)
-
-    def test_added_at_hint_into_leaf_interior_invalidates(self):
-        doc = self._leafy_doc()
-        before = doc.atoms()
-        tree = doc.tree
-        tree.begin_bulk()
-        tree._bulk_added.append(tree.root)
-        tree.hint_bulk_added_at(1)  # offset 1 lands inside the leaf
-        tree.end_bulk()
-        assert tree._live is None
-        assert doc.atoms() == before
-        assert doc.atoms() == doc.tree.walk_atoms()
-        doc.check()
 
 
 FACTORIES = {
@@ -330,15 +315,16 @@ class TestSnapshotIdentityAllCrdts:
 
 
 class TestEditFinger:
-    """The finger path: cache disabled, localized edits resolve by
-    chain walks and must match list semantics exactly."""
+    """Localized single-slot edits resolve by the counted descent and
+    must match list semantics exactly, index reads included. (An edit
+    finger and cache toggles once served these inputs; the descent now
+    answers them all.)"""
 
     @pytest.mark.parametrize("mode", ["udis", "sdis"])
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=25, deadline=None)
     def test_localized_single_ops_match_model(self, mode, seed):
         doc = Treedoc(site=1, mode=mode)
-        doc.tree.configure_read_cache(snapshot=False, finger=True)
         rng = random.Random(seed)
         model = []
         cursor = 0
@@ -351,22 +337,23 @@ class TestEditFinger:
             else:
                 doc.insert(cursor, tag)
                 model.insert(cursor, tag)
+            assert_index_identity(doc)
         assert doc.atoms() == model
         assert [doc.atom_at(i) for i in range(len(model))] == model
 
     def test_finger_survives_distant_jumps(self):
         doc = Treedoc(site=1)
-        doc.tree.configure_read_cache(snapshot=False, finger=True)
         doc.insert_text(0, list(range(500)))
         walk = list(doc.tree.iter_live_slots())
-        # Jump far beyond the window, then probe neighbours.
+        # Jump far apart, then probe neighbours.
         for index in (0, 499, 250, 251, 249, 3, 498):
             assert doc.tree.live_slot_at(index) is walk[index]
+            assert doc.atom_at(index) == index
 
     def test_disabled_everything_still_correct(self):
         doc = Treedoc(site=1)
-        doc.tree.configure_read_cache(snapshot=False, finger=False)
         doc.insert_text(0, list("abcdef"))
         doc.delete_range(1, 3)
         assert doc.atoms() == list("adef")
         assert doc.text() == "adef"
+        assert_index_identity(doc)

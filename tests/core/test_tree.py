@@ -5,7 +5,7 @@ import pytest
 from repro.core.disambiguator import Sdis, Udis
 from repro.core.node import EMPTY, LIVE, TOMBSTONE, MiniNode, slot_posid
 from repro.core.path import PathElement, PosID, ROOT
-from repro.core.tree import TreedocTree, predecessor_slot, successor_slot
+from repro.core.tree import TreedocTree, successor_slot
 from repro.errors import MissingAtomError, TreeError
 
 
@@ -170,14 +170,6 @@ class TestNavigation:
                 break
             chain.append(nxt)
         assert [id(s) for s in chain] == [id(s) for s in walked]
-        # predecessor chain is the reverse
-        back = [chain[-1]]
-        while True:
-            prev = predecessor_slot(back[-1])
-            if prev is None:
-                break
-            back.append(prev)
-        assert [id(s) for s in reversed(back)] == [id(s) for s in chain]
 
     def test_next_id_holder_skips_tombstoneless_empties(self, tree):
         tree.apply_insert(pid(1, 0, (0, 1)), "deep")

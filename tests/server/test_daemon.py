@@ -119,7 +119,6 @@ class TestAdminProtocol:
                 storage = status["storage"]
                 assert set(storage) == {
                     "array_leaves", "explodes", "partial_explodes",
-                    "cache_drops", "cache_splices",
                 }
                 assert all(value >= 0 for value in storage.values())
                 synced = await admin_request(port, "sync", peer=2)
