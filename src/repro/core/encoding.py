@@ -24,15 +24,16 @@ shared segment codec of :mod:`repro.core.runs` (see DESIGN.md §8):
   a local burst of *n* atoms costs one base path, one dis pattern and
   the atoms instead of *n* framed inserts;
 - a **segment state frame** (:func:`encode_state_segments`) carries a
-  document as runs plus singleton records with absolute PosIDs — the
-  layout ``SyncDelta`` bodies share; full state transfer now ships the
-  tree-walk frame below, and this one stays readable.
+  document as runs plus singleton records with absolute PosIDs. Every
+  state payload now ships the tree-walk frame below; this one stays
+  readable (old checkpoints, the read-only ``SyncDelta`` wire kind 7).
 
 Tree-walk state frame
 ---------------------
 
-A whole document (checkpoint, fresh joiner, full sync) ships as its
-tree (:func:`encode_state`, DESIGN.md §8.3): one preorder walk, in which
+Every state payload (checkpoint, joiner, full sync, and ``SyncDelta``,
+pruned to its regions) ships as its tree (:func:`encode_state`, DESIGN.md
+§8.3): one preorder walk, in which
 a node's position is implied by the walk instead of spelled out as a
 PosID. Per position node: the plain slot's state (``1`` live, ``00``
 empty, ``01`` tombstone) and its atom inline, a gamma-coded mini-node
@@ -90,6 +91,7 @@ from repro.core.runs import (
     CANONICAL,
     PREFIX,
     STATE_RUN_MIN_ATOMS,
+    RegionFilter,
     Segment,
     find_runs,
     load_state_segments,
@@ -456,10 +458,10 @@ def _read_segments(reader: BitReader) -> List[Segment]:
     return segments
 
 
-#: Public names for the segment-stream codec: the layout is shared by
-#: v2 batch frames, state frames, and the peer protocol's ``SyncDelta``
-#: body (:mod:`repro.replication.wire`) — one definition, three frames.
-write_segments = _write_segments
+#: Public name for the segment-stream reader: v2 batch frames and
+#: segment state frames share the layout, and the peer protocol
+#: (:mod:`repro.replication.wire`) still reads it from ``SyncDelta``
+#: frames of the older wire kind 7, which nothing writes any more.
 read_segments = _read_segments
 
 
@@ -582,15 +584,15 @@ STATE_ENVELOPE_BYTES = 34
 
 @dataclass(frozen=True)
 class DocumentState:
-    """One replica's whole document, encoded as a state frame.
+    """One replica's document, or a delta's regions of it, as a state frame.
 
-    The payload of state-transfer catch-up and checkpoints. ``frame`` is
-    a tree-walk frame (:func:`encode_state`) or, from older writers, a
+    The payload of catch-up, checkpoints and deltas. ``frame`` is a
+    tree-walk frame (:func:`encode_state`) or, from older writers, a
     segment frame (:func:`encode_state_segments`); :func:`decode_state`
     reads both. ``digest`` is the content digest of the visible atoms,
-    checked on load. ``run_segments`` counts the frame's array-leaf
-    records (runs, in a segment frame) and ``op_segments`` its slot
-    records outside them (singleton records, in a segment frame).
+    checked on load (a delta, which merges, has none). ``run_segments``
+    counts the frame's array-leaf records (runs, in a segment frame) and
+    ``op_segments`` its slot records outside them (singletons there).
     """
 
     site: int
@@ -623,12 +625,13 @@ def _state_header(kind: int, mode: str, site: int) -> BitWriter:
     return writer
 
 
-def encode_state(tree: TreedocTree, mode: str, site: int,
-                 digest: str) -> DocumentState:
-    """Encode a whole document as a tree-walk state frame (see the
-    module docstring)."""
+def encode_state(tree: TreedocTree, mode: str, site: int, digest: str,
+                 regions: Optional[RegionFilter] = None) -> DocumentState:
+    """Encode a document as a tree-walk state frame (see the module
+    docstring): the whole tree, or with a :class:`RegionFilter` only
+    the regions the cover admits (the ``SyncDelta`` region frame)."""
     writer = _state_header(_FRAME_TREE, mode, site)
-    atoms, leaves, slots = _write_tree(writer, tree.root, mode)
+    atoms, leaves, slots = _write_tree(writer, tree.root, mode, regions)
     return DocumentState(site, mode, writer.getvalue(), writer.bit_length,
                          digest, atoms, leaves, slots)
 
@@ -790,15 +793,20 @@ def _kept_minis(node: PosNode) -> List[MiniNode]:
             or _holds_ids(mini.right)]
 
 
-def _write_site_dictionary(writer: BitWriter, root: PosNode,
-                           dis_type: type) -> Tuple[dict, int]:
+def _write_site_dictionary(writer: BitWriter, root: PosNode, dis_type: type,
+                           cover) -> Tuple[dict, int]:
     """The per-frame site dictionary: the distinct sites of the carried
-    disambiguators, ascending, gamma-coded as deltas. Returns ``(index
-    by site, index width)``."""
+    disambiguators (within ``cover``, see :class:`RegionFilter`),
+    ascending, gamma-coded as deltas. Returns ``(index by site, index
+    width)``."""
+    narrow = RegionFilter.narrow
     sites = set()
-    stack = [root]
+    stack = [(root, 0, cover)]
     while stack:
-        node = stack.pop()
+        node, depth, cover = stack.pop()
+        if cover == ():
+            continue  # disjoint from the cover: nothing of it ships
+        below = depth + 1
         for mini in _kept_minis(node):
             if type(mini.dis) is not dis_type:
                 raise EncodingError(
@@ -806,10 +814,12 @@ def _write_site_dictionary(writer: BitWriter, root: PosNode,
                     f"{dis_type.__name__} document"
                 )
             sites.add(mini.dis.site)
-            stack.extend(child for child in (mini.left, mini.right)
-                         if _holds_ids(child))
-        stack.extend(child for child in (node.left, node.right)
-                     if isinstance(child, PosNode) and child.id_count)
+            for bit, child in ((0, mini.left), (1, mini.right)):
+                if _holds_ids(child):
+                    stack.append((child, below, narrow(cover, depth, bit)))
+        for bit, child in ((0, node.left), (1, node.right)):
+            if isinstance(child, PosNode) and child.id_count:
+                stack.append((child, below, narrow(cover, depth, bit)))
     writer.write_elias_gamma(len(sites) + 1)
     previous = -1
     for site in sorted(sites):
@@ -819,25 +829,32 @@ def _write_site_dictionary(writer: BitWriter, root: PosNode,
     return index, (len(sites) - 1).bit_length() if sites else 0
 
 
-def _write_tree(writer: BitWriter, root: PosNode,
-                mode: str) -> Tuple[int, int, int]:
+def _write_tree(writer: BitWriter, root: PosNode, mode: str,
+                regions: Optional[RegionFilter] = None
+                ) -> Tuple[int, int, int]:
     """The tree-walk body; returns ``(live atoms, leaf records, slot
-    records)``. The frame header's mode fixes the disambiguator kind."""
+    records)``. The frame header's mode fixes the disambiguator kind.
+    With a :class:`RegionFilter`, a subtree disjoint from the cover
+    costs one absent-child bit and the rest ships as in a full frame
+    (the root slot, ancestor spines and whole leaf records: idempotent
+    duplicates for a merging receiver)."""
     udis = mode == "udis"
-    index, site_width = _write_site_dictionary(writer, root,
-                                               Udis if udis else Sdis)
+    cover = None if regions is None else regions.root_cover()
+    narrow = RegionFilter.narrow
+    index, site_width = _write_site_dictionary(
+        writer, root, Udis if udis else Sdis, cover)
     last = [0] * len(index)
     live = leaves = slots = 0
-    stack = [root]
+    stack = [(root, 0, cover)]
     while stack:
-        node = stack.pop()
+        node, depth, cover = stack.pop()
         _write_slot(writer, node.plain_state, node.plain_atom)
         if node.plain_state != EMPTY:
             slots += 1
             live += node.plain_state == LIVE
         minis = _kept_minis(node)
         writer.write_elias_gamma(len(minis) + 1)
-        below: List[PosNode] = []
+        below: List[Tuple[PosNode, int, object]] = []
         for mini in minis:
             dis = mini.dis
             site_index = index[dis.site]
@@ -851,14 +868,16 @@ def _write_tree(writer: BitWriter, root: PosNode,
             if mini.state != EMPTY:
                 slots += 1
                 live += mini.state == LIVE
-            for child in (mini.left, mini.right):
-                if _holds_ids(child):
+            for bit, child in ((0, mini.left), (1, mini.right)):
+                inner = narrow(cover, depth, bit)
+                if _holds_ids(child) and inner != ():
                     writer.write_bit(1)
-                    below.append(child)
+                    below.append((child, depth + 1, inner))
                 else:
                     writer.write_bit(0)
-        for child in (node.left, node.right):
-            if child is None or not child.id_count:
+        for bit, child in ((0, node.left), (1, node.right)):
+            inner = narrow(cover, depth, bit)
+            if child is None or not child.id_count or inner == ():
                 writer.write_bit(0)
                 continue
             if isinstance(child, ArrayLeaf):
@@ -868,7 +887,7 @@ def _write_tree(writer: BitWriter, root: PosNode,
                 harvest = collect_leaf_slots(child, STATE_RUN_MIN_ATOMS)
                 if harvest is None:
                     writer.write_bits(0b10, 2)
-                    below.append(child)
+                    below.append((child, depth + 1, inner))
                     continue
                 atoms, dead = harvest
                 live += len(atoms)

@@ -33,7 +33,7 @@ This module owns everything both sides need and must agree on:
   whole tree as runs plus singleton operations, and
   :func:`load_state_segments` rebuilds a tree from them, loading
   canonical runs directly into :class:`ArrayLeaf` children *without
-  exploding* (the anti-entropy fast path).
+  exploding* (how segment state frames written by older codecs load).
 """
 
 from __future__ import annotations
@@ -450,7 +450,8 @@ STATE_RUN_MIN_ATOMS = 4
 
 
 class RegionFilter:
-    """A prefix cover over tree regions, for frontier-diff harvesting.
+    """A prefix cover over tree regions: what a ``SyncDelta``'s region
+    frame (:func:`repro.core.encoding.encode_state`) carries.
 
     A region is a subtree named by its root path *bits* (disambiguators
     excluded: mini-node siblings share a region, which only widens the
@@ -462,6 +463,10 @@ class RegionFilter:
     idempotent duplicates for a merging receiver, never a correctness
     cost. The region list is minimised on construction: a region whose
     prefix is already covered adds nothing.
+
+    A walk from the root tests one branch bit per level: each node's
+    *cover* (:meth:`root_cover`, then :meth:`narrow`) is None inside a
+    region, else the regions extending its path — ``()``: disjoint.
     """
 
     def __init__(self, regions: Sequence[Tuple[int, ...]]) -> None:
@@ -483,21 +488,30 @@ class RegionFilter:
         """True when the cover names the root (everything admitted)."""
         return () in self._regions
 
-    def admits(self, bits: Tuple[int, ...]) -> bool:
-        """Whether a subtree rooted at ``bits`` intersects the cover."""
-        for region in self._regions:
-            shorter = min(len(region), len(bits))
-            if region[:shorter] == bits[:shorter]:
-                return True
-        return False
+    def root_cover(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """The root's cover."""
+        return None if self.whole_document else self._regions
+
+    @staticmethod
+    def narrow(cover, depth: int, bit: int):
+        """The cover of the child at ``bit`` below a node at ``depth``
+        with ``cover`` (a mini-node's children share its host's path)."""
+        if cover is None:
+            return None
+        kept = []
+        for region in cover:
+            if region[depth] == bit:
+                if len(region) == depth + 1:
+                    return None
+                kept.append(region)
+        return tuple(kept)
 
     def __repr__(self) -> str:
         return f"<RegionFilter {len(self._regions)} regions>"
 
 
 def iter_state_segments(tree, origin: SiteId,
-                        min_run_atoms: int = STATE_RUN_MIN_ATOMS,
-                        regions: Optional[RegionFilter] = None
+                        min_run_atoms: int = STATE_RUN_MIN_ATOMS
                         ) -> List[Segment]:
     """The document state as segments in identifier order.
 
@@ -510,11 +524,9 @@ def iter_state_segments(tree, origin: SiteId,
     cannot attach there), is not the root, passes
     :func:`collect_leaf_slots` fully live, and holds ``min_run_atoms`` atoms.
 
-    With a :class:`RegionFilter` the walk prunes every subtree disjoint
-    from the cover and emits only intersecting slots and runs — the
-    frontier-diff harvest behind ``SyncDelta``: the emitted segments
-    are a faithful snapshot of the covered regions (possibly plus
-    ancestor-spine slots), and nothing outside them.
+    No sync path ships segments any more: this is the reference the
+    tree-walk frame is tested against, and the per-op count of
+    :mod:`repro.metrics.overhead`.
     """
     segments: List[Segment] = []
     # Explicit in-order stack (deep trees exceed the recursion limit).
@@ -528,9 +540,6 @@ def iter_state_segments(tree, origin: SiteId,
         kind = frame[0]
         if kind == "sub":
             _, child, elements, plain_child = frame
-            if regions is not None and not regions.admits(
-                    tuple(e.bit for e in elements)):
-                continue  # subtree disjoint from the cover: prune
             if isinstance(child, ArrayLeaf):
                 if child.dead == 0:
                     segments.append(AtomRun(elements, tuple(child.atoms)))
@@ -582,9 +591,6 @@ def iter_state_segments(tree, origin: SiteId,
                               elements + (PathElement(LEFT),), True))
         else:  # "slot"
             _, slot, elements = frame
-            if regions is not None and not regions.admits(
-                    tuple(e.bit for e in elements)):
-                continue
             if slot.state == LIVE:
                 segments.append(InsertOp(PosID(elements), slot.atom, origin))
             elif slot.state == TOMBSTONE:
@@ -634,76 +640,6 @@ def load_state_segments(tree, segments: Sequence[Segment],
     tree.recount_subtree(tree.root)
     if height > tree.height:
         tree.height = height
-
-
-def merge_state_segments(tree, segments: Sequence[Segment],
-                         keep_tombstones: bool,
-                         skip: frozenset = frozenset(),
-                         ) -> Tuple[int, List]:
-    """Join state segments into a possibly **non-empty** tree.
-
-    The delta-anti-entropy receiver half: unlike
-    :func:`load_state_segments` (wholesale replacement of an empty
-    tree), this merges — atoms the tree already holds are idempotent
-    duplicates, tombstone records apply like replayed deletes, and
-    atoms the *sender* never saw are left untouched, so concurrent
-    local progress survives. ``skip`` names identifiers the caller has
-    deleted but the sender may not have seen yet (the receiver's recent
-    deletes): inserting them would resurrect a UDIS-discarded atom, so
-    they are dropped. Two live atoms disagreeing at one identifier is
-    a protocol violation and raises :class:`TreeError`.
-
-    Returns ``(applied, touched)``: atoms newly placed live, and the
-    slots changed (for the owner's cold-region touch stamps). Call
-    inside a bulk section — per-slot count deltas buffer there.
-    """
-    applied = 0
-    touched: List = []
-    for segment in segments:
-        if isinstance(segment, AtomRun):
-            for op in segment.insert_ops(0):
-                applied += _merge_live(tree, op.posid, op.atom,
-                                       skip, touched)
-        elif isinstance(segment, InsertOp):
-            applied += _merge_live(tree, segment.posid, segment.atom,
-                                   skip, touched)
-        elif isinstance(segment, DeleteOp):
-            if not keep_tombstones:
-                raise TreeError(
-                    "tombstone segment in a discard-mode (UDIS) document"
-                )
-            slot = tree.lookup(segment.posid)
-            if slot is None or slot.state == EMPTY:
-                # The shadowed insert was never applied here (both ops
-                # sit inside the delta's window): materialize the used
-                # identifier directly, as the state loader does.
-                slot = tree.materialize(segment.posid)
-                slot.state = TOMBSTONE
-                tree._adjust_counts(slot, 0, 1)
-                touched.append(slot)
-            elif slot.state == LIVE:
-                tree.make_tombstone(slot)
-                touched.append(slot)
-            # an existing tombstone is an idempotent duplicate
-        else:
-            raise TreeError(f"unknown state segment {segment!r}")
-    return applied, touched
-
-
-def _merge_live(tree, posid: PosID, atom: object, skip: frozenset,
-                touched: List) -> int:
-    if posid in skip:
-        return 0  # deleted here, delete not yet seen by the sender
-    slot = tree.materialize(posid)
-    if slot.state == LIVE:
-        if slot.atom != atom:
-            raise TreeError(f"segment merge conflict at {posid!r}")
-        return 0  # idempotent duplicate
-    if slot.state == TOMBSTONE:
-        return 0  # deleted here (SDIS keeps the evidence in-tree)
-    tree.set_live(slot, atom)
-    touched.append(slot)
-    return 1
 
 
 def _attach_run_leaf(tree, run: AtomRun) -> Optional[ArrayLeaf]:

@@ -34,9 +34,13 @@ from repro.core.flatten import (
     subtree_atoms,
 )
 from repro.core.node import (
+    EMPTY,
+    LIVE,
+    TOMBSTONE,
     ArrayLeaf,
     AtomSlot,
     MiniNode,
+    PathMemo,
     PosNode,
     collect_leaf_slots,
     parent_host,
@@ -759,29 +763,63 @@ class Treedoc:
         self._text_cache = None
         return len(atoms)
 
-    def merge_segments(self, segments, skip: frozenset = frozenset()) -> int:
-        """Join state segments into this replica's document in place.
+    def merge_segments(self, state: "DocumentState",
+                       skip: frozenset = frozenset()) -> int:
+        """Join a delta's region frame into this replica's document in
+        place: one walk over the decoded partial tree's used identifiers.
 
-        The delta-anti-entropy receiver half: segments cover only the
-        regions the sender believes this replica is missing, and merge
-        as a CRDT join — duplicates are idempotent, tombstone records
-        apply like replayed deletes, and local atoms the sender never
-        saw survive. ``skip`` names identifiers deleted here whose
-        delete the sender may not have seen (re-inserting them would
-        resurrect a discarded atom). The caller owns the causal safety
-        argument (see
+        A live atom already held is an idempotent duplicate, a different
+        atom at its identifier raises :class:`TreeError`, and one
+        deleted here stays deleted — as a tombstone, or named in
+        ``skip`` (deleted here, the delete perhaps unseen by the
+        sender). A tombstone deletes a live atom, is materialized when
+        its insert never arrived, and raises :class:`TreeError` in a
+        discard-mode (UDIS) document. Local atoms the sender never saw
+        survive. The caller owns the causal safety argument (see
         :meth:`repro.replication.site.ReplicaSite._apply_sync_delta`).
         Returns the number of atoms newly placed live.
         """
-        from repro.core.runs import merge_state_segments
+        from repro.core.encoding import decode_state
 
-        self.tree.begin_bulk()
+        # (PosID, atom) per used identifier; a tombstone's atom is None.
+        used = []
+        memo = PathMemo()
+        for entry in decode_state(state)[2].iter_entries():
+            if type(entry) is ArrayLeaf:
+                used.extend(zip(entry.id_posids(), entry.atoms))
+            elif entry.state != EMPTY:
+                used.append((memo.posid(entry), entry.atom))
+        tree = self.tree
+        touched: List[AtomSlot] = []
+        applied = 0
+        tree.begin_bulk()
         try:
-            applied, touched = merge_state_segments(
-                self.tree, segments, self.keeps_tombstones, skip
-            )
+            for posid, atom in used:
+                if atom is None:
+                    if not self.keeps_tombstones:
+                        raise TreeError(
+                            "tombstone in a discard-mode (UDIS) document")
+                    slot = tree.materialize(posid)
+                    if slot.state == LIVE:
+                        tree.make_tombstone(slot)
+                    elif slot.state == EMPTY:  # its insert never came here
+                        slot.state = TOMBSTONE
+                        tree._adjust_counts(slot, 0, 1)
+                    else:
+                        continue
+                elif posid in skip:
+                    continue
+                else:
+                    slot = tree.materialize(posid)
+                    if slot.state == LIVE and slot.atom != atom:
+                        raise TreeError(f"region merge conflict at {posid!r}")
+                    if slot.state != EMPTY:
+                        continue
+                    tree.set_live(slot, atom)
+                    applied += 1
+                touched.append(slot)
         finally:
-            self.tree.end_bulk()
+            tree.end_bulk()
         self._touch_many(touched)
         self._text_cache = None
         return applied

@@ -25,8 +25,10 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.disambiguator import SiteId
+from repro.core.encoding import encode_state
 from repro.core.ops import DeleteOp, FlattenOp, InsertOp, OpBatch, Operation
 from repro.core.path import PosID
+from repro.core.runs import RegionFilter
 from repro.core.treedoc import Treedoc
 from repro.errors import (
     CommitError,
@@ -675,9 +677,9 @@ class ReplicaSite:
         frontier (snapshots, deltas, flattens, recovery leave no region
         trail) *and* past its delete floor (a pruned delete record
         could otherwise resurrect through a shipped region). Within
-        that, the harvest is exact — regions touched after ``base``
-        (from the region log) plus retained delete records after
-        ``base``.
+        that, the answer is exact: one tree-walk frame of the live tree
+        pruned to the regions touched after ``base`` (from the region
+        log), plus retained delete records after ``base``.
         """
         floors = self._opaque_frontier.merge(self._delete_floor)
         if not base.dominates(floors):
@@ -689,18 +691,15 @@ class ReplicaSite:
             if kind in ("f", "*"):
                 return None  # opaque event in the window (floor race)
             regions.append(bits)
-        from repro.core.runs import RegionFilter, iter_state_segments
-
-        segments = iter_state_segments(
-            self.doc.tree, self.site, regions=RegionFilter(regions)
-        )
+        state = encode_state(self.doc.tree, self.doc.mode, self.site, "",
+                             RegionFilter(regions))
         delete_log = tuple(
             (posid, origin, sequence)
             for posid, (origin, sequence) in self._recent_deletes.items()
             if sequence > base.get(origin)
         )
         return SyncDelta(self.site, self.broadcast.clock.copy(),
-                         base.copy(), tuple(segments), delete_log)
+                         base.copy(), state, delete_log)
 
     def _answer_sync_request(self, request: SyncRequest) -> None:
         """The anti-entropy responder: frontier-diff when sound, full
@@ -823,7 +822,7 @@ class ReplicaSite:
         # Identifiers we deleted but the sender may not have seen: the
         # merge must not resurrect them.
         skip = frozenset(self._recent_deletes)
-        self.doc.merge_segments(delta.segments, skip=skip)
+        self.doc.merge_segments(delta.state, skip=skip)
         inherited = 0
         for posid, origin, sequence in delta.delete_log:
             if self.broadcast.has_delivered(origin, sequence):

@@ -15,9 +15,10 @@ payloads :class:`repro.replication.network.SimulatedNetwork` accepts:
   frame, the sender's frontier, and the sender's outstanding delete
   log (so a synced SDIS replica can purge inherited tombstones once
   they become causally stable);
-- :class:`SyncDelta` — the *incremental* anti-entropy answer: state
-  segments covering only the regions the requester's frontier has not
-  seen, plus the responder's recent delete records (DESIGN.md §10);
+- :class:`SyncDelta` — the *incremental* anti-entropy answer: a
+  tree-walk state frame pruned to the regions the requester's frontier
+  has not seen, plus the responder's recent delete records (DESIGN.md
+  §10);
 - :class:`SyncDecline` — a graceful refusal with a reason and an
   optional try-this-peer hint, so a requester rotates instead of
   re-pelting a responder that cannot serve;
@@ -52,7 +53,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from repro.core.disambiguator import SITE_ID_BITS, SiteId
+from repro.core.disambiguator import SITE_ID_BITS, Sdis, SiteId
 from repro.core.encoding import (
     FRAME_KIND_BITS,
     FRAME_TAG,
@@ -62,15 +63,16 @@ from repro.core.encoding import (
     DocumentState,
     decode_frame,
     decode_guarded,
+    encode_state_segments,
     finish_decode,
     read_posid,
+    read_segments,
     read_text,
     start_decode,
     write_posid,
     write_text,
 )
-from repro.core.encoding import read_segments, write_segments
-from repro.core.ops import InsertOp, OpBatch, Operation
+from repro.core.ops import DeleteOp, InsertOp, OpBatch, Operation
 from repro.core.path import PosID
 from repro.core.runs import AtomRun, Segment
 from repro.errors import CorruptFrameError, DecodeError, EncodingError
@@ -86,8 +88,11 @@ _KIND_SYNC_RESPONSE = 3
 _KIND_PREPARE = 4
 _KIND_VOTE = 5
 _KIND_ABORT = 6
-_KIND_SYNC_DELTA = 7
+#: The segment-stream ``SyncDelta`` of older writers: still read
+#: (:func:`_legacy_delta_state`), never written.
+_KIND_SYNC_DELTA_SEGMENTS = 7
 _KIND_SYNC_DECLINE = 8
+_KIND_SYNC_DELTA = 9
 
 _WIRE_KIND_BITS = 4
 
@@ -101,8 +106,9 @@ WIRE_KIND_NAMES = {
     _KIND_PREPARE: "prepare",
     _KIND_VOTE: "vote",
     _KIND_ABORT: "abort",
-    _KIND_SYNC_DELTA: "sync_delta",
+    _KIND_SYNC_DELTA_SEGMENTS: "sync_delta",
     _KIND_SYNC_DECLINE: "sync_decline",
+    _KIND_SYNC_DELTA: "sync_delta",
 }
 
 #: ``SyncDecline`` reasons: the responder cannot serve this request.
@@ -229,22 +235,22 @@ class SyncDelta(_CachedWire):
     missing.
 
     ``base`` echoes the requester's clock; ``clock`` is the responder's
-    frontier at harvest time. ``segments`` is a faithful snapshot of
+    frontier at harvest time. ``state`` is a faithful snapshot of
     every region the responder touched by an event *after* ``base``
-    (the segment stream of a segment state frame — runs plus
-    singleton records), and ``delete_log`` carries the responder's
-    retained delete records newer than ``base`` (a UDIS delete leaves no trace
-    in region state, so it must travel explicitly or the receiver would
-    keep the atom alive). The receiver **merges** instead of replacing:
-    duplicates are idempotent, concurrent local progress survives, and
-    afterwards its clock may adopt ``clock`` pointwise — per-origin
-    coverage, not whole-frontier domination.
+    (the tree-walk frame pruned to those regions), and ``delete_log``
+    carries the responder's retained delete records newer than ``base``
+    (a UDIS delete leaves no trace in region state, so it must travel
+    explicitly or the receiver would keep the atom alive). The receiver
+    **merges** instead of replacing: duplicates are idempotent,
+    concurrent local progress survives, and afterwards its clock may
+    adopt ``clock`` pointwise — per-origin coverage, not whole-frontier
+    domination.
     """
 
     site: SiteId
     clock: VectorClock
     base: VectorClock
-    segments: Tuple[Segment, ...] = ()
+    state: DocumentState
     delete_log: Tuple[DeleteLogEntry, ...] = ()
     #: Lazily-cached encoded form (same discipline as SyncResponse).
     _encoded: List[bytes] = field(default_factory=list, repr=False,
@@ -254,23 +260,6 @@ class SyncDelta(_CachedWire):
     def wire_bytes(self) -> int:
         """Measured bytes this delta costs on the wire."""
         return len(self.to_wire())
-
-    @property
-    def atom_count(self) -> int:
-        """Live atoms the segment stream carries."""
-        return sum(
-            len(seg) if isinstance(seg, AtomRun) else 1
-            for seg in self.segments
-            if isinstance(seg, (AtomRun, InsertOp))
-        )
-
-    @property
-    def run_segments(self) -> int:
-        return sum(1 for seg in self.segments if isinstance(seg, AtomRun))
-
-    @property
-    def op_segments(self) -> int:
-        return len(self.segments) - self.run_segments
 
 
 @dataclass(frozen=True)
@@ -387,6 +376,22 @@ def _read_delete_log(reader: BitReader) -> Tuple[DeleteLogEntry, ...]:
     return tuple(log)
 
 
+def _legacy_delta_state(site: SiteId,
+                        segments: List[Segment]) -> DocumentState:
+    """A wire-kind-7 ``SyncDelta`` body as a segment state frame, so both
+    delta kinds reach one merge; its mode is ``sdis`` when the segments
+    carry a tombstone or an SDIS disambiguator, else ``udis``."""
+    sdis = any(
+        isinstance(seg, DeleteOp)
+        or (isinstance(seg, AtomRun) and seg.dis is not None
+            and seg.dis[0] == "sdis")
+        or (isinstance(seg, InsertOp)
+            and any(type(e.dis) is Sdis for e in seg.posid.elements))
+        for seg in segments)
+    return encode_state_segments(segments, "sdis" if sdis else "udis",
+                                 site, "")
+
+
 # ---------------------------------------------------------------------------
 # Frame encoding.
 # ---------------------------------------------------------------------------
@@ -425,7 +430,7 @@ def encode_wire(frame: WireFrame) -> bytes:
         writer.write_bits(frame.site, SITE_ID_BITS)
         write_clock(writer, frame.clock)
         write_clock(writer, frame.base)
-        write_segments(writer, list(frame.segments))
+        _write_state(writer, frame.state)
         _write_delete_log(writer, tuple(frame.delete_log))
     elif isinstance(frame, SyncDecline):
         writer.write_bits(_KIND_SYNC_DECLINE, _WIRE_KIND_BITS)
@@ -482,13 +487,15 @@ def _read_wire(reader: BitReader) -> WireFrame:
         clock = read_clock(reader)
         state = _read_state(reader)
         return SyncResponse(site, clock, state, _read_delete_log(reader))
-    if kind == _KIND_SYNC_DELTA:
+    if kind in (_KIND_SYNC_DELTA, _KIND_SYNC_DELTA_SEGMENTS):
         site = reader.read_bits(SITE_ID_BITS)
         clock = read_clock(reader)
         base = read_clock(reader)
-        segments = tuple(read_segments(reader))
-        return SyncDelta(site, clock, base, segments,
-                         _read_delete_log(reader))
+        if kind == _KIND_SYNC_DELTA:
+            state = _read_state(reader)
+        else:
+            state = _legacy_delta_state(site, read_segments(reader))
+        return SyncDelta(site, clock, base, state, _read_delete_log(reader))
     if kind == _KIND_SYNC_DECLINE:
         site = reader.read_bits(SITE_ID_BITS)
         reason = reader.read_bits(_DECLINE_REASON_BITS)

@@ -8,7 +8,9 @@ this directory), the files of each named group (default: ``corpus``):
 ``corpus`` — written by the segment-state-frame codec (before the
 tree-walk state frame existed):
 
-- ``wire_<kind>.bin`` — one peer-protocol frame of every wire kind;
+- ``wire_<kind>.bin`` — one peer-protocol frame of every wire kind
+  (``wire_sync_delta.bin`` is the segment-stream ``SyncDelta``, wire
+  kind 7, whose writer is gone: rerunning this group leaves it alone);
 - ``batch.bin`` — a core v2 batch frame (runs plus singleton records);
 - ``state.bin`` — a core v2 (segment) state frame of an edited document;
 - ``wal.bin`` — one WAL segment of a durable replica site;
@@ -27,6 +29,10 @@ recover to.
 and ``state_tree_sdis.bin`` (mini-nodes from two sites, leaves, and
 under SDIS tombstones and a dead-slot bitmap), with their headers in
 ``state_tree.json``.
+
+``sync_delta_tree`` — written by the region-frame codec:
+``wire_sync_delta_tree.bin``, the ``SyncDelta`` (wire kind 9, a pruned
+tree-walk frame) of the same scenario as ``wire_sync_delta.bin``.
 
 ``disk_legacy`` — written by the last disk writers that still emitted
 the older record formats: ``disk_v1.bin``, a v1 image of a plain tree
@@ -95,7 +101,7 @@ def wire_frames(cluster: Cluster):
     payload, bits = encode_batch(batch)
     cluster.settle()
     delta = one.make_sync_delta(clock)
-    assert delta is not None and delta.segments
+    assert delta is not None and delta.state.atom_count
     posid = one.doc.posids()[5]
     return {
         "envelope": encode_wire(EnvelopeFrame(1, one.broadcast.clock.copy(),
@@ -248,7 +254,8 @@ def write_corpus(out: Path) -> None:
     cluster.settle()
     batch_bytes, batch_bits = encode_batch(batch)
     files = {f"wire_{kind}.bin": data
-             for kind, data in wire_frames(cluster).items()}
+             for kind, data in wire_frames(cluster).items()
+             if kind != "sync_delta"}
     files["batch.bin"] = batch_bytes
     files["state.bin"] = state.frame
     workdir = Path(tempfile.mkdtemp())
@@ -283,6 +290,11 @@ def write_state_tree(out: Path) -> None:
     write_json(out / "state_tree.json", headers)
 
 
+def write_sync_delta_tree(out: Path) -> None:
+    delta = wire_frames(edited_cluster())["sync_delta"]
+    (out / "wire_sync_delta_tree.bin").write_bytes(delta)
+
+
 def write_disk_legacy(out: Path) -> None:
     for name, data in legacy_disk_images().items():
         (out / name).write_bytes(data)
@@ -293,7 +305,9 @@ def write_json(path: Path, value: dict) -> None:
 
 
 GROUPS = {"corpus": write_corpus, "checkpoint": write_checkpoint,
-          "state_tree": write_state_tree, "disk_legacy": write_disk_legacy}
+          "state_tree": write_state_tree,
+          "sync_delta_tree": write_sync_delta_tree,
+          "disk_legacy": write_disk_legacy}
 
 
 def main(out: Path, groups) -> None:

@@ -35,6 +35,7 @@ from repro.replication.cluster import Cluster
 from repro.replication.wire import (
     WIRE_KIND_NAMES,
     EnvelopeFrame,
+    SyncDelta,
     SyncResponse,
     decode_wire,
     encode_wire,
@@ -57,12 +58,51 @@ def reencode_state(state: DocumentState) -> DocumentState:
     return encode_state_segments(segments, mode, site, state.digest)
 
 
-@pytest.mark.parametrize("kind", sorted(WIRE_KIND_NAMES.values()))
+#: The frame each wire kind name is written as today. ``sync_delta``
+#: names two wire kinds: the region frame (kind 9, this file) and the
+#: read-only segment stream of ``wire_sync_delta.bin`` (kind 7, checked
+#: by content in :func:`test_segment_sync_delta_still_decodes`).
+WRITTEN_WIRE = {kind: f"wire_{kind}.bin"
+                for kind in set(WIRE_KIND_NAMES.values())}
+WRITTEN_WIRE["sync_delta"] = "wire_sync_delta_tree.bin"
+
+
+@pytest.mark.parametrize("kind", sorted(WRITTEN_WIRE))
 def test_wire_frame_reencodes_identically(kind):
-    data = golden(f"wire_{kind}.bin")
+    data = golden(WRITTEN_WIRE[kind])
     assert peek_wire_kind(data) == kind
     frame = decode_wire(data)
     assert encode_wire(frame) == data
+
+
+def _text_and_posid_digest(state: DocumentState):
+    _, _, tree = decode_state(state)
+    posids = "\n".join(repr(posid) for posid in tree.posids())
+    return ("".join(tree.atoms()),
+            hashlib.sha256(posids.encode("utf-8")).hexdigest())
+
+
+def test_segment_sync_delta_still_decodes():
+    # Wire kind 7 has no writer left, so its bytes cannot re-encode:
+    # the frame must decode to what the last codec that wrote it
+    # decoded it to (clocks, delete log, and the carried atoms with
+    # their identifiers), as the region state every delta merges from.
+    data = golden("wire_sync_delta.bin")
+    assert peek_wire_kind(data) == "sync_delta"
+    frame = decode_wire(data)
+    assert isinstance(frame, SyncDelta)
+    assert dict(frame.clock.items()) == {1: 6, 2: 2}
+    assert dict(frame.base.items()) == {1: 5, 2: 2}
+    assert len(frame.delete_log) == 0
+    assert frame.state.mode == "udis"
+    assert _text_and_posid_digest(frame.state) == (
+        "he!! c ",
+        "fd4bfb9f7c47a98e46571c3fcade25e63e6e38fdf05ea21d96e3a00500f121c1",
+    )
+    # Re-encoding writes wire kind 9 around the same state.
+    data_again = encode_wire(frame)
+    assert data_again != data
+    assert decode_wire(data_again) == frame
 
 
 def test_envelope_payload_reencodes_identically():

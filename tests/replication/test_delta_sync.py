@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.core.encoding import encode_operation
+from repro.core.encoding import (
+    decode_state,
+    encode_operation,
+    encode_state,
+    encode_state_segments,
+)
+from repro.core.node import TOMBSTONE, ArrayLeaf, slot_posid
 from repro.core.ops import InsertOp
 from repro.core.path import ROOT
-from repro.core.runs import RegionFilter, iter_state_segments
+from repro.core.runs import RegionFilter
 from repro.core.treedoc import Treedoc
 from repro.errors import CorruptFrameError, DecodeError, TreeError
 from repro.replication.clock import VectorClock
@@ -56,15 +62,27 @@ def _identical(a, b) -> bool:
             and b.broadcast.blocked_since is None)
 
 
+def _admits(cover: RegionFilter, bits) -> bool:
+    """Whether a walk from the root, narrowing ``cover`` one branch bit
+    per level, reaches the subtree at ``bits`` (the mutual-prefix
+    test: the subtree and some region intersect)."""
+    narrowed = cover.root_cover()
+    for depth, bit in enumerate(bits):
+        if not narrowed:  # None: inside a region; (): disjoint
+            break
+        narrowed = RegionFilter.narrow(narrowed, depth, bit)
+    return narrowed != ()
+
+
 class TestRegionFilter:
     def test_mutual_prefix_admission(self):
         cover = RegionFilter([(0, 1)])
-        assert cover.admits((0, 1))        # the region itself
-        assert cover.admits((0, 1, 1, 0))  # subtree inside the region
-        assert cover.admits((0,))          # ancestor spine
-        assert cover.admits(())            # the root spans everything
-        assert not cover.admits((1,))      # disjoint sibling
-        assert not cover.admits((0, 0))
+        assert _admits(cover, (0, 1))        # the region itself
+        assert _admits(cover, (0, 1, 1, 0))  # subtree inside the region
+        assert _admits(cover, (0,))          # ancestor spine
+        assert _admits(cover, ())            # the root spans everything
+        assert not _admits(cover, (1,))      # disjoint sibling
+        assert not _admits(cover, (0, 0))
 
     def test_cover_minimised(self):
         cover = RegionFilter([(0, 1, 1), (0, 1), (0, 1, 0), (1, 0)])
@@ -76,17 +94,23 @@ class TestRegionFilter:
         assert not RegionFilter([(0,)]).whole_document
         assert not RegionFilter([]).whole_document
         # An empty cover admits nothing.
-        assert not RegionFilter([]).admits(())
+        assert not _admits(RegionFilter([]), ())
 
     def test_filtered_harvest_subset_of_full(self):
         doc = Treedoc(site=1, mode="sdis")
         doc.insert_text(0, list("abcdefghijklmnop"))
-        full = iter_state_segments(doc.tree, 1)
-        bits = doc.posid_at(3).bits()
-        part = iter_state_segments(doc.tree, 1,
-                                   regions=RegionFilter([bits]))
-        assert part  # the named region is served...
-        assert len(part) <= len(full)  # ...but never more than all
+        full = encode_state(doc.tree, "sdis", 1, "")
+        named = doc.posid_at(3)
+        cover = RegionFilter([named.bits()])
+        part = encode_state(doc.tree, "sdis", 1, "", cover)
+        part_posids = decode_state(part)[2].posids()
+        assert named in part_posids  # the named region is served...
+        # ...with nothing outside the cover (no leaf records here)...
+        assert all(_admits(cover, posid.bits()) for posid in part_posids)
+        # ...and never more than all.
+        assert set(part_posids) <= set(decode_state(full)[2].posids())
+        assert 1 <= part.atom_count < full.atom_count
+        assert part.frame_bits < full.frame_bits
 
 
 class TestMergeSegments:
@@ -97,37 +121,40 @@ class TestMergeSegments:
         b.load_state(a.capture_state())
         concurrent = b.insert(0, "!")  # local progress the delta lacks
         a.insert_text(6, list(" tail"))
-        applied = b.merge_segments(iter_state_segments(a.tree, 1))
+        applied = b.merge_segments(a.capture_state())
         assert applied == len(" tail")
         assert b.text() == "!shared tail"
         assert b.tree.lookup(concurrent.posid) is not None
 
     def test_skip_set_blocks_resurrection(self):
-        a = Treedoc(site=1, mode="sdis")
-        a.insert_text(0, list("abc"))
-        b = Treedoc(site=2, mode="sdis")
-        b.load_state(a.capture_state())
-        victim = b.posid_at(1)
-        b.delete(1)  # a has not seen this delete
-        b.merge_segments(iter_state_segments(a.tree, 1),
-                         skip=frozenset([victim]))
-        assert b.text() == "ac"  # 'b' stayed dead
+        # Under UDIS the delete left no tombstone: only the skip set
+        # keeps the merge from re-inserting the atom.
+        for mode in ("udis", "sdis"):
+            a = Treedoc(site=1, mode=mode)
+            a.insert_text(0, list("abc"))
+            b = Treedoc(site=2, mode=mode)
+            b.load_state(a.capture_state())
+            victim = b.posid_at(1)
+            b.delete(1)  # a has not seen this delete
+            b.merge_segments(a.capture_state(), skip=frozenset([victim]))
+            assert b.text() == "ac"  # 'b' stayed dead
 
     def test_conflicting_atom_is_typed_error(self):
         a = Treedoc(site=1, mode="sdis")
         a.insert_text(0, list("abc"))
         b = Treedoc(site=2, mode="sdis")
         b.load_state(a.capture_state())
-        segments = [InsertOp(a.posid_at(0), "Z", 1)]
+        clash = encode_state_segments([InsertOp(a.posid_at(0), "Z", 1)],
+                                      "sdis", 1, "")
         with pytest.raises(TreeError):
-            b.merge_segments(segments)
+            b.merge_segments(clash)
 
     def test_idempotent_over_shipping(self):
         a = Treedoc(site=1, mode="sdis")
         a.insert_text(0, list("idempotent"))
         b = Treedoc(site=2, mode="sdis")
         b.load_state(a.capture_state())
-        assert b.merge_segments(iter_state_segments(a.tree, 1)) == 0
+        assert b.merge_segments(a.capture_state()) == 0
         assert b.text() == "idempotent"
 
 
@@ -225,7 +252,7 @@ class TestDeltaExchange:
         # The diff carries the insert plus its ancestor spine (benign
         # over-shipping), never the whole document.
         assert delta is not None
-        assert 1 <= delta.atom_count < len(a.doc)
+        assert 1 <= delta.state.atom_count < len(a.doc)
 
     def test_responder_prefers_full_when_delta_loses(self):
         # Deletes dominate the window: the diff must carry one delete
@@ -286,6 +313,95 @@ class TestDeltaExchange:
         assert c.sync_deltas_stale == 1
         assert c.sync_deltas_applied == 0
         assert c._peer_retry_at.get(1, 0) > net.now  # peer backed off
+
+
+def _tombstone_posids(doc):
+    """Every tombstone's PosID in identifier order: tombstone slots and
+    the dead offsets of array leaves."""
+    out = []
+    for entry in doc.tree.iter_entries():
+        if isinstance(entry, ArrayLeaf):
+            out.extend(posid for offset, posid in enumerate(entry.id_posids())
+                       if (entry.dead >> offset) & 1)
+        elif entry.state == TOMBSTONE:
+            out.append(slot_posid(entry))
+    return out
+
+
+#: One responder edit past the requester's frontier: an insert or a
+#: delete at a relative position, or a collapse pass over cold regions.
+_EDITS = st.one_of(
+    st.tuples(st.just("insert"), st.floats(0, 1),
+              st.text("xyz#", min_size=1, max_size=6)),
+    st.tuples(st.just("delete"), st.floats(0, 1), st.integers(1, 8)),
+    st.tuples(st.just("collapse")),
+)
+
+
+class TestDeltaMatchesFullSync:
+    """Differential: a requester at ``base`` with no concurrent edits
+    that merges ``make_sync_delta(base)`` ends identifier-identical to a
+    replica that adopted the responder's full ``SyncResponse``."""
+
+    @staticmethod
+    def _collapse(doc):
+        for _ in range(3):
+            doc.note_revision()
+        doc.collapse_cold(min_age=1, min_atoms=4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(["udis", "sdis"]),
+           collapse_requester=st.booleans(),
+           edits=st.lists(_EDITS, min_size=1, max_size=12),
+           seed=st.integers(0, 2**16))
+    def test_delta_merge_equals_full_adoption(self, mode, collapse_requester,
+                                              edits, seed):
+        net = SimulatedNetwork(seed=seed)
+        a = ReplicaSite(1, net, mode=mode, policy=EAGER0)
+        b = ReplicaSite(2, net, mode=mode, policy=EAGER0)
+        a.insert_text(0, [f"s{i}" for i in range(40)])
+        net.run()
+        a.initiate_flatten(ROOT)  # canonical regions, so leaves form
+        net.run()
+        b.delete_range(5, 9)
+        net.run()
+        self._collapse(a.doc)
+        if collapse_requester:
+            self._collapse(b.doc)
+        base = b.broadcast.clock.copy()
+        for edit in edits:  # never delivered to b
+            if edit[0] == "collapse":
+                self._collapse(a.doc)
+                continue
+            index = int(edit[1] * len(a.doc))
+            if edit[0] == "insert":
+                a.insert_text(index, list(edit[2]))
+            elif len(a.doc):
+                index = min(index, len(a.doc) - 1)
+                a.delete_range(index, min(len(a.doc), index + edit[2]))
+        delta = a.make_sync_delta(base)
+        assert delta is not None
+        at_base = b.doc.capture_state()
+        b._apply_sync_delta(decode_wire(delta.to_wire()))
+        full = Treedoc(site=3, mode=mode)
+        full.load_state(decode_wire(a.make_state_transfer().to_wire()).state)
+        assert b.text() == full.text() == a.text()
+        assert b.doc.posids() == full.posids()
+        assert _tombstone_posids(b.doc) == _tombstone_posids(full)
+        b.doc.check()
+        # The merge alone, without the delete log: the responder's whole
+        # frame (leaf records included) merged into an empty replica,
+        # and under SDIS (deletes are tombstones in the frame) into the
+        # requester's document at ``base``, also ends identical.
+        targets = [Treedoc(site=4, mode=mode)]
+        if mode == "sdis":
+            targets.append(Treedoc(site=2, mode=mode))
+            targets[-1].load_state(at_base)
+        for target in targets:
+            target.merge_segments(a.doc.capture_state())
+            assert target.text() == full.text()
+            assert target.posids() == full.posids()
+            assert _tombstone_posids(target) == _tombstone_posids(full)
 
 
 class TestDeclineAndRotation:
@@ -526,17 +642,19 @@ class TestNewFrameIntegrity:
         doc = Treedoc(site=1, mode="sdis")
         doc.insert_text(0, list("delta fuzz subject"))
         doc.delete_range(2, 4)
-        segments = tuple(iter_state_segments(doc.tree, 1))
+        # A region frame: the tombstones' region and the atom at 9.
+        state = encode_state(doc.tree, "sdis", 1, "", RegionFilter(
+            [doc.posid_at(1).bits(), doc.posid_at(9).bits()]))
         log = ((doc.posid_at(0), 1, 3),)
         return SyncDelta(1, VectorClock({1: 20, 2: 4}),
-                         VectorClock({1: 18, 2: 4}), segments, log)
+                         VectorClock({1: 18, 2: 4}), state, log)
 
     def test_sync_delta_round_trip(self):
         frame = self._delta_frame()
         back = decode_wire(frame.to_wire())
         assert back == frame
         assert back.wire_bytes == len(frame.to_wire())
-        assert back.atom_count == frame.atom_count
+        assert back.state.atom_count == frame.state.atom_count
 
     def test_sync_decline_round_trip(self):
         for frame in (

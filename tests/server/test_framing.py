@@ -55,7 +55,8 @@ def _sample_frames():
         encode_wire(PrepareMsg("1.0", path, VectorClock({1: 2}), 1)),
         encode_wire(VoteMsg("1.0", 2, True)),
         encode_wire(AbortMsg("1.0")),
-        SyncDelta(1, VectorClock({1: 2}), VectorClock({1: 1})).to_wire(),
+        SyncDelta(1, VectorClock({1: 2}), VectorClock({1: 1}),
+                  doc.capture_state()).to_wire(),
         encode_wire(SyncDecline(4, DECLINE_BUSY, 2)),
     ]
 
