@@ -25,6 +25,14 @@ a segment frame, and the WAL tail after it), and
 ``checkpoint_store.json``, the text and identity digests the store must
 recover to.
 
+``facade_store`` — written by the last store that kept an advisory
+``MANIFEST.json``: ``facade_store/``, a durable UDIS ``Replica``'s store
+directory (a checkpoint taken with batches still pending, then
+``OUTBOX``, ``LOCAL``, ``REMOTE`` and ``DRAIN`` records after it, and
+the manifest recovery never reads), and ``facade_store.json``, the
+text, identifier digest, pending-batch digests and mint counters the
+store must recover to.
+
 ``state_tree`` — written by the tree-walk codec: ``state_tree_udis.bin``
 and ``state_tree_sdis.bin`` (mini-nodes from two sites, leaves, and
 under SDIS tombstones and a dead-slot bitmap), with their headers in
@@ -62,6 +70,7 @@ from repro.core import disk
 from repro.core.encoding import encode_batch
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
+from repro.replica import Replica
 from repro.replication.clock import VectorClock
 from repro.replication.cluster import Cluster
 from repro.replication.commit import AbortMsg, PrepareMsg, VoteMsg
@@ -227,6 +236,40 @@ def checkpoint_store(root: Path) -> dict:
             "posid_digest": posid_digest(durable)}
 
 
+def facade_store(root: Path) -> dict:
+    """A durable UDIS facade replica: own inserts and deletes (so the
+    mint counter is not recoverable from the document alone), a merge
+    and a drain, a checkpoint with two batches still pending, then
+    LOCAL, REMOTE, DRAIN and LOCAL records. Returns what recovery must
+    reproduce."""
+    store = DurableStore(root, checkpoint_every=None, fsync=False)
+    replica = Replica(1, mode="udis", store=store)
+    remote = Replica(2, mode="udis")
+    replica.edit(0, 0, "hello world")
+    remote.merge(replica.pending())
+    remote.edit(5, 5, ",")
+    replica.merge(remote.pending())
+    replica.edit(0, 1)
+    replica.edit(0, 0, "H")
+    replica.checkpoint()
+    replica.edit(len(replica), len(replica), "!")
+    remote.edit(0, 0, ">> ")
+    replica.merge(remote.pending())
+    remote.merge(replica.pending())
+    replica.edit(3, 8, "J")
+    remote.edit(len(remote), len(remote), " <<")
+    replica.merge(remote.pending())
+    replica.edit(len(replica), len(replica), "?")
+    store.close()
+    return {"mode": "udis", "site": 1,
+            "text": replica.text(),
+            "posid_digest": posid_digest(replica),
+            "pending_digests": [batch.digest
+                                for batch in replica.pending(clear=False)],
+            "op_seq": replica.doc.op_seq,
+            "dis_counter": replica.doc.dis_counter}
+
+
 def tree_state_docs():
     """One UDIS and one SDIS document for the tree-walk frames."""
     docs = {}
@@ -280,6 +323,13 @@ def write_checkpoint(out: Path) -> None:
     write_json(out / "checkpoint_store.json", checkpoint_store(root))
 
 
+def write_facade(out: Path) -> None:
+    root = out / "facade_store"
+    if root.exists():
+        shutil.rmtree(root)
+    write_json(out / "facade_store.json", facade_store(root))
+
+
 def write_state_tree(out: Path) -> None:
     headers = {}
     for mode, doc in tree_state_docs().items():
@@ -305,6 +355,7 @@ def write_json(path: Path, value: dict) -> None:
 
 
 GROUPS = {"corpus": write_corpus, "checkpoint": write_checkpoint,
+          "facade_store": write_facade,
           "state_tree": write_state_tree,
           "sync_delta_tree": write_sync_delta_tree,
           "disk_legacy": write_disk_legacy}

@@ -7,7 +7,8 @@ change that moves a single wire, WAL, state-frame or disk bit fails
 here rather than in a mixed-version cluster. Stores and state frames
 written by an older codec must also still *load*: the checkpoint store
 recovers to its recorded text and identifiers, the segment state
-frames load into a replica, and the v1/v2 disk images (whose writers
+frames load into a replica, the facade store recovers its text,
+identifiers, pending outbox and mint counters, and the v1/v2 disk images (whose writers
 are gone) load to their recorded text and identifiers.
 """
 
@@ -31,6 +32,7 @@ from repro.core.encoding import (
     encode_state_segments,
 )
 from repro.core.treedoc import Treedoc
+from repro.replica import Replica
 from repro.replication.cluster import Cluster
 from repro.replication.wire import (
     WIRE_KIND_NAMES,
@@ -222,6 +224,26 @@ def test_checkpoint_store_recovers(tmp_path):
     posids = "\n".join(repr(posid) for posid in site.doc.posids())
     assert (hashlib.sha256(posids.encode("utf-8")).hexdigest()
             == expected["posid_digest"])
+
+
+def test_facade_store_recovers(tmp_path):
+    expected = json.loads((GOLDEN / "facade_store.json").read_text())
+    root = tmp_path / "store"
+    shutil.copytree(GOLDEN / "facade_store", root)
+    # Written by a store that kept an advisory manifest; recovery
+    # ignores it.
+    assert (root / "MANIFEST.json").exists()
+    replica = Replica(
+        expected["site"], mode=expected["mode"],
+        store=DurableStore(root, checkpoint_every=None, fsync=False))
+    assert replica.text() == expected["text"]
+    posids = "\n".join(repr(posid) for posid in replica.doc.posids())
+    assert (hashlib.sha256(posids.encode("utf-8")).hexdigest()
+            == expected["posid_digest"])
+    assert ([batch.digest for batch in replica.pending(clear=False)]
+            == expected["pending_digests"])
+    assert replica.doc.op_seq == expected["op_seq"]
+    assert replica.doc.dis_counter == expected["dis_counter"]
 
 
 @pytest.mark.parametrize("mode", ["udis", "sdis"])
