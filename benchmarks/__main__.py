@@ -2,6 +2,11 @@
 
     PYTHONPATH=src python -m benchmarks [--quick] [--skip-tables]
 
+or check the checked-in reports against their budgets
+(:mod:`benchmarks.budgets`)::
+
+    python -m benchmarks check [--root DIR]
+
 Runs the pytest-benchmark table/figure modules (timing disabled unless
 pytest-benchmark is installed and ``--benchmark-only`` is passed down —
 the single-pass mode still regenerates and prints the paper tables),
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 
@@ -188,6 +194,18 @@ def _summary(root: Path) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["check"]:
+        from benchmarks import budgets
+
+        parser = argparse.ArgumentParser(
+            prog="python -m benchmarks check",
+            description="check the benchmark reports against their budgets")
+        parser.add_argument("--root", type=Path,
+                            default=Path(__file__).resolve().parent.parent,
+                            help="directory holding the BENCH_*.json "
+                            "reports and *_BUDGET.json files")
+        return budgets.main(parser.parse_args(argv[1:]).root)
     parser = argparse.ArgumentParser(description="run all benchmarks")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke sizes for the standalone benchmarks")

@@ -25,7 +25,7 @@ import weakref
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.alloc import Allocator
-from repro.core.disambiguator import DisambiguatorFactory, SiteId
+from repro.core.disambiguator import DisambiguatorFactory, SiteId, Udis
 from repro.core.flatten import (
     ColdRegionFinder,
     find_collapsible,
@@ -123,9 +123,10 @@ class Treedoc:
         #: and mistaken for a pending live node.
         self._sweep_pending: Dict[int, PosNode] = {}
         #: Re-collapse hysteresis: region branch bits -> [explosion
-        #: count, revision of the last explosion]. Bounded by
-        #: ``_HISTORY_LIMIT``; entries decay once a region stays quiet
-        #: past its damped window (see :meth:`_required_age`).
+        #: count, revision of the last explosion], stalest first.
+        #: Bounded by ``_HISTORY_LIMIT``; entries decay once a region
+        #: stays quiet past its damped window (see
+        #: :meth:`_required_age`).
         self._explode_history: Dict[tuple, List[int]] = {}
         #: The first auto-collapse boundary (and the first after a state
         #: swap) must scan the whole tree — the touch log only covers
@@ -154,16 +155,10 @@ class Treedoc:
     @property
     def op_seq(self) -> int:
         """Next unclaimed local operation sequence number. Durable
-        recovery persists and restores it (:meth:`restore_op_seq`), so
+        recovery persists and restores it (:meth:`restore_counters`), so
         the batches a restarted replica mints can never reuse a seq
         range from before the crash."""
         return self._op_seq
-
-    def restore_op_seq(self, value: int) -> None:
-        """Advance the local sequence counter to at least ``value``
-        (recovery only — the counter is monotonic, never rewound)."""
-        if value > self._op_seq:
-            self._op_seq = value
 
     @property
     def dis_counter(self) -> int:
@@ -173,10 +168,36 @@ class Treedoc:
         pair."""
         return self._dis_factory.counter
 
-    def restore_dis_counter(self, value: int) -> None:
-        """Advance the UDIS mint counter to at least ``value``
-        (recovery only; no-op for SDIS)."""
-        self._dis_factory.restore_counter(value)
+    def mint_counters(self) -> Dict[str, int]:
+        """The mint counters a state frame does not carry, as the
+        durable store persists them beside every checkpoint."""
+        return {"op_seq": self._op_seq, "dis_counter": self.dis_counter}
+
+    def restore_counters(self, counters: Dict[str, object],
+                         own_events: Iterable[object] = ()) -> None:
+        """Advance the mint counters after a restart (recovery only —
+        they are monotonic, never rewound): to the persisted
+        ``counters`` (see :meth:`mint_counters`), then past every event
+        this replica minted in the replayed log tail. A batch carries
+        its absolute seq range, a bare operation claimed one number,
+        and every own UDIS disambiguator its counter."""
+        op_seq = max(self._op_seq, int(counters.get("op_seq", 0) or 0))
+        factory = self._dis_factory
+        factory.restore_counter(int(counters.get("dis_counter", 0) or 0))
+        for event in own_events:
+            if isinstance(event, OpBatch):
+                op_seq = max(op_seq, event.seq_end)
+                ops = event.ops
+            else:
+                op_seq += 1
+                ops = (event,)
+            for op in ops:
+                posid = op.posid if hasattr(op, "posid") else op.path
+                for element in posid.elements:
+                    dis = element.dis
+                    if isinstance(dis, Udis) and dis.site == self.site:
+                        factory.restore_counter(dis.counter + 1)
+        self._op_seq = op_seq
 
     def atoms(self) -> List[object]:
         """The visible document as a list of atoms: one O(n) walk per
@@ -651,15 +672,18 @@ class Treedoc:
         sweep."""
         bits = slot_posid(node).bits()
         history = self._explode_history
-        entry = history.get(bits)
+        entry = history.pop(bits, None)
         if entry is not None:
             if entry[0] < self._DAMP_LIMIT:
                 entry[0] += 1
             entry[1] = self.revision
         else:
             if len(history) >= self._HISTORY_LIMIT:
-                del history[min(history, key=lambda k: history[k][1])]
-            history[bits] = [1, self.revision]
+                del history[next(iter(history))]
+            entry = [1, self.revision]
+        # Re-inserted at the end: the dict stays in recency order, so
+        # the stalest region is always the first key.
+        history[bits] = entry
         if self.collapse_every is not None:
             self._sweep_pending[id(node)] = node
 

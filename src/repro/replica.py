@@ -301,27 +301,23 @@ class Replica:
         """Write a durable checkpoint now (the store's cadence normally
         drives this). The checkpoint frame is the same state frame
         :meth:`sync` puts on the wire; batches still waiting in the
-        outbox are re-logged after the rotation, so recovery can
-        restore them as *pending* without re-applying them (the
-        checkpointed state already contains their edits)."""
+        outbox are re-logged into the new segment before it is
+        published, so recovery restores them as *pending* without
+        re-applying them (the checkpointed state already contains
+        their edits)."""
         if self.store is None:
             raise StorageError(f"replica {self.site} has no durable store")
         from repro.core.encoding import encode_batch
         from repro.replication.clock import VectorClock
         from repro.replication.wire import SyncResponse
-        from repro.storage.wal import RECORD_OUTBOX
 
         frame = SyncResponse(
             self.site, VectorClock(), self.doc.capture_state()
         ).to_wire()
-        self.store.write_checkpoint(frame, meta={
-            "site": self.site,
-            "mode": self.doc.mode,
-            "op_seq": self.doc.op_seq,
-            "dis_counter": self.doc.dis_counter,
-        })
-        for batch in self._outbox:
-            self.store.append(RECORD_OUTBOX, encode_batch(batch)[0])
+        self.store.write_checkpoint(
+            frame, self.doc.mint_counters(),
+            outbox=[encode_batch(batch)[0] for batch in self._outbox],
+        )
 
     def _maybe_checkpoint(self) -> None:
         if self.store is not None and self.store.checkpoint_due():
@@ -335,13 +331,11 @@ class Replica:
         drained); ``REMOTE`` records re-apply; ``OUTBOX`` records
         re-enter the outbox without re-applying (the checkpoint state
         already contains them). Mint counters restore from the META
-        bookkeeping plus the replayed tail, so post-restart batches
-        carry fresh seq ranges and UDIS identifiers.
+        bookkeeping plus the replayed ``LOCAL`` batches, so
+        post-restart batches carry fresh seq ranges and UDIS
+        identifiers.
         """
-        from repro.core.disambiguator import Udis
         from repro.core.encoding import decode_frame
-        from repro.errors import DecodeError
-        from repro.replication.wire import SyncResponse, decode_wire
         from repro.storage.wal import (
             RECORD_DRAIN,
             RECORD_LOCAL,
@@ -349,35 +343,16 @@ class Replica:
             RECORD_REMOTE,
         )
 
-        store = self.store
-        recovered = store.recover()
-        store.attach(self.site, self.doc.mode)
-        if recovered.checkpoint is not None:
-            frame = decode_wire(recovered.checkpoint)
-            if not isinstance(frame, SyncResponse):
-                raise StorageError(
-                    f"replica {self.site}: checkpoint does not hold a "
-                    "state frame"
-                )
-            self.doc.load_state(frame.state)
-        op_seq = int(recovered.meta.get("op_seq", 0) or 0)
-        self.doc.restore_dis_counter(
-            int(recovered.meta.get("dis_counter", 0) or 0)
-        )
-        for index, record in enumerate(recovered.records):
-            try:
-                if record.kind == RECORD_DRAIN:
-                    self._outbox.clear()
-                    continue
-                if record.kind not in (RECORD_LOCAL, RECORD_REMOTE,
-                                       RECORD_OUTBOX):
-                    continue
-                event = decode_frame(record.payload)
-            except DecodeError:
-                # Intact record CRC but undecodable content: treat like
-                # any torn tail — truncate to the last good record.
-                recovered.truncate_from(index)
-                break
+        minted: List[OpBatch] = []
+
+        def replay(record) -> None:
+            if record.kind == RECORD_DRAIN:
+                self._outbox.clear()
+                return
+            if record.kind not in (RECORD_LOCAL, RECORD_REMOTE,
+                                   RECORD_OUTBOX):
+                return
+            event = decode_frame(record.payload)
             if record.kind == RECORD_REMOTE:
                 if isinstance(event, OpBatch):
                     self.doc.apply_batch(event)
@@ -389,21 +364,13 @@ class Replica:
                 # (minted after the checkpoint) also re-applies.
                 if record.kind == RECORD_LOCAL:
                     self.doc.apply_batch(event)
-                    op_seq = max(op_seq, event.seq_end)
-                    for op in event.ops:
-                        posid = (op.posid if hasattr(op, "posid")
-                                 else op.path)
-                        for element in posid.elements:
-                            dis = element.dis
-                            if (isinstance(dis, Udis)
-                                    and dis.site == self.site):
-                                self.doc.restore_dis_counter(
-                                    dis.counter + 1
-                                )
+                    minted.append(event)
                 self._outbox.append(event)
             self.recovered_batches += 1
-        self.doc.restore_op_seq(op_seq)
-        self._snapshot_cache = None
+
+        _, recovered = self.store.restore(self.doc)
+        recovered.replay(replay)
+        self.doc.restore_counters(recovered.meta, minted)
 
     # -- queries ------------------------------------------------------------------
 

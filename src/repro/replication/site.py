@@ -123,8 +123,6 @@ class ReplicaSite:
         #: requester be past the floor.
         self._recent_deletes: Dict[PosID, Tuple[SiteId, int]] = {}
         self._delete_floor = VectorClock()
-        #: Operations applied, in local application order (for metrics).
-        self.applied_ops: List[Operation] = []
         #: SDIS tombstone GC (section 4.2): causal-stability tracking.
         #: Acks ride the wire as AckFrames and purging is a
         #: deterministic function of (delete log, frontier), so every
@@ -269,7 +267,6 @@ class ReplicaSite:
     def _ship(self, op: Operation) -> None:
         frame = self.broadcast.broadcast(op)
         self._log_op(op, op.origin, frame.sequence)
-        self.applied_ops.append(op)
         self._maybe_checkpoint()
 
     def _ship_batch(self, batch: OpBatch) -> None:
@@ -285,7 +282,6 @@ class ReplicaSite:
                 self._delete_log.append(
                     (op.posid, self.site, frame.sequence)
                 )
-        self.applied_ops.extend(batch.ops)
         self._maybe_checkpoint()
 
     # -- storage maintenance --------------------------------------------------------
@@ -326,18 +322,6 @@ class ReplicaSite:
 
         self.store.append(RECORD_ENVELOPE, data)
 
-    def _store_meta(self) -> Dict[str, object]:
-        """Counters a state frame cannot carry, persisted in the WAL's
-        META records and the manifest: the mint counters that make
-        post-restart identifiers and batch seq ranges fresh."""
-        return {
-            "site": self.site,
-            "mode": self.doc.mode,
-            "op_seq": self.doc.op_seq,
-            "dis_counter": self.doc.dis_counter,
-            "revision": self.doc.revision,
-        }
-
     def checkpoint(self) -> None:
         """Write a durable checkpoint now (the store's cadence normally
         drives this via :meth:`_maybe_checkpoint`). The checkpoint *is*
@@ -345,8 +329,8 @@ class ReplicaSite:
         would receive — so recovery and sync share one format."""
         if self.store is None:
             raise StorageError(f"site {self.site} has no durable store")
-        frame = self.make_state_transfer()
-        self.store.write_checkpoint(frame.to_wire(), meta=self._store_meta())
+        self.store.write_checkpoint(self.make_state_transfer().to_wire(),
+                                    self.doc.mint_counters())
 
     def _maybe_checkpoint(self) -> None:
         """Poll the checkpoint cadence at a quiescent point: after a
@@ -371,57 +355,38 @@ class ReplicaSite:
         (op_seq, UDIS mint counter) is what keeps post-restart
         identifiers globally fresh.
         """
-        from repro.core.disambiguator import Udis
         from repro.storage.wal import RECORD_ENVELOPE
 
-        store = self.store
-        recovered = store.recover()
-        store.attach(self.site, self.doc.mode)
         self._recovering = True
         own_payloads: List[bytes] = []
         own_events: List[object] = []
+
+        def replay(record) -> None:
+            if record.kind != RECORD_ENVELOPE:
+                return
+            frame = decode_wire(record.payload)
+            if not isinstance(frame, EnvelopeFrame):
+                raise DecodeError(
+                    "WAL envelope record holds a non-envelope frame"
+                )
+            if self.broadcast.has_delivered(frame.origin, frame.sequence):
+                return
+            if frame.origin == self.site:
+                own_payloads.append(record.payload)
+                own_events.append(frame.decode_payload())
+            self.broadcast.on_frame(frame)
+            self.recovered_events += 1
+
         try:
-            if recovered.checkpoint is not None:
-                frame = decode_wire(recovered.checkpoint)
-                if not isinstance(frame, SyncResponse):
-                    raise StorageError(
-                        f"site {self.site}: checkpoint does not hold a "
-                        "state-transfer frame"
-                    )
-                self.doc.load_state(frame.state)
-                self.broadcast.clock = frame.clock.copy()
+            checkpoint, recovered = self.store.restore(self.doc)
+            if checkpoint is not None:
+                self.broadcast.clock = checkpoint.clock.copy()
                 if self.tombstone_gc:
-                    self._delete_log = [
-                        (posid, origin, sequence)
-                        for posid, origin, sequence in frame.delete_log
-                    ]
-                for posid, origin, sequence in frame.delete_log:
+                    self._delete_log = list(checkpoint.delete_log)
+                for posid, origin, sequence in checkpoint.delete_log:
                     self._note_delete(posid, origin, sequence)
-            for index, record in enumerate(recovered.records):
-                if record.kind != RECORD_ENVELOPE:
-                    continue
-                try:
-                    frame = decode_wire(record.payload)
-                    if not isinstance(frame, EnvelopeFrame):
-                        raise DecodeError(
-                            "WAL envelope record holds a non-envelope frame"
-                        )
-                    fresh = not self.broadcast.has_delivered(
-                        frame.origin, frame.sequence
-                    )
-                    if fresh and frame.origin == self.site:
-                        own_payloads.append(record.payload)
-                        own_events.append(frame.decode_payload())
-                    self.broadcast.on_frame(frame)
-                except DecodeError:
-                    # Intact CRC but undecodable content (damage inside
-                    # a record written torn): truncate to the last
-                    # record that decoded, like any other torn tail.
-                    recovered.truncate_from(index)
-                    break
-                if fresh:
-                    self.recovered_events += 1
-            self._restore_counters(recovered.meta, own_events, Udis)
+            recovered.replay(replay)
+            self.doc.restore_counters(recovered.meta, own_events)
             # The op-level region log did not witness the checkpoint's
             # edits; a whole-document touch per site at the recovered
             # frontier makes this site vote No on any flatten whose
@@ -439,29 +404,6 @@ class ReplicaSite:
         for payload in own_payloads:
             self.network.broadcast(self.site, payload)
             self.reshipped_envelopes += 1
-
-    def _restore_counters(self, meta: Dict[str, object],
-                          own_events: List[object], udis_type: type) -> None:
-        """Monotonic mint counters survive the crash: the META values
-        cover everything up to the checkpoint; the replayed own-origin
-        tail advances past them (batches carry their absolute seq
-        range; bare operations each claimed one number)."""
-        op_seq = int(meta.get("op_seq", 0) or 0)
-        self.doc.restore_dis_counter(int(meta.get("dis_counter", 0) or 0))
-        for event in own_events:
-            if isinstance(event, OpBatch):
-                op_seq = max(op_seq, event.seq_end)
-                ops = event.ops
-            else:
-                op_seq += 1
-                ops = (event,)
-            for op in ops:
-                posid = op.posid if hasattr(op, "posid") else op.path
-                for element in posid.elements:
-                    dis = element.dis
-                    if isinstance(dis, udis_type) and dis.site == self.site:
-                        self.doc.restore_dis_counter(dis.counter + 1)
-        self.doc.restore_op_seq(op_seq)
 
     def crash(self) -> Optional["DurableStore"]:
         """Simulate process death: detach from the network with no
@@ -903,7 +845,6 @@ class ReplicaSite:
         self._locks.unlock(txn)
         frame = self.broadcast.broadcast(op)
         self._log_op(op, op.origin, frame.sequence)
-        self.applied_ops.append(op)
 
     def _abort_flatten(self, txn: str) -> None:
         self._locks.unlock(txn)
@@ -1019,14 +960,12 @@ class ReplicaSite:
                     # apply_batch supports them).
                     self._locks.unlock(op.txn)
                     self._note_txn_decided(op.txn)
-            self.applied_ops.extend(payload.ops)
             return
         if not isinstance(payload, (InsertOp, DeleteOp, FlattenOp)):
             raise ReplicationError(f"unexpected causal payload {payload!r}")
         self.doc.apply(payload)
         sequence = self.broadcast.clock.get(origin)
         self._log_op(payload, origin, sequence)
-        self.applied_ops.append(payload)
         if isinstance(payload, DeleteOp) and self.tombstone_gc:
             self._delete_log.append((payload.posid, origin, sequence))
         if isinstance(payload, FlattenOp) and payload.txn is not None:

@@ -3,25 +3,31 @@
 One :class:`DurableStore` owns one directory::
 
     root/
-      MANIFEST.json            # atomic pointer + counters (a hint, not
-                               # a dependency: recovery works without it)
       checkpoint-00000002.bin  # one encoded SyncResponse wire frame
-      wal-00000002.log         # records appended since that checkpoint
+      wal-00000002.log         # META record, then everything logged
+                               # since that checkpoint
 
 The generation discipline ties the two halves together:
 
 - WAL segment ``n`` holds every record logged *after* checkpoint ``n``
-  was taken (segment 0 pairs with the empty document);
+  was taken (segment 0 pairs with the empty document); its first
+  record is ``META``, the bookkeeping a state frame cannot carry (site,
+  mode and the mint counters ``op_seq`` and ``dis_counter``);
 - a checkpoint is one :class:`repro.replication.wire.SyncResponse`
   frame — the exact anti-entropy message: document state via
   ``Treedoc.capture_state`` (the tree-walk state frame), the causal
-  frontier, and the outstanding delete log — written with the atomic
-  temp + fsync + rename protocol, so a crash mid-checkpoint leaves the
-  previous checkpoint untouched;
-- taking checkpoint ``n+1`` while segment ``n`` is current means:
-  write ``checkpoint-(n+1)`` atomically, open ``wal-(n+1)`` (starting
-  with a ``META`` record), update the manifest, prune generations
-  older than the retention window.
+  frontier, and the outstanding delete log;
+- taking checkpoint ``n+1`` while segment ``n`` is current
+  (:meth:`DurableStore.write_checkpoint`, the one checkpoint step of
+  sites and facade replicas alike) means: open ``wal-(n+1)`` with its
+  ``META`` record, re-log the owner's still-pending batches as
+  ``OUTBOX`` records, *then* publish ``checkpoint-(n+1)`` with the
+  atomic temp + fsync + rename protocol, then prune generations older
+  than the retention window. Everything a published checkpoint relies
+  on — its counters and its outbox — is durable before the rename
+  makes it visible; a crash anywhere earlier leaves the previous
+  checkpoint in charge, and the older segments still hold the records
+  it needs.
 
 Recovery (:meth:`DurableStore.recover`) is the inverse state machine:
 
@@ -30,11 +36,16 @@ Recovery (:meth:`DurableStore.recover`) is the inverse state machine:
    at-rest integrity check); fall back generation by generation;
 2. scan WAL segments with id >= that checkpoint's, in order; the first
    torn or corrupted record ends the scan — the file is truncated to
-   the last intact record and any later segment is dropped;
-3. hand the owner the checkpoint bytes plus the surviving records; the
-   owner decodes and replays them (clock-filtered, so records already
-   covered by the checkpoint — possible when a crash hit between the
-   checkpoint rename and the log rotation — drop as duplicates).
+   the last intact record and any later segment is dropped. ``OUTBOX``
+   records count only in the recovered checkpoint's own segment: a
+   later segment's restate a checkpoint that was never published, and
+   the ``LOCAL`` and ``DRAIN`` records before them already rebuild the
+   same outbox;
+3. hand the owner the checkpoint bytes plus the surviving records.
+   :meth:`DurableStore.restore` is the owner's prologue — recover,
+   :meth:`attach`, load the checkpoint's state frame into the document
+   — and :meth:`RecoveredState.replay` feeds it the tail, truncating at
+   the first record that fails to decode.
 
 Crash points (:mod:`repro.storage.crash`) are evaluated at every step
 of both protocols, which is how the tests pin each crash window to its
@@ -47,14 +58,15 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import StorageError
+from repro.errors import DecodeError, StorageError
 from repro.storage.crash import CrashError, CrashInjector
 from repro.storage.wal import (
     RECORD_ENVELOPE,
     RECORD_LOCAL,
     RECORD_META,
+    RECORD_OUTBOX,
     RECORD_REMOTE,
     WalRecord,
     pack_record,
@@ -64,7 +76,9 @@ from repro.util.files import atomic_write_bytes, fsync_dir
 
 _SEGMENT_GLOB = "wal-*.log"
 _CHECKPOINT_GLOB = "checkpoint-*.bin"
-_MANIFEST = "MANIFEST.json"
+
+#: The META keys the store carries from segment to segment.
+_META_KEYS = ("site", "mode", "op_seq", "dis_counter")
 
 #: Record kinds that advance the checkpoint cadence (bookkeeping
 #: records — META, OUTBOX re-logs, DRAIN markers — do not).
@@ -104,9 +118,10 @@ class RecoveredState:
     checkpoint: Optional[bytes]
     #: Generation of that checkpoint (0 when starting empty).
     checkpoint_id: int
-    #: Newest META bookkeeping seen (site, mode, op_seq, revision).
+    #: Newest META bookkeeping seen (site, mode, op_seq, dis_counter).
     meta: Dict[str, object]
-    #: Intact non-META records after the checkpoint, in log order.
+    #: Intact records after the checkpoint, in log order: every kind
+    #: but META, and OUTBOX only from the checkpoint's own segment.
     records: List[WalRecord]
     #: Bytes discarded from torn/corrupt segment tails.
     truncated_bytes: int
@@ -122,17 +137,22 @@ class RecoveredState:
         """True when there is nothing to recover (new directory)."""
         return self.checkpoint is None and not self.records
 
-    def truncate_from(self, index: int) -> None:
-        """Owner-side truncation: record ``index`` failed to *decode*
-        despite an intact CRC (damage the header CRC cannot see, e.g. a
-        flip inside a record written torn). Everything from it on is
-        discarded, on disk too."""
-        if self._store is None or index >= len(self.records):
-            return
-        path, record = self._origins[index]
-        self._store._truncate_segment(path, record.offset)
-        del self.records[index:]
-        del self._origins[index:]
+    def replay(self, handler: Callable[[WalRecord], None]) -> None:
+        """Hand each tail record to ``handler``, in log order. A record
+        whose content fails to decode (``handler`` raises
+        :class:`DecodeError` despite an intact CRC — damage the header
+        CRC cannot see, e.g. a flip inside a record written torn) ends
+        the replay: it and everything after it are discarded, on disk
+        too, like any torn tail."""
+        for index, record in enumerate(self.records):
+            try:
+                handler(record)
+            except DecodeError:
+                path, bad = self._origins[index]
+                self._store._truncate_segment(path, bad.offset)
+                del self.records[index:]
+                del self._origins[index:]
+                return
 
 
 class DurableStore:
@@ -179,7 +199,6 @@ class DurableStore:
         self.bytes_appended = 0
         self.checkpoints_written = 0
         self.records_since_checkpoint = 0
-        self._recovered: Optional[RecoveredState] = None
 
     # -- identity -----------------------------------------------------------------
 
@@ -262,9 +281,15 @@ class DurableStore:
     # -- checkpointing -------------------------------------------------------------
 
     def write_checkpoint(self, frame: bytes,
-                         meta: Optional[Dict[str, object]] = None) -> Path:
+                         meta: Optional[Dict[str, object]] = None,
+                         outbox: Iterable[bytes] = ()) -> Path:
         """Persist ``frame`` (an encoded SyncResponse) as the new
-        checkpoint, rotate the WAL, prune old generations."""
+        checkpoint: rotate the WAL, re-log ``outbox`` (the payloads of
+        batches still pending) as ``OUTBOX`` records, publish the
+        checkpoint, prune old generations. ``meta`` (the owner's mint
+        counters) goes into the new segment's ``META`` record, which is
+        on disk before the checkpoint that relies on it is renamed into
+        place."""
         if self._closed:
             raise StorageError(f"store {self.root} is closed")
         if not _crc_valid(frame):
@@ -275,17 +300,18 @@ class DurableStore:
         if meta:
             self._meta.update(meta)
         cp_id = self._segment_id + 1
-        path = _checkpoint_path(self.root, cp_id)
         self._crash("checkpoint.before")
+        self._open_segment(cp_id)
+        self._crash("checkpoint.after_rotate")
+        for payload in outbox:
+            self.append(RECORD_OUTBOX, payload)
+        path = _checkpoint_path(self.root, cp_id)
         atomic_write_bytes(
             path, frame, fsync=self.fsync,
             before_replace=lambda: self._crash("checkpoint.rename"),
         )
         self._crash("checkpoint.after_write")
-        self._open_segment(cp_id)
-        self._crash("checkpoint.after_rotate")
-        self._write_manifest(cp_id)
-        self._prune(cp_id)
+        self._prune()
         self.checkpoints_written += 1
         self.records_since_checkpoint = 0
         return path
@@ -336,6 +362,8 @@ class DurableStore:
                     except ValueError:
                         pass  # bookkeeping only; never fatal
                     continue
+                if record.kind == RECORD_OUTBOX and seg_id != checkpoint_id:
+                    continue  # restates an unpublished checkpoint
                 records.append(record)
                 origins.append((path, record))
             if good_end != size:
@@ -343,8 +371,7 @@ class DurableStore:
                 self._truncate_segment(path, good_end)
                 damaged = True
         self._meta.update(
-            {k: v for k, v in meta.items() if k in
-             ("site", "mode", "op_seq", "revision")}
+            {k: v for k, v in meta.items() if k in _META_KEYS}
         )
         self._segment_id = highest
         self._handle = None
@@ -361,8 +388,31 @@ class DurableStore:
         self.records_since_checkpoint = sum(
             1 for r in records if r.kind in _COUNTED
         )
-        self._recovered = recovered
         return recovered
+
+    def restore(self, doc) -> Tuple[Optional["SyncResponse"],
+                                    RecoveredState]:
+        """The startup prologue of a durable replica (site or facade):
+        :meth:`recover`, :meth:`attach` to ``doc``'s identity, and load
+        the checkpoint's state frame into ``doc``. Returns that frame
+        (None when starting empty; its clock and delete log are the
+        owner's to adopt) and the recovered tail, for the owner to
+        :meth:`RecoveredState.replay` and then to restore the mint
+        counters from (``Treedoc.restore_counters``)."""
+        from repro.replication.wire import SyncResponse, decode_wire
+
+        recovered = self.recover()
+        self.attach(doc.site, doc.mode)
+        frame = None
+        if recovered.checkpoint is not None:
+            frame = decode_wire(recovered.checkpoint)
+            if not isinstance(frame, SyncResponse):
+                raise StorageError(
+                    f"store {self.root}: checkpoint does not hold a "
+                    "state frame"
+                )
+            doc.load_state(frame.state)
+        return frame, recovered
 
     # -- introspection -------------------------------------------------------------
 
@@ -379,14 +429,6 @@ class DurableStore:
         """Size of the current WAL segment on disk."""
         path = self.wal_path
         return path.stat().st_size if path.exists() else 0
-
-    def manifest(self) -> Optional[Dict[str, object]]:
-        """The manifest contents, if present and parseable."""
-        path = self.root / _MANIFEST
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
 
     def close(self) -> None:
         if self._handle is not None:
@@ -434,28 +476,16 @@ class DurableStore:
         # before rotation".
         self._append_handle()
 
-    def _write_manifest(self, cp_id: int) -> None:
-        manifest = {
-            "format": 1,
-            "checkpoint": cp_id,
-            "segment": self._segment_id,
-            **self._meta,
-            "checkpoints_written": self.checkpoints_written + 1,
-        }
-        atomic_write_bytes(
-            self.root / _MANIFEST,
-            (json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-            .encode("utf-8"),
-            fsync=self.fsync,
-        )
-
-    def _prune(self, cp_id: int) -> None:
+    def _prune(self) -> None:
+        """Keep the newest ``retain`` + 1 checkpoints and the segments
+        from the oldest kept one on. Generation ids can skip (a crash
+        before the rename leaves a rotated segment with no checkpoint),
+        so the window counts the checkpoint files, not the ids."""
         self._crash("prune.before")
-        keep_from = cp_id - self.retain
-        for path in sorted(self.root.glob(_CHECKPOINT_GLOB)):
-            if _file_id(path) < keep_from:
-                path.unlink()
-        for path in sorted(self.root.glob(_SEGMENT_GLOB)):
+        checkpoints = list(self.root.glob(_CHECKPOINT_GLOB))
+        kept = sorted(map(_file_id, checkpoints))[-(self.retain + 1):]
+        keep_from = kept[0]
+        for path in [*checkpoints, *self.root.glob(_SEGMENT_GLOB)]:
             if _file_id(path) < keep_from:
                 path.unlink()
 

@@ -24,7 +24,7 @@ Record kinds (what the owner does with a payload on replay):
 
 ==============  =============================================================
 ``META``        JSON bookkeeping written at segment creation (site, mode,
-                ``op_seq``, revision) — restores counters a checkpoint
+                ``op_seq``, ``dis_counter``) — restores counters a checkpoint
                 state frame cannot carry.
 ``ENVELOPE``    one peer-protocol :class:`EnvelopeFrame` as wire bytes —
                 a replica site's unit of durable history (local mints and
@@ -33,7 +33,9 @@ Record kinds (what the owner does with a payload on replay):
 ``REMOTE``      a facade replica's merged remote batch or operation.
 ``OUTBOX``      a locally minted batch re-logged at checkpoint time because
                 it was still undrained: restored to the outbox on recovery
-                but *not* re-applied (the checkpoint state contains it).
+                but *not* re-applied (the checkpoint state contains it);
+                counted only when its segment's checkpoint is the one
+                recovered.
 ``DRAIN``       the outbox was drained (shipped); empty payload.
 ==============  =============================================================
 """

@@ -257,6 +257,31 @@ class TestIncrementalSweep:
         assert any(leaf.dead for leaf in doc.tree.array_leaves())
         doc.check()
 
+    def test_explode_history_evicts_the_stalest_region(self, monkeypatch):
+        import repro.core.treedoc as treedoc_module
+
+        class Slot:
+            def __init__(self, bits):
+                self._bits = bits
+
+            def bits(self):
+                return self._bits
+
+        # Feed region keys straight in: a "node" here is its own bits.
+        monkeypatch.setattr(treedoc_module, "slot_posid", Slot)
+        doc = Treedoc(site=1)
+        limit = doc._HISTORY_LIMIT
+        for i in range(limit):
+            doc._on_explode((i,))
+            doc.note_revision()
+        doc._on_explode((0,))  # the stalest explodes again: now freshest
+        doc._on_explode((limit,))  # full: evicts (1,), now the stalest
+        history = doc._explode_history
+        assert len(history) == limit
+        assert (1,) not in history
+        assert list(history)[-2:] == [(0,), (limit,)]
+        assert history[(0,)] == [2, limit]
+
     def test_load_state_resets_sweep_state(self):
         source = Treedoc(site=1, mode="sdis", collapse_every=1,
                          collapse_min_age=1, collapse_min_atoms=4)

@@ -107,10 +107,13 @@ class TestBatchShipping:
 
     def test_batched_ops_logged_individually(self):
         cluster = _synced_cluster(2)
-        cluster[1].insert_text(0, list("xy"))
+        batch = cluster[1].insert_text(0, list("xy"))
         cluster.settle()
-        kinds = [op.kind for op in cluster[2].applied_ops[-2:]]
-        assert kinds == ["insert", "insert"]
+        receiver = cluster[2].doc
+        # Each op of the envelope landed, in batch order.
+        assert receiver.text().startswith("xy")
+        assert ([receiver.posid_at(i) for i in range(2)]
+                == [op.posid for op in batch.ops])
 
     def test_batch_delete_range_respects_locks(self):
         from repro.core.path import ROOT
@@ -137,11 +140,14 @@ class TestBatchShipping:
 class TestBookkeeping:
     def test_applied_ops_logged_in_order(self):
         cluster = _synced_cluster(2)
-        cluster[1].insert(0, "x")
+        before = cluster[2].text()
+        insert = cluster[1].insert(0, "x")
         cluster[1].delete(0)
         cluster.settle()
-        kinds = [op.kind for op in cluster[2].applied_ops[-2:]]
-        assert kinds == ["insert", "delete"]
+        # The delete applied after the insert it targets: the receiver
+        # is back where it started and no longer holds the identifier.
+        assert cluster[2].text() == before
+        assert insert.posid not in cluster[2].doc.posids()
 
     def test_unhandled_message_rejected(self):
         from repro.errors import ReplicationError

@@ -1,7 +1,5 @@
 """DurableStore checkpointing, rotation, and replica recovery."""
 
-import json
-
 import pytest
 
 from repro import Replica
@@ -105,8 +103,8 @@ class TestCheckpointRotation:
         assert store.segment_id == 1
         assert not (tmp_path / "s" / "wal-00000000.log").exists()
         assert (tmp_path / "s" / "checkpoint-00000001.bin").exists()
-        manifest = store.manifest()
-        assert manifest["checkpoint"] == 1
+        # The checkpoint file and the WAL are the whole store.
+        assert not (tmp_path / "s" / "MANIFEST.json").exists()
 
     def test_retain_keeps_previous_generation(self, tmp_path):
         store = _store(tmp_path / "s", retain=1)
@@ -120,6 +118,32 @@ class TestCheckpointRotation:
         assert (root / "checkpoint-00000001.bin").exists()
         assert not (root / "wal-00000000.log").exists()
         assert (root / "wal-00000001.log").exists()
+
+    def test_retain_counts_checkpoint_files_when_ids_skip(self, tmp_path):
+        injector = CrashInjector()
+        store = _store(tmp_path / "s", retain=1, crash_points=injector)
+        store.recover()
+        store.append(RECORD_ENVELOPE, b"one")
+        store.write_checkpoint(self._checkpoint_frame())
+        store.append(RECORD_ENVELOPE, b"two")
+        # Segment 2 opens, checkpoint 2 is never published.
+        injector.arm("checkpoint.after_rotate")
+        with pytest.raises(CrashError):
+            store.write_checkpoint(self._checkpoint_frame())
+        again = _store(tmp_path / "s", retain=1)
+        again.recover()
+        again.append(RECORD_ENVELOPE, b"three")
+        again.write_checkpoint(self._checkpoint_frame())
+        root = tmp_path / "s"
+        assert sorted(p.name for p in root.iterdir()) == [
+            "checkpoint-00000001.bin", "checkpoint-00000003.bin",
+            "wal-00000001.log", "wal-00000002.log", "wal-00000003.log",
+        ]
+        # The retained generation still replays everything after it.
+        (root / "checkpoint-00000003.bin").write_bytes(b"damaged")
+        recovered = _store(root).recover()
+        assert recovered.checkpoint_id == 1
+        assert [r.payload for r in recovered.records] == [b"two", b"three"]
 
     def test_recovery_skips_corrupt_checkpoint(self, tmp_path):
         store = _store(tmp_path / "s", retain=1)
@@ -155,9 +179,10 @@ class TestCheckpointRotation:
         store.write_checkpoint(self._checkpoint_frame(7),
                                meta={"op_seq": 42, "dis_counter": 9})
         store.close()
-        manifest = json.loads((tmp_path / "s" / "MANIFEST.json").read_text())
-        assert manifest["site"] == 7 and manifest["op_seq"] == 42
+        # The counters live in the new segment's META record only.
+        assert not (tmp_path / "s" / "MANIFEST.json").exists()
         recovered = _store(tmp_path / "s").recover()
+        assert recovered.meta["site"] == 7
         assert recovered.meta["op_seq"] == 42
         assert recovered.meta["dis_counter"] == 9
 
@@ -200,10 +225,10 @@ class TestCrashPoints:
         frame = SyncResponse(1, VectorClock(), doc.capture_state()).to_wire()
         with pytest.raises(CrashError):
             store.write_checkpoint(frame)
-        # Checkpoint 1 exists but segment 0 was never rotated away:
-        # recovery uses the checkpoint and DROPS segment 0 — safe,
-        # because the checkpoint was written after every record in it
-        # took effect, so its contents are already in the snapshot.
+        # Checkpoint 1 was published after segment 1 opened: recovery
+        # uses the checkpoint and skips segment 0 — safe, because the
+        # checkpoint was taken after every record in it took effect, so
+        # its contents are already in the snapshot.
         recovered = _store(tmp_path / "s").recover()
         assert recovered.checkpoint is not None
         assert recovered.checkpoint_id == 1
@@ -253,6 +278,22 @@ class TestFacadeRecovery:
         for batch in b.pending():
             other.merge(batch)
         assert other.text() == "xy"
+
+    def test_undecodable_record_truncates_the_tail(self, tmp_path):
+        from repro.storage import RECORD_LOCAL
+
+        a = Replica(1, store=_store(tmp_path / "a"))
+        a.edit(0, 0, "ok")
+        # An intact record CRC around content no decoder accepts.
+        a.store.append(RECORD_LOCAL, b"\xff\xff\xff")
+        a.edit(2, 2, "!")
+        a.store.close()
+        b = Replica(1, store=_store(tmp_path / "a"))
+        assert b.text() == "ok"
+        assert len(b.pending(clear=False)) == 1
+        b.store.close()
+        # The cut is on disk: the next recovery sees one record.
+        assert len(_store(tmp_path / "a").recover().records) == 1
 
     def test_counters_restored_identifiers_stay_fresh(self, tmp_path):
         a = Replica(1, store=_store(tmp_path / "a"))
