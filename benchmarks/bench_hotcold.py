@@ -25,7 +25,7 @@ large cold body being edited continuously.
    touch-stamp log, on identical states.
 
 Writes ``BENCH_hotcold.json`` (checked into the repo root; CI refreshes
-it as an artifact and checks it against ``HOTCOLD_BUDGET.json``) and
+it as an artifact and checks it against ``BUDGETS.json``) and
 prints a units-labelled summary. Run::
 
     PYTHONPATH=src python benchmarks/bench_hotcold.py [--quick]

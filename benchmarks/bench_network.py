@@ -31,7 +31,7 @@ Two scenarios added with the frontier-diff protocol:
    churn schedule (partition, join, leave) under 15% drop + 5%
    corruption to convergence with PosID identity; per-site wire bytes
    are read from the network counters and checked against the
-   checked-in ``WIRE_BUDGET.json`` ceilings.
+   checked-in ``BUDGETS.json`` ceilings (:mod:`benchmarks.budgets`).
 
 Writes ``BENCH_network.json`` (checked into the repo root; CI refreshes
 it as an artifact) and fails loudly if the anti-entropy path does not
@@ -51,6 +51,11 @@ import random
 import sys
 import time
 from pathlib import Path
+
+if __package__:
+    from benchmarks import budgets
+else:  # run as a script: benchmarks/ itself is on sys.path
+    import budgets
 
 #: Acceptance floor: anti-entropy catch-up must beat replay catch-up on
 #: wire bytes to the laggard by at least this factor on the edit-heavy
@@ -279,33 +284,6 @@ def measure_churn_scaling(cfg) -> list:
     return rows
 
 
-def _check_wire_budget(results: dict, budget_path: Path, mode: str) -> int:
-    """Compare the churn-scaling rows against the checked-in ceilings.
-
-    Returns the number of violations (0 = within budget). A missing
-    budget file or mode section is a hard failure — the budget is part
-    of the acceptance surface, not an optional extra."""
-    if not budget_path.exists():
-        print(f"FAIL: wire budget file {budget_path} is missing",
-              file=sys.stderr)
-        return 1
-    budget = json.loads(budget_path.read_text())
-    ceilings = budget.get("churn_bytes_per_site", {}).get(mode, {})
-    violations = 0
-    for row in results["churn_scaling"]:
-        ceiling = ceilings.get(str(row["sites"]))
-        if ceiling is None:
-            print(f"FAIL: no {mode} wire budget for "
-                  f"{row['sites']}-site churn", file=sys.stderr)
-            violations += 1
-        elif row["wire_bytes_per_site"] > ceiling:
-            print(f"FAIL: {row['sites']}-site churn used "
-                  f"{row['wire_bytes_per_site']:,.0f} bytes/site, over the "
-                  f"{ceiling:,.0f} budget", file=sys.stderr)
-            violations += 1
-    return violations
-
-
 def _fmt_bytes(value: float) -> str:
     for unit in ("B", "KiB", "MiB"):
         if abs(value) < 1024 or unit == "MiB":
@@ -436,9 +414,8 @@ def main(argv=None) -> int:
             f"{MIN_DELTA_RATIO:.1f}x acceptance floor", file=sys.stderr,
         )
         status = 1
-    budget_path = args.out.parent / "WIRE_BUDGET.json"
-    mode = "quick" if args.quick else "full"
-    if _check_wire_budget(results, budget_path, mode):
+    root = Path(__file__).resolve().parent.parent
+    if not budgets.check_wire(results, budgets.load(root)["wire"]):
         status = 1
     return status
 

@@ -2,14 +2,15 @@
 
     python -m benchmarks check [--root DIR]
 
-Two budget files hold the ceilings and floors a report must stay
+``BUDGETS.json`` holds the ceilings and floors a report must stay
 within, per run size (``quick`` or ``full``, read from the report's
 own config):
 
-- ``WIRE_BUDGET.json`` — per-site wire bytes of the churn-scaling run
-  in ``BENCH_network.json``;
-- ``HOTCOLD_BUDGET.json`` — the latency ratios, sweep and touch
-  speedups and resident bytes in ``BENCH_hotcold.json``.
+- ``wire`` — per-site wire bytes of the churn-scaling run in
+  ``BENCH_network.json`` (``bench_network.py`` also holds each fresh
+  run to it);
+- ``hotcold`` — the latency ratios, sweep and touch speedups and
+  resident bytes in ``BENCH_hotcold.json``.
 
 Every check prints one line; the exit status is 1 when any of them is
 out of budget, else 0.
@@ -21,8 +22,12 @@ import json
 import sys
 from pathlib import Path
 
+#: The one budget file, beside the reports it holds.
+BUDGETS = "BUDGETS.json"
 
-def _load(root: Path, name: str) -> dict:
+
+def load(root: Path, name: str = BUDGETS) -> dict:
+    """One JSON file under ``root`` (by default the budgets)."""
     return json.loads((root / name).read_text())
 
 
@@ -30,10 +35,9 @@ def _mode(report: dict) -> str:
     return "quick" if report["config"]["quick"] else "full"
 
 
-def check_wire(root: Path) -> bool:
-    """Per-site churn wire bytes against ``WIRE_BUDGET.json``."""
-    report = _load(root, "BENCH_network.json")
-    budget = _load(root, "WIRE_BUDGET.json")
+def check_wire(report: dict, budget: dict) -> bool:
+    """Per-site churn wire bytes of a ``BENCH_network`` report against
+    the ``wire`` budget."""
     ceilings = budget["churn_bytes_per_site"][_mode(report)]
     ok = True
     for row in report["churn_scaling"]:
@@ -48,11 +52,9 @@ def check_wire(root: Path) -> bool:
     return ok
 
 
-def check_hotcold(root: Path) -> bool:
-    """Hot/cold ratios, speedups and resident bytes against
-    ``HOTCOLD_BUDGET.json``."""
-    report = _load(root, "BENCH_hotcold.json")
-    budget = _load(root, "HOTCOLD_BUDGET.json")
+def check_hotcold(report: dict, budget: dict) -> bool:
+    """Hot/cold ratios, speedups and resident bytes of a
+    ``BENCH_hotcold`` report against the ``hotcold`` budget."""
     mode = _mode(report)
     results = []
 
@@ -83,7 +85,9 @@ def check_hotcold(root: Path) -> bool:
 
 
 def main(root: Path) -> int:
+    budgets = load(root)
     # Both checks run (and print) even when the first fails.
-    wire_ok = check_wire(root)
-    hotcold_ok = check_hotcold(root)
+    wire_ok = check_wire(load(root, "BENCH_network.json"), budgets["wire"])
+    hotcold_ok = check_hotcold(load(root, "BENCH_hotcold.json"),
+                               budgets["hotcold"])
     return 0 if wire_ok and hotcold_ok else 1

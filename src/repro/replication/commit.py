@@ -21,8 +21,9 @@ Message flow (coordinator = the initiating site):
    ``AbortMsg`` point-to-point and everyone unlocks.
 
 Why commit is safe: a Yes vote requires the participant's clock to
-dominate the snapshot *and* its region-edit log to contain nothing
-beyond the snapshot. Every edit is applied first at its origin, so a
+dominate the snapshot *and* its edit history to hold nothing in the
+region beyond the snapshot (a history that has evicted entries also
+needs the snapshot past its floor). Every edit is applied first at its origin, so a
 unanimous Yes means no edit outside the snapshot exists anywhere; all
 voters therefore hold identical region contents, and the deterministic
 rebuild agrees (the digest in :class:`repro.core.ops.FlattenOp` double-

@@ -21,8 +21,9 @@ decides when this site becomes the *client* and asks one itself.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict, deque
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.disambiguator import SiteId
 from repro.core.encoding import encode_state
@@ -42,11 +43,11 @@ from repro.replication.broadcast import CausalBroadcast
 from repro.replication.clock import VectorClock
 from repro.replication.commit import (
     AbortMsg,
-    CommitDecision,
     FlattenCoordinator,
     PrepareMsg,
     RegionLockTable,
     VoteMsg,
+    paths_overlap,
 )
 from repro.replication.network import SimulatedNetwork
 from repro.replication.wire import (
@@ -65,6 +66,13 @@ from repro.replication.wire import (
 )
 from repro.util.backoff import jittered
 from repro.util.rng import derive_rng
+
+
+#: Edit-history entries one site keeps (``ReplicaSite._history``). Past
+#: this the oldest entry drops and the history floor rises: a delta then
+#: needs a requester past the floor, a Yes vote a snapshot past it. Well
+#: above a rejoin catch-up window (533-556 entries on perfbench rejoin).
+HISTORY_KEEP = 4096
 
 
 class RegionLockedError(ReplicationError):
@@ -102,27 +110,24 @@ class ReplicaSite:
         #: voting on a settled transaction would take a lock no later
         #: message ever releases. Bounded FIFO (txn ids, newest last).
         self._decided_txns: "OrderedDict[str, None]" = OrderedDict()
-        #: Region-edit log for commitment votes and frontier-diff
-        #: harvesting: (bits, origin, sequence, kind) with kind one of
-        #: "i"nsert, "d"elete, "f"latten, or "*" (an opaque whole-
-        #: document touch: state adoption, delta merge, recovery).
-        self._region_log: List[
-            Tuple[Tuple[int, ...], SiteId, int, str]
-        ] = []
+        #: The edit history behind commitment votes and frontier-diff
+        #: deltas: one entry per applied op, ``(bits, origin, sequence,
+        #: posid)`` — the touched region, the causal event, and for a
+        #: delete its PosID (a UDIS delete leaves no trace in region
+        #: state, so deltas ship and skip it by this record), else
+        #: None. A whole-document touch (state adoption, delta merge,
+        #: recovery) is region ``()``. FIFO past :data:`HISTORY_KEEP`:
+        #: each evicted entry raises ``_history_floor``, and votes and
+        #: deltas demand the other side be past the floor.
+        self._history: Deque[
+            Tuple[Tuple[int, ...], SiteId, int, Optional[PosID]]
+        ] = deque()
+        self._history_floor = VectorClock()
         #: Events at or below this frontier are known only opaquely
         #: (adopted snapshots, merged deltas, flattens, recovery): no
         #: per-operation region knowledge survives for them, so this
         #: site serves deltas only to requesters already past it.
         self._opaque_frontier = VectorClock()
-        #: Recently applied deletes, posid -> (origin, sequence), kept
-        #: in every mode (a UDIS delete leaves no trace in region
-        #: state, so delta exchanges need the explicit record — both to
-        #: ship and to guard against resurrection on merge). Pruned
-        #: FIFO past :data:`_DELETE_KEEP`; ``_delete_floor`` rises to
-        #: cover what was dropped, and delta service demands the
-        #: requester be past the floor.
-        self._recent_deletes: Dict[PosID, Tuple[SiteId, int]] = {}
-        self._delete_floor = VectorClock()
         #: SDIS tombstone GC (section 4.2): causal-stability tracking.
         #: Acks ride the wire as AckFrames and purging is a
         #: deterministic function of (delete log, frontier), so every
@@ -196,7 +201,7 @@ class ReplicaSite:
         causal envelope; returns the batch."""
         self._check_unlocked_for_insert(index)
         batch = self.doc.insert_text(index, atoms)
-        self._ship_batch(batch)
+        self._ship(batch)
         return batch
 
     def delete(self, index: int) -> DeleteOp:
@@ -209,10 +214,6 @@ class ReplicaSite:
             )
         op = self.doc.delete(index)
         self._ship(op)
-        if self.tombstone_gc:
-            self._delete_log.append(
-                (op.posid, self.site, self.broadcast.clock.get(self.site))
-            )
         return op
 
     def delete_range(self, start: int, end: int) -> OpBatch:
@@ -220,7 +221,7 @@ class ReplicaSite:
         causal envelope; returns the batch."""
         self._check_range_unlocked(start, end, "delete")
         batch = self.doc.delete_range(start, end)
-        self._ship_batch(batch)
+        self._ship(batch)
         return batch
 
     def replace_range(self, start: int, end: int,
@@ -230,7 +231,7 @@ class ReplicaSite:
         self._check_range_unlocked(start, end, "replace")
         self._check_unlocked_for_insert(start)
         batch = self.doc.replace_range(start, end, atoms)
-        self._ship_batch(batch)
+        self._ship(batch)
         return batch
 
     def _check_range_unlocked(self, start: int, end: int, verb: str) -> None:
@@ -264,24 +265,19 @@ class ReplicaSite:
                 f"site {self.site}: document region locked by a pending flatten"
             )
 
-    def _ship(self, op: Operation) -> None:
-        frame = self.broadcast.broadcast(op)
-        self._log_op(op, op.origin, frame.sequence)
-        self._maybe_checkpoint()
-
-    def _ship_batch(self, batch: OpBatch) -> None:
-        """Broadcast one causal envelope carrying the whole batch; the
-        batch counts as a single causal event. The digest is stamped
-        at ship time (see :meth:`repro.core.ops.OpBatch.seal`)."""
-        if not batch.ops:
-            return
-        frame = self.broadcast.broadcast(batch.seal())
-        for op in batch.ops:
-            self._log_op(op, batch.origin, frame.sequence)
-            if self.tombstone_gc and isinstance(op, DeleteOp):
-                self._delete_log.append(
-                    (op.posid, self.site, frame.sequence)
-                )
+    def _ship(self, event: Union[Operation, OpBatch]) -> None:
+        """Broadcast one causal envelope: a single operation, or a whole
+        batch counted as a single causal event (its digest stamped at
+        ship time, see :meth:`repro.core.ops.OpBatch.seal`)."""
+        if isinstance(event, OpBatch):
+            if not event.ops:
+                return
+            ops = event.seal().ops
+        else:
+            ops = (event,)
+        frame = self.broadcast.broadcast(event)
+        for op in ops:
+            self._log_op(op, self.site, frame.sequence)
         self._maybe_checkpoint()
 
     # -- storage maintenance --------------------------------------------------------
@@ -383,22 +379,10 @@ class ReplicaSite:
                 self.broadcast.clock = checkpoint.clock.copy()
                 if self.tombstone_gc:
                     self._delete_log = list(checkpoint.delete_log)
-                for posid, origin, sequence in checkpoint.delete_log:
-                    self._note_delete(posid, origin, sequence)
             recovered.replay(replay)
             self.doc.restore_counters(recovered.meta, own_events)
-            # The op-level region log did not witness the checkpoint's
-            # edits; a whole-document touch per site at the recovered
-            # frontier makes this site vote No on any flatten whose
-            # initiator snapshot predates what it just restored (the
-            # same conservatism as adopting a state transfer), and the
-            # opaque frontier keeps it from serving deltas spanning
-            # history it only knows as a snapshot.
-            for site, sequence in self.broadcast.clock.items():
-                self._region_log.append(((), site, sequence, "*"))
-            self._opaque_frontier = self._opaque_frontier.merge(
-                self.broadcast.clock
-            )
+            # The edit history did not witness the checkpoint's edits.
+            self._note_opaque(self.broadcast.clock)
         finally:
             self._recovering = False
         for payload in own_payloads:
@@ -489,15 +473,7 @@ class ReplicaSite:
                     self.doc, self._delete_log,
                     self._stability.stable_frontier(),
                 )
-        # The op-level region log did not see the snapshot's edits; log
-        # a whole-document touch per site at the adopted frontier so
-        # this site votes No on any flatten whose initiator snapshot
-        # predates the state it just inherited. The opaque frontier
-        # rises with it: history learned as a snapshot cannot be
-        # frontier-diffed onward.
-        for site, sequence in transfer.clock.items():
-            self._region_log.append(((), site, sequence, "*"))
-        self._opaque_frontier = self._opaque_frontier.merge(transfer.clock)
+        self._note_opaque(transfer.clock)
         self._peer_failures.pop(transfer.site, None)
         if self.store is not None and not self._recovering:
             # Adopting a snapshot rewrites the document wholesale; no
@@ -617,31 +593,27 @@ class ReplicaSite:
         Soundness demands per-operation knowledge of every event past
         ``base``: the requester must already be past this site's opaque
         frontier (snapshots, deltas, flattens, recovery leave no region
-        trail) *and* past its delete floor (a pruned delete record
-        could otherwise resurrect through a shipped region). Within
-        that, the answer is exact: one tree-walk frame of the live tree
-        pruned to the regions touched after ``base`` (from the region
-        log), plus retained delete records after ``base``.
+        trail) *and* past its history floor (an evicted delete could
+        otherwise resurrect through a shipped region). Every flatten
+        and whole-document entry sits at or below the opaque frontier,
+        so the window past ``base`` holds only inserts and deletes, and
+        the answer is exact: one tree-walk frame of the live tree
+        pruned to the regions they touched, plus their delete records.
         """
-        floors = self._opaque_frontier.merge(self._delete_floor)
-        if not base.dominates(floors):
+        if not base.dominates(self._opaque_frontier.merge(
+                self._history_floor)):
             return None
         regions: List[Tuple[int, ...]] = []
-        for bits, origin, sequence, kind in self._region_log:
-            if sequence <= base.get(origin):
-                continue
-            if kind in ("f", "*"):
-                return None  # opaque event in the window (floor race)
-            regions.append(bits)
+        delete_log: List[Tuple[PosID, SiteId, int]] = []
+        for bits, origin, sequence, posid in self._history:
+            if sequence > base.get(origin):
+                regions.append(bits)
+                if posid is not None:
+                    delete_log.append((posid, origin, sequence))
         state = encode_state(self.doc.tree, self.doc.mode, self.site, "",
                              RegionFilter(regions))
-        delete_log = tuple(
-            (posid, origin, sequence)
-            for posid, (origin, sequence) in self._recent_deletes.items()
-            if sequence > base.get(origin)
-        )
         return SyncDelta(self.site, self.broadcast.clock.copy(),
-                         base.copy(), state, delete_log)
+                         base.copy(), state, tuple(delete_log))
 
     def _answer_sync_request(self, request: SyncRequest) -> None:
         """The anti-entropy responder: frontier-diff when sound, full
@@ -747,14 +719,14 @@ class ReplicaSite:
 
         Safety is per-origin coverage, not whole-frontier domination:
         the sender's clock must be past *our* opaque frontier and
-        delete floor (else an event we know only opaquely, or a delete
+        history floor (else an event we know only opaquely, or a delete
         we no longer remember, could collide with the merge) — but
         concurrent local progress the sender never saw survives,
         because merging is a join, not a replacement.
         """
         self._record_ack(delta.site, delta.clock)
-        floors = self._opaque_frontier.merge(self._delete_floor)
-        if not delta.clock.dominates(floors):
+        if not delta.clock.dominates(self._opaque_frontier.merge(
+                self._history_floor)):
             self.sync_deltas_stale += 1
             self._note_sync_failure(delta.site)
             return
@@ -763,26 +735,17 @@ class ReplicaSite:
             return  # equal frontiers: raced duplicate, nothing to do
         # Identifiers we deleted but the sender may not have seen: the
         # merge must not resurrect them.
-        skip = frozenset(self._recent_deletes)
+        skip = frozenset(entry[3] for entry in self._history
+                         if entry[3] is not None)
         self.doc.merge_segments(delta.state, skip=skip)
-        inherited = 0
         for posid, origin, sequence in delta.delete_log:
             if self.broadcast.has_delivered(origin, sequence):
                 continue  # already applied this delete
             op = DeleteOp(posid, origin)
             self.doc.apply(op)
             self._log_op(op, origin, sequence)
-            if self.tombstone_gc:
-                self._delete_log.append((posid, origin, sequence))
-            inherited += 1
         self.broadcast.catch_up(delta.clock)
-        # Events learned through the diff have no per-op trail here:
-        # whole-document touches for flatten votes, opaque frontier for
-        # onward delta service (the standard adoption conservatism).
-        for site, sequence in delta.clock.items():
-            if sequence > pre.get(site):
-                self._region_log.append(((), site, sequence, "*"))
-        self._opaque_frontier = self._opaque_frontier.merge(delta.clock)
+        self._note_opaque(delta.clock, known=pre)
         self._peer_failures.pop(delta.site, None)
         self.sync_deltas_applied += 1
         if self.store is not None and not self._recovering:
@@ -845,9 +808,11 @@ class ReplicaSite:
         self._locks.unlock(txn)
         frame = self.broadcast.broadcast(op)
         self._log_op(op, op.origin, frame.sequence)
+        self._note_txn_decided(txn)
 
     def _abort_flatten(self, txn: str) -> None:
         self._locks.unlock(txn)
+        self._note_txn_decided(txn)
         abort = encode_wire(AbortMsg(txn))
         for participant in self.network.sites:
             if participant != self.site:
@@ -858,7 +823,10 @@ class ReplicaSite:
     def _note_txn_decided(self, txn: str) -> None:
         """Remember a settled transaction so a reordered or duplicated
         ``PrepareMsg`` arriving after its outcome cannot take a lock
-        that nothing will ever release."""
+        that nothing will ever release, and a late ``VoteMsg`` finds no
+        coordinator yet raises nothing (the initiator already handed
+        its coordinator to the caller, and keeps none once decided)."""
+        self._coordinators.pop(txn, None)
         self._decided_txns[txn] = None
         self._decided_txns.move_to_end(txn)
         while len(self._decided_txns) > self._DECIDED_TXN_KEEP:
@@ -868,19 +836,19 @@ class ReplicaSite:
         """Section 4.2.1: vote No when this site has executed an insert,
         delete or flatten within the subtree that the initiator's
         snapshot does not cover — or when it is not yet caught up with
-        the snapshot (its region contents could then differ)."""
-        if not self.broadcast.clock.dominates(prepare.snapshot):
+        the snapshot (its region contents could then differ), or when
+        the snapshot is below the history floor (an evicted entry past
+        the snapshot could have touched the region)."""
+        snapshot = prepare.snapshot
+        if not (self.broadcast.clock.dominates(snapshot)
+                and snapshot.dominates(self._history_floor)):
             return False
         region = prepare.path.bits()
         if self._locks.overlapping(region) is not None:
             return False
-        for bits, origin, sequence, _kind in self._region_log:
-            shorter = min(len(bits), len(region))
-            if bits[:shorter] != region[:shorter]:
-                continue
-            if sequence > prepare.snapshot.get(origin):
-                return False
-        return True
+        return not any(sequence > snapshot.get(origin)
+                       and paths_overlap(bits, region)
+                       for bits, origin, sequence, _ in self._history)
 
     # -- message handling ------------------------------------------------------------
 
@@ -936,9 +904,10 @@ class ReplicaSite:
             )
         elif isinstance(frame, VoteMsg):
             coordinator = self._coordinators.get(frame.txn)
-            if coordinator is None:
+            if coordinator is not None:
+                coordinator.on_vote(frame)
+            elif frame.txn not in self._decided_txns:
                 raise CommitError(f"vote for unknown transaction {frame.txn}")
-            coordinator.on_vote(frame)
         elif isinstance(frame, AbortMsg):
             self._locks.unlock(frame.txn)
             self._note_txn_decided(frame.txn)
@@ -948,31 +917,20 @@ class ReplicaSite:
     def _on_causal_deliver(self, origin: SiteId, payload: object) -> None:
         if isinstance(payload, OpBatch):
             self.doc.apply_batch(payload)
-            sequence = self.broadcast.clock.get(origin)
-            for op in payload.ops:
-                self._log_op(op, origin, sequence)
-                if isinstance(op, DeleteOp) and self.tombstone_gc:
-                    self._delete_log.append((op.posid, origin, sequence))
-                if isinstance(op, FlattenOp) and op.txn is not None:
-                    # Same as the bare-operation path below: a committed
-                    # flatten is the outcome message, release the vote
-                    # lock (no current producer batches flattens, but
-                    # apply_batch supports them).
-                    self._locks.unlock(op.txn)
-                    self._note_txn_decided(op.txn)
-            return
-        if not isinstance(payload, (InsertOp, DeleteOp, FlattenOp)):
+            ops: Sequence[Operation] = payload.ops
+        elif isinstance(payload, (InsertOp, DeleteOp, FlattenOp)):
+            self.doc.apply(payload)
+            ops = (payload,)
+        else:
             raise ReplicationError(f"unexpected causal payload {payload!r}")
-        self.doc.apply(payload)
         sequence = self.broadcast.clock.get(origin)
-        self._log_op(payload, origin, sequence)
-        if isinstance(payload, DeleteOp) and self.tombstone_gc:
-            self._delete_log.append((payload.posid, origin, sequence))
-        if isinstance(payload, FlattenOp) and payload.txn is not None:
-            # The committed flatten is the outcome message: release the
-            # vote lock.
-            self._locks.unlock(payload.txn)
-            self._note_txn_decided(payload.txn)
+        for op in ops:
+            self._log_op(op, origin, sequence)
+            if isinstance(op, FlattenOp) and op.txn is not None:
+                # The committed flatten is the outcome message: release
+                # the vote lock.
+                self._locks.unlock(op.txn)
+                self._note_txn_decided(op.txn)
 
     # -- SDIS tombstone garbage collection (section 4.2) --------------------------
 
@@ -1039,35 +997,50 @@ class ReplicaSite:
         if self._peer_hint == site:
             self._peer_hint = None
 
-    #: Retained recent-delete records; above this the oldest entries
-    #: drop and the delete floor rises (delta service then demands the
-    #: requester have seen them already).
-    _DELETE_KEEP = 4096
+    # -- the edit history ------------------------------------------------------------
 
     def _log_op(self, op: Operation, origin: SiteId, sequence: int) -> None:
-        if isinstance(op, InsertOp):
-            self._region_log.append((op.posid.bits(), origin, sequence, "i"))
-        elif isinstance(op, DeleteOp):
-            self._region_log.append((op.posid.bits(), origin, sequence, "d"))
-            self._note_delete(op.posid, origin, sequence)
-        else:
+        """Record one applied op: its history entry and, for a delete
+        under tombstone GC, its delete-log record."""
+        if isinstance(op, FlattenOp):
             # A flatten rewrites the subtree's identifier structure:
             # region state before and after do not merge, so the event
             # is opaque to frontier-diffing.
-            self._region_log.append((op.path.bits(), origin, sequence, "f"))
+            self._remember(op.path.bits(), origin, sequence)
             self._opaque_frontier = self._opaque_frontier.merge(
                 VectorClock({origin: sequence})
             )
+        elif isinstance(op, DeleteOp):
+            self._remember(op.posid.bits(), origin, sequence, op.posid)
+            if self.tombstone_gc:
+                self._delete_log.append((op.posid, origin, sequence))
+        else:
+            self._remember(op.posid.bits(), origin, sequence)
 
-    def _note_delete(self, posid: PosID, origin: SiteId,
-                     sequence: int) -> None:
-        self._recent_deletes[posid] = (origin, sequence)
-        while len(self._recent_deletes) > self._DELETE_KEEP:
-            oldest = next(iter(self._recent_deletes))
-            old_origin, old_sequence = self._recent_deletes.pop(oldest)
-            self._delete_floor = self._delete_floor.merge(
-                VectorClock({old_origin: old_sequence})
-            )
+    def _note_opaque(self, clock: VectorClock,
+                     known: Optional[VectorClock] = None) -> None:
+        """Events up to ``clock`` were learned wholesale (an adopted
+        snapshot, a merged delta, recovery) and left no per-op entry: a
+        whole-document entry per origin past ``known`` makes this site
+        vote No on any flatten whose snapshot predates them, and the
+        opaque frontier keeps it from diffing across them."""
+        for site, sequence in clock.items():
+            if known is None or sequence > known.get(site):
+                self._remember((), site, sequence)
+        self._opaque_frontier = self._opaque_frontier.merge(clock)
+
+    def _remember(self, bits: Tuple[int, ...], origin: SiteId,
+                  sequence: int, posid: Optional[PosID] = None) -> None:
+        """Append one history entry; past :data:`HISTORY_KEEP` the
+        oldest drops and the floor rises to cover its event."""
+        history = self._history
+        history.append((bits, origin, sequence, posid))
+        if len(history) > HISTORY_KEEP:
+            _, old_origin, old_sequence, _ = history.popleft()
+            if old_sequence > self._history_floor.get(old_origin):
+                self._history_floor = self._history_floor.merge(
+                    VectorClock({old_origin: old_sequence})
+                )
 
     # -- queries ---------------------------------------------------------------------
 

@@ -17,8 +17,7 @@ payloads :class:`repro.replication.network.SimulatedNetwork` accepts:
   they become causally stable);
 - :class:`SyncDelta` — the *incremental* anti-entropy answer: a
   tree-walk state frame pruned to the regions the requester's frontier
-  has not seen, plus the responder's recent delete records (DESIGN.md
-  §10);
+  has not seen, plus the delete records past it (DESIGN.md §10);
 - :class:`SyncDecline` — a graceful refusal with a reason and an
   optional try-this-peer hint, so a requester rotates instead of
   re-pelting a responder that cannot serve;

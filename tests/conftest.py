@@ -15,10 +15,13 @@ from repro.core.path import PathElement, PosID
 # Hypothesis profiles. CI runs ``pytest --hypothesis-profile=ci``: every
 # property draws the same examples on every machine and no example
 # database carries failures from one run into the next, so a verdict
-# depends on the code alone.
+# depends on the code alone. ``--hypothesis-profile=random`` draws fresh
+# examples (pin them with ``--hypothesis-seed=N``) and prints the blob
+# that reproduces a failing one.
 # ---------------------------------------------------------------------------
 
 settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("random", database=None, print_blob=True)
 
 
 # ---------------------------------------------------------------------------

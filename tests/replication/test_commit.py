@@ -201,3 +201,44 @@ class TestReorderedOutcomes:
         victim.insert(0, "!")
         cluster.settle()
         cluster.assert_converged()
+
+
+class TestDecidedCoordinators:
+    """An initiator keeps a coordinator only while its transaction is
+    pending; once decided it is dropped, and the votes a duplicating
+    network still delivers for it are ignored."""
+
+    def test_decided_coordinators_are_dropped(self):
+        from repro.replication.network import NetworkConfig
+
+        cluster = Cluster(3, mode="sdis",
+                          config=NetworkConfig(duplicate_rate=0.3), seed=17)
+        cluster.bootstrap(list("abcdefghijklmnop"))
+        decisions = []
+        for round_number in range(20):
+            initiator = cluster[1 + round_number % 3]
+            if round_number % 2:
+                # An edit in flight at another site: it votes No.
+                cluster[1 + (round_number + 1) % 3].insert(0, "z")
+            coordinator = initiator.initiate_flatten(ROOT)
+            cluster.settle()
+            decisions.append(coordinator.decision)
+        assert set(decisions) == {CommitDecision.COMMITTED,
+                                  CommitDecision.ABORTED}
+        assert cluster.network.duplicated_messages > 0
+        for site in cluster:
+            assert site._coordinators == {}
+            assert site.locked_regions == 0
+        cluster.assert_converged()
+
+    def test_vote_for_a_transaction_never_started_raises(self):
+        cluster = Cluster(2, mode="sdis", seed=18)
+        cluster.bootstrap(list("abc"))
+        coordinator = cluster[1].initiate_flatten(ROOT)
+        cluster.settle()
+        assert coordinator.decision is CommitDecision.COMMITTED
+        # A duplicate of a decided transaction's vote is ignored...
+        cluster[1]._on_frame(2, VoteMsg(coordinator.txn, 2, True))
+        # ...a vote for a transaction this site never started is not.
+        with pytest.raises(CommitError):
+            cluster[1]._on_frame(2, VoteMsg("1.99", 2, True))

@@ -3,6 +3,8 @@ region-filtered harvest, merge safety (no resurrection, no opaque
 windows), decline/backoff/rotation, piggybacked acknowledgements, and
 the decode-fuzz discipline for the two new frames."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +24,9 @@ from repro.core.treedoc import Treedoc
 from repro.errors import CorruptFrameError, DecodeError, TreeError
 from repro.replication.clock import VectorClock
 from repro.replication.cluster import Cluster
+from repro.replication.commit import PrepareMsg
 from repro.replication.network import NetworkConfig, SimulatedNetwork
-from repro.replication.site import ReplicaSite
+from repro.replication.site import HISTORY_KEEP, ReplicaSite
 from repro.replication.sync import AntiEntropyPolicy
 from repro.replication.wire import (
     DECLINE_BUSY,
@@ -718,3 +721,78 @@ class TestNewFrameIntegrity:
             decode_wire(bytes(damaged))
         except DecodeError:
             pass  # the only acceptable escape
+
+
+class TestBoundedHistory:
+    """A long-running pair drives each site's edit history past
+    :data:`HISTORY_KEEP`: the history stays capped, a requester inside
+    the window still gets a delta that merges identically to full
+    adoption, a requester behind the history floor gets the full
+    snapshot, and a prepare whose snapshot is below the floor is voted
+    down."""
+
+    @pytest.mark.parametrize("mode", ["udis", "sdis"])
+    def test_soak_past_the_history_cap(self, mode):
+        net = SimulatedNetwork(seed=11)
+        a = ReplicaSite(1, net, mode=mode, policy=EAGER0)
+        b = ReplicaSite(2, net, mode=mode, policy=EAGER0)
+        c = ReplicaSite(3, net, mode=mode, policy=EAGER0)
+        a.insert_text(0, [f"s{i}" for i in range(400)])
+        net.run()
+        a.initiate_flatten(ROOT)  # canonical regions, so leaves form
+        net.run()
+        # c falls behind here and stays behind for the whole soak. No
+        # edit below touches the root slot's left subtree (the first
+        # 255 atoms), so only the history floor can turn this
+        # prepare's vote to No.
+        assert a.doc.posid_at(255) == ROOT
+        net.partition({3})
+        stale = PrepareMsg("3.0", ROOT.child(0), c.broadcast.clock.copy(), 3)
+        assert a._vote(stale)
+        rng = random.Random(5)
+        sites = (a, b)
+        for round_number in range(700):
+            site = sites[round_number % 2]
+            start = rng.randrange(300, len(site.doc) - 8)
+            if len(site.doc) > 600:
+                site.delete_range(start, start + 8)
+            else:
+                site.insert_text(start, [f"{round_number}.{k}"
+                                         for k in range(8)])
+            if round_number % 50 == 0:
+                for each in sites:
+                    TestDeltaMatchesFullSync._collapse(each.doc)
+            net.run()
+            for each in sites:
+                assert len(each._history) <= HISTORY_KEEP
+                assert (len(each.doc._explode_history)
+                        <= Treedoc._HISTORY_LIMIT == 64)
+        assert a._history_floor != VectorClock()
+        assert not a._vote(stale)
+        assert a._vote(PrepareMsg("3.1", ROOT.child(0),
+                                  a.broadcast.clock.copy(), 3))
+
+        # A requester inside the window gets a delta.
+        base = b.broadcast.clock.copy()
+        for offset in (300, 350, 400):  # never delivered to b
+            a.insert_text(offset, list("new"))
+            a.delete_range(offset + 10, offset + 14)
+        delta = a.make_sync_delta(base)
+        assert delta is not None
+        b._apply_sync_delta(decode_wire(delta.to_wire()))
+        full = Treedoc(site=4, mode=mode)
+        full.load_state(decode_wire(a.make_state_transfer().to_wire()).state)
+        assert b.text() == full.text() == a.text()
+        assert b.doc.posids() == full.posids()
+        assert _tombstone_posids(b.doc) == _tombstone_posids(full)
+        b.doc.check()
+
+        # A requester behind the floor gets the full snapshot.
+        behind = c.broadcast.clock.copy()
+        assert a.make_sync_delta(behind) is None
+        net.heal()
+        a._answer_sync_request(SyncRequest(3, behind))
+        assert a.sync_responses_sent == 1 and a.sync_deltas_sent == 0
+        net.run()
+        assert c.sync_responses_applied == 1
+        assert _identical(a, c) and _identical(a, b)

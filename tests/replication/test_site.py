@@ -136,6 +136,27 @@ class TestBatchShipping:
         assert cluster[2].purged_tombstones > 0
         cluster.assert_converged()
 
+    def test_checkpoint_at_a_local_delete_keeps_its_gc_record(self, tmp_path):
+        # The checkpoint polled as a delete ships must already hold the
+        # delete's tombstone-GC record: the recovered site would
+        # otherwise never purge that tombstone.
+        from repro.storage.store import DurableStore
+
+        cluster = Cluster(1, mode="sdis", seed=4, tombstone_gc=True)
+        store = DurableStore(tmp_path / "site2", checkpoint_every=1,
+                             fsync=False)
+        cluster.add_site(2, store=store)
+        cluster.bootstrap(list("abcdefgh"))
+        victim = cluster[2].delete(0)
+        cluster.settle()
+        recovered = cluster.add_site(2, store=cluster.crash_site(2))
+        assert victim.posid in [posid for posid, _, _
+                                in recovered._delete_log]
+        cluster.gossip_acks()
+        cluster.gossip_acks()
+        assert recovered.purged_tombstones == 1
+        cluster.assert_converged()
+
 
 class TestBookkeeping:
     def test_applied_ops_logged_in_order(self):

@@ -12,8 +12,7 @@ import pytest
 from benchmarks import budgets
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = ("BENCH_network.json", "WIRE_BUDGET.json",
-         "BENCH_hotcold.json", "HOTCOLD_BUDGET.json")
+FILES = ("BENCH_network.json", "BENCH_hotcold.json", "BUDGETS.json")
 
 
 @pytest.fixture
@@ -45,11 +44,11 @@ def test_wire_ceiling_below_measured_fails(reports, capsys):
     row = json.loads((reports / "BENCH_network.json").read_text())[
         "churn_scaling"][0]
 
-    def lower(budget):
-        budget["churn_bytes_per_site"][mode][str(row["sites"])] = (
+    def lower(budgets):
+        budgets["wire"]["churn_bytes_per_site"][mode][str(row["sites"])] = (
             int(row["wire_bytes_per_site"]) - 1)
 
-    _edit(reports / "WIRE_BUDGET.json", lower)
+    _edit(reports / "BUDGETS.json", lower)
     assert budgets.main(reports) == 1
     captured = capsys.readouterr()
     assert f"FAIL: {row['sites']}-site churn over budget" in captured.err
@@ -62,21 +61,21 @@ def test_hotcold_ceiling_below_measured_fails(reports, capsys):
     report = json.loads((reports / "BENCH_hotcold.json").read_text())
     resident = report["hot_cold"][-1]["resident_bytes"]
 
-    def lower(budget):
-        budget["resident_bytes_10x"][mode] = resident - 1
+    def lower(budgets):
+        budgets["hotcold"]["resident_bytes_10x"][mode] = resident - 1
 
-    _edit(reports / "HOTCOLD_BUDGET.json", lower)
+    _edit(reports / "BUDGETS.json", lower)
     assert budgets.main(reports) == 1
     assert "resident tree bytes (10x)" in capsys.readouterr().out
 
 
 def test_command_line_exit_status(reports):
-    def lower(budget):
-        for ceilings in budget["churn_bytes_per_site"].values():
+    def lower(budgets):
+        for ceilings in budgets["wire"]["churn_bytes_per_site"].values():
             for sites in ceilings:
                 ceilings[sites] = 0
 
-    _edit(reports / "WIRE_BUDGET.json", lower)
+    _edit(reports / "BUDGETS.json", lower)
     result = subprocess.run(
         [sys.executable, "-m", "benchmarks", "check", "--root",
          str(reports)],
