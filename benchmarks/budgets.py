@@ -6,9 +6,9 @@
 within, per run size (``quick`` or ``full``, read from the report's
 own config):
 
-- ``wire`` — per-site wire bytes of the churn-scaling run in
-  ``BENCH_network.json`` (``bench_network.py`` also holds each fresh
-  run to it);
+- ``wire`` — wire bytes per replayed message and per-site wire bytes
+  of the churn-scaling run in ``BENCH_network.json``
+  (``bench_network.py`` also holds each fresh run to it);
 - ``hotcold`` — the latency ratios, sweep and touch speedups and
   resident bytes in ``BENCH_hotcold.json``.
 
@@ -36,10 +36,18 @@ def _mode(report: dict) -> str:
 
 
 def check_wire(report: dict, budget: dict) -> bool:
-    """Per-site churn wire bytes of a ``BENCH_network`` report against
-    the ``wire`` budget."""
-    ceilings = budget["churn_bytes_per_site"][_mode(report)]
-    ok = True
+    """Replay bytes per message and per-site churn wire bytes of a
+    ``BENCH_network`` report against the ``wire`` budget."""
+    mode = _mode(report)
+    replay = report["replay"]
+    per_message = (replay["wire_bytes_to_laggard"]
+                   / replay["messages_to_laggard"])
+    cap = budget["replay_bytes_per_message"][mode]
+    print(f"   replay: {per_message:,.1f} bytes/message (budget {cap:,d})")
+    ok = per_message <= cap
+    if not ok:
+        print("FAIL: replay bytes per message over budget", file=sys.stderr)
+    ceilings = budget["churn_bytes_per_site"][mode]
     for row in report["churn_scaling"]:
         cap = ceilings[str(row["sites"])]
         used = row["wire_bytes_per_site"]

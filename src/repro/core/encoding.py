@@ -1,4 +1,4 @@
-"""Bit-packed wire encoding for identifiers, operations and v2 frames.
+"""Bit-packed wire encoding for identifiers, operations and frames.
 
 The evaluation reports identifier sizes in bits (Table 1) and estimates
 network cost as the sum of PosID sizes (section 5.2), so the encoding
@@ -13,20 +13,30 @@ here is an actual bit format, not an approximation:
 ``PosID.size_bits`` agrees with the encoded size by construction (both
 are derived from ``PathElement.size_bits``).
 
-Wire format v2 (run frames)
----------------------------
+Wire formats (run frames)
+-------------------------
 
-v1 ships one framed operation per atom. v2 adds *frames* built on the
-shared segment codec of :mod:`repro.core.runs` (see DESIGN.md §8):
+v1 ships one framed operation per atom. Frames are built on the shared
+segment codec of :mod:`repro.core.runs` (see DESIGN.md §8):
 
 - a **batch frame** (:func:`encode_batch`) carries a whole
   :class:`repro.core.ops.OpBatch` as runs plus singleton operations —
   a local burst of *n* atoms costs one base path, one dis pattern and
-  the atoms instead of *n* framed inserts;
+  the atoms instead of *n* framed inserts. The frame written today is
+  the *compact* batch frame: one per-frame site dictionary, a
+  same-as-batch-origin bit per operation, disambiguators as dictionary
+  indices plus zigzag counter deltas, and every PosID front-coded
+  against the one before it. The v2 batch frame (48-bit origins and
+  the fixed-width fields of :func:`write_operation`) stays readable;
 - a **segment state frame** (:func:`encode_state_segments`) carries a
   document as runs plus singleton records with absolute PosIDs. Every
   state payload now ships the tree-walk frame below; this one stays
   readable (old checkpoints, the read-only ``SyncDelta`` wire kind 7).
+
+The fixed widths of section 5 (48-bit sites, 32-bit counters) stay in
+:func:`write_posid`, :func:`write_operation` and
+:func:`operation_cost_bits`: they are the paper's accounting (Table 1),
+and the v1 records, segment state frames and disk images use them.
 
 Tree-walk state frame
 ---------------------
@@ -47,10 +57,15 @@ children ship as leaf records, so the receiver holds every quiescent
 region collapsed, as it did with the segment frame's runs.
 
 Every frame opens with the 2-bit escape tag ``3`` — a value no v1
-operation uses — followed by a 2-bit frame kind (batch, segment state,
-the :data:`FRAME_WIRE` escape reserved for the peer protocol of
-:mod:`repro.replication.wire`, or tree-walk state), so one reader
-(:func:`decode_frame`) accepts v1 payloads and v2 frames alike. Run atoms live in a trailing
+operation uses — followed by a 2-bit frame kind (v2 batch, segment
+state, the :data:`FRAME_WIRE` escape, or tree-walk state), so one
+reader (:func:`decode_frame`) accepts v1 payloads and every batch frame
+alike. :data:`FRAME_WIRE` is followed by a 4-bit sub-kind: the peer
+protocol of :mod:`repro.replication.wire` owns every value but
+:data:`BATCH_FRAME_KIND`, the compact batch frame. The frame-kind field
+has no free value, so that in-band sub-kind is the compact frame's
+marker, and a v2 reader (which refuses :data:`FRAME_WIRE` outright)
+rejects it with :class:`DecodeError`. Run atoms live in a trailing
 :class:`repro.core.runs.AtomTable`, referenced by the same RLE run
 record the disk v2 leaf record uses; the wire and the disk share one
 codec and cannot drift.
@@ -64,7 +79,7 @@ raising bare :class:`EncodingError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.disambiguator import (
     COUNTER_BITS,
@@ -118,12 +133,18 @@ _TAG_FRAME = FRAME_TAG
 FRAME_KIND_BITS = 2
 
 # Frame kinds (2 bits after the escape tag).
+#: The v2 batch frame: still read, never written.
 _FRAME_BATCH = 0
 #: Segment state frame: runs plus singleton records.
 _FRAME_STATE = 1
-#: Reserved for the peer protocol: :mod:`repro.replication.wire` owns
-#: the grammar behind this kind (envelopes, acks, sync, commitment).
+#: The extended-kind escape: a :data:`WIRE_KIND_BITS` sub-kind follows.
+#: :mod:`repro.replication.wire` owns the grammar behind every sub-kind
+#: (envelopes, acks, sync, commitment) except :data:`BATCH_FRAME_KIND`.
 FRAME_WIRE = 2
+#: Width of the sub-kind after :data:`FRAME_WIRE`.
+WIRE_KIND_BITS = 4
+#: The sub-kind of the compact batch frame (:func:`encode_batch`).
+BATCH_FRAME_KIND = 15
 #: Tree-walk state frame: the document as its tree.
 _FRAME_TREE = 3
 
@@ -178,23 +199,46 @@ def write_posid(writer: BitWriter, posid: PosID) -> None:
     """Append a PosID: gamma-coded length, then the elements — each a
     2-bit (branch bit, has-dis) pair plus its disambiguator — pushed
     as one field."""
-    elements = posid.elements
-    writer.write_elias_gamma(len(elements) + 1)
-    value = width = 0
+    _write_path(writer, posid.elements, _dis_field)
+
+
+def _gamma(value: int) -> Tuple[int, int]:
+    """The Elias gamma code of ``value`` (>= 1) as one ``(value, width)``
+    field, as :meth:`BitWriter.write_elias_gamma` writes it."""
+    rest = value.bit_length() - 1
+    return ((((1 << rest) - 1) << 1) << rest) | (value ^ (1 << rest)), \
+        2 * rest + 1
+
+
+def _write_path(writer: BitWriter, elements, dis_field,
+                lead: Tuple[int, int] = (0, 0)) -> None:
+    """The PosID layout with ``dis_field(dis) -> (value, width)`` as the
+    disambiguator coding (fixed-width here, dictionary-coded in the
+    compact batch frame), pushed as one field behind the ``lead`` field."""
+    value, width = lead
+    length, bits = _gamma(len(elements) + 1)
+    value = (value << bits) | length
+    width += bits
     for element in elements:
         dis = element.dis
         if dis is None:
             value = (value << 2) | (element.bit << 1)
             width += 2
         else:
-            field, bits = _dis_field(dis)
+            field, bits = dis_field(dis)
             value = (((value << 2) | (element.bit << 1) | 1) << bits) | field
             width += 2 + bits
     writer.write_bits(value, width)
 
 
 def read_posid(reader: BitReader) -> PosID:
-    """Read a PosID written by :func:`write_posid`.
+    """Read a PosID written by :func:`write_posid`."""
+    return PosID(_read_path(reader, read_disambiguator))
+
+
+def _read_path(reader: BitReader, read_dis) -> List[PathElement]:
+    """The elements of a path written by :func:`_write_path`, with
+    ``read_dis(reader)`` reading each disambiguator.
 
     The element pairs still due are peeked as one field; the plain
     ones ahead of the first has-dis flag are taken in one read, so a
@@ -214,8 +258,8 @@ def read_posid(reader: BitReader) -> PosID:
                              for digit in branch[::2]])
         if flags:
             bit = reader.read_bits(2) >> 1
-            elements.append(PathElement(bit, read_disambiguator(reader)))
-    return PosID(elements)
+            elements.append(PathElement(bit, read_dis(reader)))
+    return elements
 
 
 def encode_posid(posid: PosID) -> Tuple[bytes, int]:
@@ -366,7 +410,93 @@ def operation_cost_bits(op: Operation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# v2 frames: batches and document state as run segments.
+# Site dictionaries and counters (compact batch frames, envelopes and,
+# for the counters, tree-walk state frames).
+# ---------------------------------------------------------------------------
+
+#: Longest gamma-coded site delta a dictionary entry uses; a larger
+#: delta is written as the raw 48-bit site instead, so an entry never
+#: costs more than one bit over the fixed-width field.
+_SITE_DELTA_MAX_BITS = (SITE_ID_BITS + 1) // 2
+
+
+def site_index_width(count: int) -> int:
+    """Bits of a reference into a dictionary of ``count`` sites (0 for
+    one site: the reference is implied)."""
+    return (count - 1).bit_length() if count else 0
+
+
+def write_site_dictionary(writer: BitWriter, sites) -> Dict[int, int]:
+    """Append a frame's site dictionary: gamma(count) (a frame names at
+    least its origin), then the distinct ``sites`` ascending, each as a
+    flag bit and either (``0``) the gamma-coded delta from the previous
+    site (from -1 for the first) or (``1``), when that delta has more
+    than :data:`_SITE_DELTA_MAX_BITS` bits, the raw 48-bit site. Small
+    site ids cost a few bits; no entry costs more than 49. Returns the
+    index of each site."""
+    ordered = sorted(sites)
+    value, width = _gamma(len(ordered))
+    previous = -1
+    for site in ordered:
+        validate_site_id(site)
+        delta = site - previous
+        if delta.bit_length() <= _SITE_DELTA_MAX_BITS:
+            code, bits = _gamma(delta)
+            value = (value << (bits + 1)) | code
+            width += bits + 1
+        else:
+            value = (((value << 1) | 1) << SITE_ID_BITS) | site
+            width += 1 + SITE_ID_BITS
+        previous = site
+    writer.write_bits(value, width)
+    return {site: i for i, site in enumerate(ordered)}
+
+
+def read_site_dictionary(reader: BitReader) -> List[int]:
+    """Read a dictionary written by :func:`write_site_dictionary`;
+    an entry out of order or not in its canonical coding is corrupt."""
+    count = reader.read_elias_gamma()
+    if 2 * count > reader.remaining:
+        raise EncodingError(f"{count} dictionary sites exceed the bits left")
+    sites: List[int] = []
+    previous = -1
+    for _ in range(count):
+        if reader.read_bit():
+            site = reader.read_bits(SITE_ID_BITS)
+            delta = site - previous
+            if delta.bit_length() <= _SITE_DELTA_MAX_BITS:
+                raise EncodingError("site dictionary entry out of order "
+                                    "or not canonically coded")
+        else:
+            delta = reader.read_elias_gamma()
+            if delta.bit_length() > _SITE_DELTA_MAX_BITS:
+                raise EncodingError("site dictionary delta too wide")
+            site = validate_site_id(previous + delta)
+        sites.append(site)
+        previous = site
+    return sites
+
+
+def _counter_field(last: List[int], index: int, counter: int
+                   ) -> Tuple[int, int]:
+    """A UDIS counter as one ``(value, width)`` field: the gamma code of
+    the zigzagged delta from the previous counter of the same site
+    (``last[index]``, updated) in the frame, plus one."""
+    delta = counter - last[index]
+    last[index] = counter
+    return _gamma((delta << 1 if delta >= 0 else (-delta << 1) - 1) + 1)
+
+
+def _read_counter(reader: BitReader, last: List[int], index: int) -> int:
+    """Read a counter written as :func:`_counter_field`."""
+    zigzag = reader.read_elias_gamma() - 1
+    counter = last[index] + ((zigzag >> 1) ^ -(zigzag & 1))
+    last[index] = counter
+    return counter
+
+
+# ---------------------------------------------------------------------------
+# Frames: batches and document state as run segments.
 # ---------------------------------------------------------------------------
 
 
@@ -467,29 +597,224 @@ read_segments = _read_segments
 
 def encode_batch(batch: OpBatch,
                  min_run_atoms: Optional[int] = None) -> Tuple[bytes, int]:
-    """Encode an :class:`OpBatch` as a v2 batch frame.
+    """Encode an :class:`OpBatch` as a compact batch frame.
 
     Consecutive insert bursts that realize a run shape (one
     ``insert_text``, one grouped allocation) collapse into run segments
     — base path + dis pattern + atoms — instead of per-op records;
-    everything else ships as v1 operation records inside the frame.
-    Returns ``(bytes, bit_length)``.
+    everything else ships as an operation record. Sites are written
+    once, in the frame's dictionary (DESIGN.md §8.4). Returns
+    ``(bytes, bit_length)``.
     """
-    writer = BitWriter()
-    writer.write_bits(_TAG_FRAME, 2)
-    writer.write_bits(_FRAME_BATCH, FRAME_KIND_BITS)
-    writer.write_bits(batch.origin, SITE_ID_BITS)
-    writer.write_elias_gamma(batch.seq_start + 1)
-    writer.write_elias_gamma(batch.seq_end - batch.seq_start + 1)
     if min_run_atoms is None:
         segments = find_runs(batch.ops, batch.origin)
     else:
         segments = find_runs(batch.ops, batch.origin, min_run_atoms)
-    _write_segments(writer, segments)
+    origin = batch.origin
+    # First pass: each segment's path, its front coding against the
+    # previous path, and every site the frame names (a shared prefix
+    # holds none the previous path did not).
+    sites = {origin}
+    records = []
+    previous: Tuple[PathElement, ...] = ()
+    for segment in segments:
+        if isinstance(segment, AtomRun):
+            tag, elements = None, segment.base
+            if segment.dis is not None:
+                sites.add(segment.dis[1])
+        else:
+            if isinstance(segment, InsertOp):
+                tag, path = _TAG_INSERT, segment.posid
+            elif isinstance(segment, DeleteOp):
+                tag, path = _TAG_DELETE, segment.posid
+            elif isinstance(segment, FlattenOp):
+                tag, path = _TAG_FLATTEN, segment.path
+            else:
+                raise EncodingError(f"unknown operation {segment!r}")
+            sites.add(segment.origin)
+            elements = path.elements
+        shared = 0
+        limit = min(len(previous), len(elements))
+        while shared < limit:
+            last, element = previous[shared], elements[shared]
+            if last is not element and (last.bit != element.bit
+                                        or last.dis != element.dis):
+                break
+            shared += 1
+        for element in elements[shared:]:
+            if element.dis is not None:
+                sites.add(element.dis.site)
+        records.append((segment, tag, elements, shared))
+        previous = elements
+    writer = BitWriter()
+    writer.write_bits((((_TAG_FRAME << FRAME_KIND_BITS) | FRAME_WIRE)
+                       << WIRE_KIND_BITS) | BATCH_FRAME_KIND,
+                      2 + FRAME_KIND_BITS + WIRE_KIND_BITS)
+    coder = _SiteCoder(write_site_dictionary(writer, sites))
+    index, width = coder.index, coder.width
+    value, bits = index[origin], width
+    for count in (batch.seq_start + 1, batch.seq_end - batch.seq_start + 1,
+                  len(segments) + 1):
+        code, code_bits = _gamma(count)
+        value = (value << code_bits) | code
+        bits += code_bits
+    writer.write_bits(value, bits)
+    table = AtomTable()
+    for segment, tag, elements, shared in records:
+        if tag is None:
+            writer.write_bit(_SEG_RUN)
+            coder.write_path(writer, elements, shared)
+            dis = segment.dis
+            if dis is None:
+                writer.write_bits(int(segment.shape == PREFIX) << 1, 2)
+            else:
+                writer.write_bits((int(segment.shape == PREFIX) << 1) | 1, 2)
+                writer.write_bits(*coder.dis_field(_pattern_head(dis)))
+            write_run_record(writer, len(segment.atoms),
+                             table.add_run(segment.atoms))
+            continue
+        # Segment bit, tag and the same-as-batch-origin bit, or the
+        # origin's index, ahead of the path.
+        if segment.origin == origin:
+            head = ((_SEG_OP << 3) | (tag << 1) | 1, 4)
+        else:
+            head = (((((_SEG_OP << 3) | (tag << 1)) << width)
+                     | index[segment.origin]), 4 + width)
+        coder.write_path(writer, elements, shared, head)
+        if tag == _TAG_INSERT:
+            _write_atom(writer, segment.atom)
+        elif tag == _TAG_FLATTEN:
+            _write_atom(writer, segment.digest)
+            if segment.txn is None:
+                writer.write_bit(0)
+            else:
+                writer.write_bit(1)
+                write_text(writer, segment.txn)
+    _write_atom_table(writer, table)
     return writer.getvalue(), writer.bit_length
 
 
+def _pattern_head(dis: Tuple) -> Disambiguator:
+    """A run's dis pattern as its first disambiguator."""
+    return Udis(dis[2], dis[1]) if dis[0] == "udis" else Sdis(dis[1])
+
+
+class _SiteCoder:
+    """One compact batch frame's site dictionary and coding state.
+
+    A disambiguator is its 1-bit type tag, its site's dictionary index,
+    and under UDIS its counter (:func:`_counter_field`, per site along
+    the frame). Each PosID is front-coded against the previous one in
+    the frame: gamma(shared elements + 1), then the rest as a path.
+    """
+
+    __slots__ = ("sites", "index", "width", "last", "previous")
+
+    def __init__(self, index: Dict[int, int]) -> None:
+        self.index = index
+        self.sites = sorted(index, key=index.__getitem__)
+        self.width = site_index_width(len(index))
+        self.last = [0] * len(index)
+        self.previous: Tuple[PathElement, ...] = ()
+
+    def dis_field(self, dis: Disambiguator) -> Tuple[int, int]:
+        site_index = self.index[dis.site]
+        if type(dis) is Udis:
+            counter, bits = _counter_field(self.last, site_index,
+                                           dis.counter)
+            return ((((_DIS_UDIS << self.width) | site_index) << bits)
+                    | counter), 1 + self.width + bits
+        if type(dis) is Sdis:
+            return site_index, 1 + self.width
+        raise EncodingError(f"unknown disambiguator type {dis!r}")
+
+    def read_dis(self, reader: BitReader) -> Disambiguator:
+        width = self.width
+        field = reader.read_bits(1 + width)  # type tag, site index
+        site_index = field & ((1 << width) - 1)
+        if site_index >= len(self.sites):
+            raise EncodingError("site index outside the dictionary")
+        if field >> width == _DIS_UDIS:
+            return Udis(_read_counter(reader, self.last, site_index),
+                        self.sites[site_index])
+        return Sdis(self.sites[site_index])
+
+    def read_index(self, reader: BitReader) -> int:
+        site_index = reader.read_bits(self.width)
+        if site_index >= len(self.sites):
+            raise EncodingError("site index outside the dictionary")
+        return site_index
+
+    def write_path(self, writer: BitWriter,
+                   elements: Tuple[PathElement, ...], shared: int,
+                   head: Tuple[int, int] = (0, 0)) -> None:
+        """``elements``, of which the first ``shared`` repeat the
+        previous path's, behind the ``head`` field."""
+        code, bits = _gamma(shared + 1)
+        _write_path(writer, elements[shared:], self.dis_field,
+                    ((head[0] << bits) | code, head[1] + bits))
+
+    def read_path(self, reader: BitReader) -> Tuple[PathElement, ...]:
+        shared = reader.read_elias_gamma() - 1
+        if shared > len(self.previous):
+            raise EncodingError("shared prefix longer than the previous "
+                                "PosID")
+        elements = self.previous[:shared] + tuple(
+            _read_path(reader, self.read_dis))
+        self.previous = elements
+        return elements
+
+
+def _read_compact_batch(reader: BitReader) -> OpBatch:
+    """The body of a compact batch frame (after its sub-kind)."""
+    coder = _SiteCoder({site: i for i, site
+                        in enumerate(read_site_dictionary(reader))})
+    sites = coder.sites
+    origin = sites[coder.read_index(reader)]
+    seq_start = reader.read_elias_gamma() - 1
+    seq_span = reader.read_elias_gamma() - 1
+    parsed: List = []
+    for _ in range(reader.read_count()):
+        if reader.read_bit() == _SEG_RUN:
+            base = coder.read_path(reader)
+            shape = PREFIX if reader.read_bit() else CANONICAL
+            dis: Optional[Tuple] = None
+            if reader.read_bit():
+                head = coder.read_dis(reader)
+                dis = (("udis", head.site, head.counter)
+                       if type(head) is Udis else ("sdis", head.site))
+            parsed.append((base, shape, dis) + read_run_record(reader))
+            continue
+        header = reader.read_bits(3)  # tag, same-as-batch-origin
+        tag = header >> 1
+        if tag == _TAG_FRAME:
+            raise EncodingError("unknown operation tag in a batch frame")
+        op_origin = (origin if header & 1
+                     else sites[coder.read_index(reader)])
+        posid = PosID._of(coder.read_path(reader))
+        if tag == _TAG_INSERT:
+            parsed.append(InsertOp(posid, _read_atom(reader), op_origin))
+        elif tag == _TAG_DELETE:
+            parsed.append(DeleteOp(posid, op_origin))
+        else:
+            digest = _read_atom(reader)
+            txn = read_text(reader) if reader.read_bit() else None
+            parsed.append(FlattenOp(posid, digest, op_origin, txn=txn))
+    table = _read_atom_table(reader)
+    ops: List[object] = []
+    for item in parsed:
+        if isinstance(item, tuple):
+            base, shape, dis, count, first = item
+            run = AtomRun(base, tuple(table.get_run(first, count)), shape,
+                          dis)
+            ops.extend(run.insert_ops(origin))
+        else:
+            ops.append(item)
+    return OpBatch(tuple(ops), origin, seq_start, seq_start + seq_span)
+
+
 def _read_batch_frame(reader: BitReader) -> OpBatch:
+    """The body of a v2 batch frame (read-only: nothing writes it)."""
     origin = reader.read_bits(SITE_ID_BITS)
     seq_start = reader.read_elias_gamma() - 1
     seq_span = reader.read_elias_gamma() - 1
@@ -503,7 +828,7 @@ def _read_batch_frame(reader: BitReader) -> OpBatch:
 
 
 def decode_batch(data: bytes, bit_length: Optional[int] = None) -> OpBatch:
-    """Decode a v2 batch frame back into an :class:`OpBatch`.
+    """Decode a batch frame (compact or v2) back into an :class:`OpBatch`.
 
     Run segments expand to their per-atom insert operations, so the
     result applies through the ordinary batch paths and digests equal
@@ -517,9 +842,10 @@ def decode_batch(data: bytes, bit_length: Optional[int] = None) -> OpBatch:
 
 def decode_frame(data: bytes, bit_length: Optional[int] = None
                  ) -> Union[Operation, OpBatch]:
-    """Decode any wire payload: a v1 operation or a v2 batch frame.
+    """Decode any core event payload: a v1 operation, a compact batch
+    frame or a v2 batch frame.
 
-    The v2 escape tag occupies the one 2-bit value v1 never wrote, so
+    The frame escape tag occupies the one 2-bit value v1 never wrote, so
     v1 insert and delete payloads decode under this reader unchanged.
     The flatten record is the one exception to byte-level stability
     across releases: it gained an optional commitment-transaction tag
@@ -539,14 +865,14 @@ def decode_frame(data: bytes, bit_length: Optional[int] = None
             raise EncodingError(
                 "state frame: decode with decode_state, not decode_frame"
             )
-        if kind == FRAME_WIRE:
+        if kind == _FRAME_BATCH:
+            return _read_batch_frame(inner)
+        if inner.read_bits(WIRE_KIND_BITS) != BATCH_FRAME_KIND:
             raise EncodingError(
                 "peer-protocol frame: decode with "
                 "repro.replication.wire.decode_wire"
             )
-        if kind != _FRAME_BATCH:
-            raise EncodingError(f"unknown frame kind {kind}")
-        return _read_batch_frame(inner)
+        return _read_compact_batch(inner)
 
     payload = decode_guarded(read, reader, "frame")
     finish_decode(reader, "frame")
@@ -568,8 +894,8 @@ def _read_v1_operation(reader: BitReader, tag: int) -> Operation:
 
 
 def batch_cost_bits(batch: OpBatch) -> int:
-    """Network cost of a batch shipped as one v2 frame, in bits (the
-    frame-level extension of :func:`operation_cost_bits`)."""
+    """Network cost of a batch shipped as one compact batch frame, in
+    bits (the frame-level extension of :func:`operation_cost_bits`)."""
     return encode_batch(batch)[1]
 
 
@@ -793,12 +1119,12 @@ def _kept_minis(node: PosNode) -> List[MiniNode]:
             or _holds_ids(mini.right)]
 
 
-def _write_site_dictionary(writer: BitWriter, root: PosNode, dis_type: type,
-                           cover) -> Tuple[dict, int]:
-    """The per-frame site dictionary: the distinct sites of the carried
-    disambiguators (within ``cover``, see :class:`RegionFilter`),
-    ascending, gamma-coded as deltas. Returns ``(index by site, index
-    width)``."""
+def _write_tree_sites(writer: BitWriter, root: PosNode, dis_type: type,
+                      cover) -> Tuple[dict, int]:
+    """The tree-walk frame's site dictionary: the distinct sites of the
+    carried disambiguators (within ``cover``, see
+    :class:`RegionFilter`), ascending, gamma-coded as deltas. Returns
+    ``(index by site, index width)``."""
     narrow = RegionFilter.narrow
     sites = set()
     stack = [(root, 0, cover)]
@@ -826,7 +1152,7 @@ def _write_site_dictionary(writer: BitWriter, root: PosNode, dis_type: type,
         writer.write_elias_gamma(site - previous)
         previous = site
     index = {site: i for i, site in enumerate(sorted(sites))}
-    return index, (len(sites) - 1).bit_length() if sites else 0
+    return index, site_index_width(len(sites))
 
 
 def _write_tree(writer: BitWriter, root: PosNode, mode: str,
@@ -841,7 +1167,7 @@ def _write_tree(writer: BitWriter, root: PosNode, mode: str,
     udis = mode == "udis"
     cover = None if regions is None else regions.root_cover()
     narrow = RegionFilter.narrow
-    index, site_width = _write_site_dictionary(
+    index, site_width = _write_tree_sites(
         writer, root, Udis if udis else Sdis, cover)
     last = [0] * len(index)
     live = leaves = slots = 0
@@ -860,10 +1186,8 @@ def _write_tree(writer: BitWriter, root: PosNode, mode: str,
             site_index = index[dis.site]
             writer.write_bits(site_index, site_width)
             if udis:
-                delta = dis.counter - last[site_index]
-                last[site_index] = dis.counter
-                writer.write_elias_gamma(
-                    (delta << 1 if delta >= 0 else (-delta << 1) - 1) + 1)
+                writer.write_bits(*_counter_field(last, site_index,
+                                                  dis.counter))
             _write_slot(writer, mini.state, mini.atom)
             if mini.state != EMPTY:
                 slots += 1
@@ -908,7 +1232,7 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
     for _ in range(reader.read_count()):
         site += reader.read_elias_gamma()
         sites.append(validate_site_id(site))
-    width = (len(sites) - 1).bit_length() if sites else 0
+    width = site_index_width(len(sites))
     last = [0] * len(sites)
     tags = [] if udis else [Sdis(site) for site in sites]
     height = 0
@@ -931,11 +1255,9 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
                 if site_index >= len(sites):
                     raise EncodingError("site index outside the dictionary")
                 if udis:
-                    zigzag = reader.read_elias_gamma() - 1
-                    counter = last[site_index] + ((zigzag >> 1)
-                                                  ^ -(zigzag & 1))
-                    last[site_index] = counter
-                    dis: Disambiguator = Udis(counter, sites[site_index])
+                    dis: Disambiguator = Udis(
+                        _read_counter(reader, last, site_index),
+                        sites[site_index])
                 else:
                     dis = tags[site_index]
                 if previous is not None and dis.key <= previous:

@@ -23,7 +23,7 @@ This module owns everything both sides need and must agree on:
 - the :class:`AtomRun` model — member PosIDs, expansion to insert
   operations, both shape generators;
 - run *detection* in operation sequences (:func:`find_runs` /
-  :func:`run_from_ops`), used by the v2 batch frames of
+  :func:`run_from_ops`), used by the batch frames of
   :mod:`repro.core.encoding`;
 - the RLE **run record** codec (:func:`write_run_record` /
   :func:`read_run_record`) and the :class:`AtomTable` it references —

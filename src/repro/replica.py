@@ -114,7 +114,7 @@ class Replica:
         #: replica (convergence polling) skip the digest recomputation.
         self._snapshot_cache: Optional[Tuple[int, Snapshot]] = None
         #: Durability (:mod:`repro.storage`): every minted or merged
-        #: batch is journaled (as its core v2 frame) before the call
+        #: batch is journaled (as its core batch frame) before the call
         #: returns, and a store with history replays it here first.
         self.store = store
         self.recovered_batches = 0

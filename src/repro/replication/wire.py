@@ -6,7 +6,7 @@ complete frame vocabulary one replica site may send another — the only
 payloads :class:`repro.replication.network.SimulatedNetwork` accepts:
 
 - :class:`EnvelopeFrame` — a causal-broadcast event: the sender's
-  vector clock plus an encoded v2 batch frame (or bare v1 operation)
+  vector clock plus an encoded batch frame (or bare v1 operation)
   from :mod:`repro.core.encoding`;
 - :class:`AckFrame` — a gossiped applied-clock acknowledgement (drives
   the causal-stability frontier for SDIS tombstone GC);
@@ -33,9 +33,13 @@ follows, then the stream is byte-padded and a 32-bit CRC over all body
 bytes closes the frame. Vector clocks travel as a gamma-coded entry
 count followed by ``(site, gamma(counter))`` pairs — a compact varint
 layout whose cost tracks the number of *sites*, not the amount of
-history. Embedded core payloads (batch/state frames) ride as a
-gamma-coded bit length plus their own bytes, so the inner codec stays
-byte-for-byte the one :mod:`repro.core.encoding` defines.
+history. The envelope, the one frame sent per edit, spends no 48-bit
+field at all: it opens with a site dictionary
+(:func:`repro.core.encoding.write_site_dictionary`), names its origin
+by index and writes its clock's counters in dictionary order.
+Embedded core payloads (batch/state frames) ride as a gamma-coded bit
+length plus their own bytes, so the inner codec stays byte-for-byte
+the one :mod:`repro.core.encoding` defines.
 
 ``decode_wire`` is the single entry point: it verifies the CRC first
 (raising :class:`repro.errors.CorruptFrameError` on a mismatch — the
@@ -54,11 +58,13 @@ from typing import List, Optional, Tuple, Union
 
 from repro.core.disambiguator import SITE_ID_BITS, Sdis, SiteId
 from repro.core.encoding import (
+    BATCH_FRAME_KIND,
     FRAME_KIND_BITS,
     FRAME_TAG,
     FRAME_WIRE,
     MODE_TAGS,
     TAG_MODES,
+    WIRE_KIND_BITS,
     DocumentState,
     decode_frame,
     decode_guarded,
@@ -66,9 +72,12 @@ from repro.core.encoding import (
     finish_decode,
     read_posid,
     read_segments,
+    read_site_dictionary,
     read_text,
+    site_index_width,
     start_decode,
     write_posid,
+    write_site_dictionary,
     write_text,
 )
 from repro.core.ops import DeleteOp, InsertOp, OpBatch, Operation
@@ -79,8 +88,11 @@ from repro.replication.clock import VectorClock
 from repro.replication.commit import AbortMsg, PrepareMsg, VoteMsg
 from repro.util.bits import BitReader, BitWriter
 
-# Wire frame kinds (4 bits after the FRAME_WIRE escape).
-_KIND_ENVELOPE = 0
+# Wire frame kinds (4 bits after the FRAME_WIRE escape; the core
+# batch frame holds BATCH_FRAME_KIND).
+#: The fixed-width envelope of older writers (48-bit origin and clock
+#: sites): still read, never written.
+_KIND_ENVELOPE_FIXED = 0
 _KIND_ACK = 1
 _KIND_SYNC_REQUEST = 2
 _KIND_SYNC_RESPONSE = 3
@@ -92,12 +104,13 @@ _KIND_ABORT = 6
 _KIND_SYNC_DELTA_SEGMENTS = 7
 _KIND_SYNC_DECLINE = 8
 _KIND_SYNC_DELTA = 9
-
-_WIRE_KIND_BITS = 4
+#: The envelope, sites through a frame-level dictionary.
+_KIND_ENVELOPE = 10
 
 #: Human names of the wire kinds, for error attribution and the
 #: daemon's per-frame-kind counters.
 WIRE_KIND_NAMES = {
+    _KIND_ENVELOPE_FIXED: "envelope",
     _KIND_ENVELOPE: "envelope",
     _KIND_ACK: "ack",
     _KIND_SYNC_REQUEST: "sync_request",
@@ -313,6 +326,34 @@ def read_clock(reader: BitReader) -> VectorClock:
     return VectorClock(counts)
 
 
+def _write_envelope(writer: BitWriter, frame: "EnvelopeFrame") -> None:
+    """An envelope body: the site dictionary of its clock's sites and
+    its origin, the origin's index, a bit set when the origin has a
+    clock entry, each clock counter (gamma-coded) in dictionary order,
+    then the payload."""
+    counts = {site: count for site, count in frame.clock.items() if count}
+    index = write_site_dictionary(writer, counts.keys() | {frame.origin})
+    writer.write_bits(index[frame.origin], site_index_width(len(index)))
+    writer.write_bit(int(frame.origin in counts))
+    for site in index:
+        if site in counts:
+            writer.write_elias_gamma(counts[site])
+    _write_payload(writer, frame.payload, frame.payload_bits)
+
+
+def _read_envelope(reader: BitReader) -> "EnvelopeFrame":
+    sites = read_site_dictionary(reader)
+    origin_index = reader.read_bits(site_index_width(len(sites)))
+    if origin_index >= len(sites):
+        raise EncodingError("envelope origin outside its dictionary")
+    origin = sites[origin_index]
+    counted = reader.read_bit()
+    counts = {site: reader.read_elias_gamma() for site in sites
+              if counted or site != origin}
+    payload, bits = _read_payload(reader)
+    return EnvelopeFrame(origin, VectorClock(counts), payload, bits)
+
+
 def _write_payload(writer: BitWriter, payload: bytes, bits: int) -> None:
     """Append an embedded core payload: gamma-coded bit length plus the
     payload's bytes (its own padding included, so the inner bytes stay
@@ -406,33 +447,31 @@ def encode_wire(frame: WireFrame) -> bytes:
     writer.write_bits(FRAME_TAG, 2)
     writer.write_bits(FRAME_WIRE, FRAME_KIND_BITS)
     if isinstance(frame, EnvelopeFrame):
-        writer.write_bits(_KIND_ENVELOPE, _WIRE_KIND_BITS)
-        writer.write_bits(frame.origin, SITE_ID_BITS)
-        write_clock(writer, frame.clock)
-        _write_payload(writer, frame.payload, frame.payload_bits)
+        writer.write_bits(_KIND_ENVELOPE, WIRE_KIND_BITS)
+        _write_envelope(writer, frame)
     elif isinstance(frame, AckFrame):
-        writer.write_bits(_KIND_ACK, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_ACK, WIRE_KIND_BITS)
         writer.write_bits(frame.site, SITE_ID_BITS)
         write_clock(writer, frame.applied)
     elif isinstance(frame, SyncRequest):
-        writer.write_bits(_KIND_SYNC_REQUEST, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_SYNC_REQUEST, WIRE_KIND_BITS)
         writer.write_bits(frame.requester, SITE_ID_BITS)
         write_clock(writer, frame.clock)
     elif isinstance(frame, SyncResponse):
-        writer.write_bits(_KIND_SYNC_RESPONSE, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_SYNC_RESPONSE, WIRE_KIND_BITS)
         writer.write_bits(frame.site, SITE_ID_BITS)
         write_clock(writer, frame.clock)
         _write_state(writer, frame.state)
         _write_delete_log(writer, tuple(frame.delete_log))
     elif isinstance(frame, SyncDelta):
-        writer.write_bits(_KIND_SYNC_DELTA, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_SYNC_DELTA, WIRE_KIND_BITS)
         writer.write_bits(frame.site, SITE_ID_BITS)
         write_clock(writer, frame.clock)
         write_clock(writer, frame.base)
         _write_state(writer, frame.state)
         _write_delete_log(writer, tuple(frame.delete_log))
     elif isinstance(frame, SyncDecline):
-        writer.write_bits(_KIND_SYNC_DECLINE, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_SYNC_DECLINE, WIRE_KIND_BITS)
         writer.write_bits(frame.site, SITE_ID_BITS)
         if frame.reason not in _DECLINE_REASONS:
             raise EncodingError(f"unknown decline reason {frame.reason}")
@@ -443,18 +482,18 @@ def encode_wire(frame: WireFrame) -> bytes:
             writer.write_bit(1)
             writer.write_bits(frame.hint, SITE_ID_BITS)
     elif isinstance(frame, PrepareMsg):
-        writer.write_bits(_KIND_PREPARE, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_PREPARE, WIRE_KIND_BITS)
         write_text(writer, frame.txn)
         write_posid(writer, frame.path)
         write_clock(writer, frame.snapshot)
         writer.write_bits(frame.initiator, SITE_ID_BITS)
     elif isinstance(frame, VoteMsg):
-        writer.write_bits(_KIND_VOTE, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_VOTE, WIRE_KIND_BITS)
         write_text(writer, frame.txn)
         writer.write_bits(frame.voter, SITE_ID_BITS)
         writer.write_bit(int(frame.yes))
     elif isinstance(frame, AbortMsg):
-        writer.write_bits(_KIND_ABORT, _WIRE_KIND_BITS)
+        writer.write_bits(_KIND_ABORT, WIRE_KIND_BITS)
         write_text(writer, frame.txn)
     else:
         raise EncodingError(f"unknown wire frame {frame!r}")
@@ -469,8 +508,10 @@ def _read_wire(reader: BitReader) -> WireFrame:
         raise EncodingError(
             "core v2 frame where a peer-protocol frame was expected"
         )
-    kind = reader.read_bits(_WIRE_KIND_BITS)
+    kind = reader.read_bits(WIRE_KIND_BITS)
     if kind == _KIND_ENVELOPE:
+        return _read_envelope(reader)
+    if kind == _KIND_ENVELOPE_FIXED:
         origin = reader.read_bits(SITE_ID_BITS)
         clock = read_clock(reader)
         payload, bits = _read_payload(reader)
@@ -514,6 +555,9 @@ def _read_wire(reader: BitReader) -> WireFrame:
         return VoteMsg(txn, voter, bool(reader.read_bit()))
     if kind == _KIND_ABORT:
         return AbortMsg(read_text(reader))
+    if kind == BATCH_FRAME_KIND:
+        raise EncodingError("core batch frame where a peer-protocol frame "
+                            "was expected")
     raise EncodingError(f"unknown wire frame kind {kind}")
 
 

@@ -7,7 +7,7 @@ an opaque payload::
 
 The payloads are the stack's *existing* encoded frames — peer-protocol
 envelopes (:func:`repro.replication.wire.encode_wire`, CRC-closed
-themselves) for replica sites, core v2 batch frames
+themselves) for replica sites, core batch frames
 (:func:`repro.core.encoding.encode_batch`) for the facade — so the WAL
 introduces no second codec: the record header only adds framing and a
 payload CRC-32, the same integrity discipline the wire uses.

@@ -201,7 +201,19 @@ class BitReader:
             count += width
 
     def read_elias_gamma(self) -> int:
-        """Read an Elias-gamma-coded value (>= 1)."""
+        """Read an Elias-gamma-coded value (>= 1). A code that fits the
+        next :data:`UNARY_WINDOW` bits is taken from one peek."""
+        position = self._position
+        width = min(UNARY_WINDOW, self._bit_count - position)
+        if width > 0:
+            window = self.peek_bits(width)
+            zeros = ~window & ((1 << width) - 1)
+            rest = width - zeros.bit_length()
+            if zeros and 2 * rest < width:
+                self._position = position + 2 * rest + 1
+                return ((1 << rest)
+                        | (window >> (width - 2 * rest - 1))
+                        & ((1 << rest) - 1))
         rest = self.read_unary()
         return (1 << rest) | self.read_bits(rest)
 

@@ -42,6 +42,14 @@ under SDIS tombstones and a dead-slot bitmap), with their headers in
 ``wire_sync_delta_tree.bin``, the ``SyncDelta`` (wire kind 9, a pruned
 tree-walk frame) of the same scenario as ``wire_sync_delta.bin``.
 
+``compact_frames`` — written by the dictionary-coded per-edit codec:
+``wire_envelope_compact.bin``, the envelope (wire kind 10) of the same
+event as ``wire_envelope.bin``, whose fixed-width kind-0 writer is
+gone; and ``batch_compact.bin``, the compact batch frame of the
+``batch.bin`` batch with a foreign-origin insert and a flatten (with a
+commitment transaction) appended, its bit length in
+``compact_frames.json``.
+
 ``disk_legacy`` — written by the last disk writers that still emitted
 the older record formats: ``disk_v1.bin``, a v1 image of a plain tree
 (mini-nodes from two sites and SDIS tombstones, no leaves), and
@@ -67,8 +75,10 @@ import tempfile
 from pathlib import Path
 
 from repro.core import disk
+from repro.core.disambiguator import Udis
 from repro.core.encoding import encode_batch
-from repro.core.path import ROOT
+from repro.core.ops import FlattenOp, InsertOp, OpBatch
+from repro.core.path import ROOT, PathElement, PosID
 from repro.core.treedoc import Treedoc
 from repro.replica import Replica
 from repro.replication.clock import VectorClock
@@ -345,6 +355,30 @@ def write_sync_delta_tree(out: Path) -> None:
     (out / "wire_sync_delta_tree.bin").write_bytes(delta)
 
 
+def compact_batch(batch: OpBatch) -> OpBatch:
+    """``batch`` with a foreign-origin insert and a flatten appended, so
+    the frame holds every record kind and a second dictionary site."""
+    last = batch.ops[-1].posid
+    extra = (InsertOp(PosID(last.elements + (PathElement(1, Udis(3, 2)),)),
+                      "+", 2),
+             FlattenOp(PosID(last.elements[:2]), "digest", 1, txn="txn-9"))
+    return OpBatch(batch.ops + extra, batch.origin, batch.seq_start,
+                   batch.seq_end + len(extra))
+
+
+def write_compact_frames(out: Path) -> None:
+    # The corpus group's sequence of events, so both goldens carry the
+    # events its files do.
+    cluster = edited_cluster()
+    batch = compact_batch(cluster[1].replace_range(4, 9, list("brisk ")))
+    cluster.settle()
+    envelope = wire_frames(cluster)["envelope"]
+    data, bits = encode_batch(batch)
+    (out / "wire_envelope_compact.bin").write_bytes(envelope)
+    (out / "batch_compact.bin").write_bytes(data)
+    write_json(out / "compact_frames.json", {"batch": {"bits": bits}})
+
+
 def write_disk_legacy(out: Path) -> None:
     for name, data in legacy_disk_images().items():
         (out / name).write_bytes(data)
@@ -358,6 +392,7 @@ GROUPS = {"corpus": write_corpus, "checkpoint": write_checkpoint,
           "facade_store": write_facade,
           "state_tree": write_state_tree,
           "sync_delta_tree": write_sync_delta_tree,
+          "compact_frames": write_compact_frames,
           "disk_legacy": write_disk_legacy}
 
 

@@ -49,6 +49,7 @@ from repro.storage.wal import RECORD_ENVELOPE, RECORD_META, pack_record, scan_re
 
 GOLDEN = Path(__file__).parent
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+COMPACT = json.loads((GOLDEN / "compact_frames.json").read_text())
 
 
 def golden(name: str) -> bytes:
@@ -64,9 +65,13 @@ def reencode_state(state: DocumentState) -> DocumentState:
 #: names two wire kinds: the region frame (kind 9, this file) and the
 #: read-only segment stream of ``wire_sync_delta.bin`` (kind 7, checked
 #: by content in :func:`test_segment_sync_delta_still_decodes`).
+#: ``envelope`` names the dictionary-coded kind 10 (this file) and the
+#: read-only fixed-width kind 0 of ``wire_envelope.bin`` (checked by
+#: content in :func:`test_fixed_width_envelope_still_decodes`).
 WRITTEN_WIRE = {kind: f"wire_{kind}.bin"
                 for kind in set(WIRE_KIND_NAMES.values())}
 WRITTEN_WIRE["sync_delta"] = "wire_sync_delta_tree.bin"
+WRITTEN_WIRE["envelope"] = "wire_envelope_compact.bin"
 
 
 @pytest.mark.parametrize("kind", sorted(WRITTEN_WIRE))
@@ -108,11 +113,34 @@ def test_segment_sync_delta_still_decodes():
 
 
 def test_envelope_payload_reencodes_identically():
-    frame = decode_wire(golden("wire_envelope.bin"))
+    frame = decode_wire(golden("wire_envelope_compact.bin"))
     assert isinstance(frame, EnvelopeFrame)
     assert encode_batch(frame.decode_payload()) == (
         frame.payload, frame.payload_bits
     )
+
+
+def _batch_facts(batch):
+    return (batch.origin, batch.seq_start, batch.seq_end, batch.ops)
+
+
+def test_fixed_width_envelope_still_decodes():
+    # Wire kind 0 and its v2 batch payload have no writer left: the
+    # frame must decode to the event the dictionary-coded golden of the
+    # same event carries.
+    data = golden("wire_envelope.bin")
+    assert data[0] & 0x0F == 0 and peek_wire_kind(data) == "envelope"
+    frame = decode_wire(data)
+    compact = decode_wire(golden("wire_envelope_compact.bin"))
+    assert (frame.origin, frame.clock) == (compact.origin, compact.clock)
+    assert dict(frame.clock.items()) == {1: 6, 2: 2}
+    event = frame.decode_payload()
+    assert _batch_facts(event) == _batch_facts(compact.decode_payload())
+    assert event.digest == compact.decode_payload().digest
+    # Re-encoding writes kind 10 around the same (v2) payload bytes.
+    again = encode_wire(frame)
+    assert again[0] & 0x0F == 10 and len(again) < len(data)
+    assert decode_wire(again) == frame
 
 
 def test_sync_response_state_reencodes_identically():
@@ -125,8 +153,21 @@ def test_sync_response_state_reencodes_identically():
 
 
 def test_batch_frame_reencodes_identically():
-    data, bits = golden("batch.bin"), MANIFEST["batch"]["bits"]
+    data, bits = golden("batch_compact.bin"), COMPACT["batch"]["bits"]
     assert encode_batch(decode_batch(data, bits)) == (data, bits)
+
+
+def test_v2_batch_frame_still_decodes():
+    # The v2 batch frame has no writer left: it decodes to the batch the
+    # compact golden starts with (that one appends two records).
+    old = decode_batch(golden("batch.bin"), MANIFEST["batch"]["bits"])
+    new = decode_batch(golden("batch_compact.bin"), COMPACT["batch"]["bits"])
+    assert (old.origin, old.seq_start) == (new.origin, new.seq_start)
+    assert old.ops == new.ops[:len(old.ops)]
+    assert len(new.ops) == len(old.ops) + 2
+    assert new.seq_end == old.seq_end + 2
+    assert {op.origin for op in new.ops} == {1, 2}
+    assert new.ops[-1].txn == "txn-9"
 
 
 def test_state_frame_reencodes_identically():
@@ -149,8 +190,30 @@ def test_wal_segment_reencodes_identically():
     for record in records:
         if record.kind == RECORD_META:
             json.loads(record.payload)
-        else:
-            assert encode_wire(decode_wire(record.payload)) == record.payload
+            continue
+        # Fixed-width (kind 0) envelopes, whose writer is gone: each
+        # decodes, and re-encodes as kind 10 around the same origin,
+        # clock and payload bytes.
+        frame = decode_wire(record.payload)
+        frame.decode_payload()
+        assert decode_wire(encode_wire(frame)) == frame
+
+
+def test_wal_segment_recovers(tmp_path):
+    # A durable SDIS site recovers from the golden WAL (fixed-width
+    # envelopes only) to the text and identifiers the codec that wrote
+    # it recovered.
+    root = tmp_path / "store"
+    root.mkdir()
+    shutil.copy(GOLDEN / "wal.bin", root / "wal-00000000.log")
+    cluster = Cluster(1, mode="sdis", seed=23)
+    site = cluster.add_site(
+        2, store=DurableStore(root, checkpoint_every=None, fsync=False))
+    assert site.text() == ">> joXualed"
+    assert dict(site.broadcast.clock.items()) == {1: 2, 2: 2}
+    posids = "\n".join(repr(posid) for posid in site.doc.posids())
+    assert hashlib.sha256(posids.encode("utf-8")).hexdigest() == (
+        "204951764abc07e1a02f5f0ce58d74ebdaff48825f119db8a13964bcbe309bde")
 
 
 def test_disk_v3_image_reencodes_identically():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import random
 import socket
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -11,27 +13,37 @@ import pytest
 from repro.server.daemon import DaemonConfig, SiteDaemon
 
 
-def free_port() -> int:
-    """An OS-assigned free TCP port (released immediately — a small
-    race window exists, acceptable for loopback tests)."""
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
+#: Where Linux says its ephemeral port range is.
+_EPHEMERAL_RANGE = Path("/proc/sys/net/ipv4/ip_local_port_range")
+
+
+def ephemeral_low() -> int:
+    """The lowest port the OS draws from for outgoing dials and
+    ``bind(0)`` (Linux's default, 32768, where it does not say)."""
+    try:
+        return int(_EPHEMERAL_RANGE.read_text().split()[0])
+    except (OSError, ValueError, IndexError):
+        return 32768
 
 
 def free_ports(count: int) -> List[int]:
-    """Distinct free ports, all held open during allocation so they
-    cannot collide with each other."""
-    sockets = []
-    for _ in range(count):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        sockets.append(sock)
-    ports = [sock.getsockname()[1] for sock in sockets]
-    for sock in sockets:
-        sock.close()
+    """Distinct listen ports, free when checked, drawn from below the
+    ephemeral range: the probe sockets close before the daemons bind,
+    and no dial or ``bind(0)`` in between (a peer's, a proxy's) can take
+    a port from outside that range."""
+    low = ephemeral_low()
+    rng = random.Random()
+    ports: List[int] = []
+    while len(ports) < count:
+        port = rng.randrange(low // 2, low)
+        if port in ports:
+            continue
+        with socket.socket() as sock:
+            try:
+                sock.bind(("127.0.0.1", port))
+            except OSError:
+                continue
+        ports.append(port)
     return ports
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import asyncio
 import os
+import re
+import select
 import signal
 import socket
 import subprocess
@@ -35,6 +37,9 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 #: (dialer, dialee) pairs carrying proxies — larger site dials
 #: smaller, so these are real dial paths in a five-site mesh.
 PROXIED_PATHS = [(3, 1), (4, 2), (5, 3)]
+
+#: The line ``python -m repro.server`` prints once it listens.
+SERVING = re.compile(r"serving on \S+ \(admin (\d+)\)")
 
 
 class ProxyLoop:
@@ -64,12 +69,12 @@ class ProxyLoop:
         self.loop.close()
 
 
-def daemon_argv(site, ports, admin_ports, store, proxy_ports):
+def daemon_argv(site, ports, store, proxy_ports):
     argv = [
         sys.executable, "-m", "repro.server",
         "--site", str(site),
         "--port", str(ports[site - 1]),
-        "--admin-port", str(admin_ports[site - 1]),
+        "--admin-port", "0",
         "--store", str(store),
         "--tick-interval", "0.05",
         "--heartbeat-interval", "0.2",
@@ -84,10 +89,32 @@ def daemon_argv(site, ports, admin_ports, store, proxy_ports):
 
 
 def spawn(argv):
+    # Unbuffered pipes: ``admin_port_of`` selects on the descriptor, so
+    # no line may wait in a reader-side buffer.
     return subprocess.Popen(
         argv, env={**os.environ, "PYTHONPATH": SRC},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
     )
+
+
+def admin_port_of(process, timeout=15.0):
+    """The admin port a daemon started with ``--admin-port 0`` bound,
+    read from its ``serving on ... (admin N)`` line."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([process.stdout], [], [],
+                                    deadline - time.monotonic())
+        if not ready:
+            break
+        line = process.stdout.readline().decode()
+        if not line:
+            break
+        match = SERVING.search(line)
+        if match:
+            return int(match.group(1))
+    process.kill()
+    raise AssertionError(
+        f"daemon printed no serving line: {process.stderr.read()!r}")
 
 
 def wait_admin(port, timeout=15.0):
@@ -134,8 +161,9 @@ def wait_converged(admin_ports, expected_atoms, timeout=60.0):
 class TestFiveProcessCluster:
     def test_sigkill_recovery_and_identical_digests(self, tmp_path):
         n = 5
-        ports = free_ports(2 * n)
-        peer_ports, admin_ports = ports[:n], ports[n:]
+        # Peer ports come from below the ephemeral range; admin ports
+        # are bound by the daemons themselves (``--admin-port 0``).
+        peer_ports = free_ports(n)
         stores = {s: tmp_path / f"site{s}" for s in range(1, n + 1)}
         plan = FaultPlan(seed=7, split=True, merge_probability=0.25,
                          latency=0.005)
@@ -155,9 +183,10 @@ class TestFiveProcessCluster:
 
             for site in range(1, n + 1):
                 processes[site] = spawn(daemon_argv(
-                    site, peer_ports, admin_ports, stores[site],
-                    proxy_ports,
+                    site, peer_ports, stores[site], proxy_ports,
                 ))
+            admin_ports = [admin_port_of(processes[site])
+                           for site in range(1, n + 1)]
             for site in range(1, n + 1):
                 assert wait_admin(admin_ports[site - 1]), \
                     f"site {site} admin never came up"
@@ -193,9 +222,9 @@ class TestFiveProcessCluster:
             # Restart on the same store: WAL replay, checkpoint load,
             # rejoin, and rebroadcast of the unacknowledged tail.
             processes[victim] = spawn(daemon_argv(
-                victim, peer_ports, admin_ports, stores[victim],
-                proxy_ports,
+                victim, peer_ports, stores[victim], proxy_ports,
             ))
+            admin_ports[victim - 1] = admin_port_of(processes[victim])
             assert wait_admin(admin_ports[victim - 1]), \
                 "victim never came back"
             status = admin(admin_ports[victim - 1], "status")

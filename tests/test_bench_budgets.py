@@ -37,6 +37,7 @@ def test_checked_in_reports_pass(capsys):
     assert budgets.main(ROOT) == 0
     out = capsys.readouterr().out
     assert "100 sites:" in out and "resident tree bytes (10x)" in out
+    assert "replay:" in out
 
 
 def test_wire_ceiling_below_measured_fails(reports, capsys):
@@ -54,6 +55,25 @@ def test_wire_ceiling_below_measured_fails(reports, capsys):
     assert f"FAIL: {row['sites']}-site churn over budget" in captured.err
     # The hot/cold checks still ran and printed.
     assert "edit p99 10x/1x ratio" in captured.out
+
+
+def test_replay_ceiling_below_measured_fails(reports, capsys):
+    mode = _mode(reports)
+    replay = json.loads((reports / "BENCH_network.json").read_text())[
+        "replay"]
+    per_message = (replay["wire_bytes_to_laggard"]
+                   / replay["messages_to_laggard"])
+
+    def lower(budgets):
+        budgets["wire"]["replay_bytes_per_message"][mode] = (
+            int(per_message) - 1)
+
+    _edit(reports / "BUDGETS.json", lower)
+    assert budgets.main(reports) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: replay bytes per message over budget" in captured.err
+    # The churn rows were still checked.
+    assert "100 sites:" in captured.out
 
 
 def test_hotcold_ceiling_below_measured_fails(reports, capsys):
