@@ -294,11 +294,6 @@ class PosNode:
 # ---------------------------------------------------------------------------
 
 
-def slot_state(slot: AtomSlot) -> str:
-    """State of an atom slot (plain slot of a PosNode, or a MiniNode)."""
-    return slot.state
-
-
 def slot_is_id_holder(slot: AtomSlot) -> bool:
     """True when the slot occupies a used identifier (LIVE or TOMBSTONE)."""
     return slot.state != EMPTY

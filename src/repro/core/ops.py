@@ -10,8 +10,8 @@ versioned group of operations produced by one local edit (a typed
 string, a deleted range, a replayed revision). Every layer of the stack
 speaks batches — local edit methods return one, causal broadcast ships
 one envelope per batch, and ``apply_batch`` replays one with deferred
-index maintenance — while the single-operation methods remain as thin
-compatibility wrappers.
+index maintenance — while the single-operation methods remain as
+separate, faster one-atom paths.
 """
 
 from __future__ import annotations

@@ -78,11 +78,6 @@ class PathElement:
     def __hash__(self) -> int:
         return hash((self.bit, self.dis))
 
-    @property
-    def is_disambiguated(self) -> bool:
-        """True when this element carries a disambiguator."""
-        return self.dis is not None
-
     def plain(self) -> "PathElement":
         """This element with the disambiguator removed."""
         if self.dis is None:

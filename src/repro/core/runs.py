@@ -188,16 +188,6 @@ class AtomRun:
         return [InsertOp(posid, atom, origin)
                 for posid, atom in zip(self.posids(), self.atoms)]
 
-    @classmethod
-    def from_leaf(cls, leaf: ArrayLeaf) -> "AtomRun":
-        """The run standing for a collapsed region (always canonical,
-        always plain — that is what makes a leaf a leaf). Leaves with a
-        dead bitmap have no run form (a run's identifiers are all live)
-        and are rejected."""
-        if leaf.dead:
-            raise TreeError("a tombstone-bearing leaf has no run form")
-        return cls(leaf.base_elements(), tuple(leaf.atoms), CANONICAL, None)
-
     def __eq__(self, other: object) -> bool:
         """Value equality (a run is its four facts): decoded segment
         streams — batch frames, state frames, SyncDelta bodies — must

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.disambiguator import SiteId
-from repro.core.ops import DeleteOp, FlattenOp, InsertOp, OpBatch
+from repro.core.ops import OpBatch
 from repro.editor.buffer import Cursor, EditorBuffer
 from repro.errors import ReplicationError
 from repro.replication.broadcast import CausalBroadcast
@@ -61,12 +61,9 @@ class EditorSession:
     # -- delivery -------------------------------------------------------------------
 
     def _on_deliver(self, origin: SiteId, payload: object) -> None:
-        if isinstance(payload, OpBatch):
-            self.buffer.apply_batch(payload)
-            return
-        if not isinstance(payload, (InsertOp, DeleteOp, FlattenOp)):
+        if not isinstance(payload, OpBatch):
             raise ReplicationError(f"unexpected payload {payload!r}")
-        self.buffer.apply(payload)
+        self.buffer.apply_batch(payload)
 
 
 class SharedDocument:

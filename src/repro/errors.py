@@ -24,10 +24,6 @@ class TreeError(ReproError):
     """The Treedoc tree was asked to do something inconsistent."""
 
 
-class DuplicateAtomError(TreeError):
-    """An atom already exists at the target PosID."""
-
-
 class MissingAtomError(TreeError):
     """No (live) atom exists at the target PosID."""
 

@@ -20,7 +20,7 @@ Definitions follow section 5.2 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core.disk import measure_on_disk
 from repro.core.node import (
@@ -121,13 +121,6 @@ class TreeStats:
         )
 
     @property
-    def mixed_memory_overhead_ratio(self) -> float:
-        """Mixed-form overhead relative to the document size."""
-        if self.document_bytes == 0:
-            return 0.0
-        return self.mixed_memory_overhead_bytes / self.document_bytes
-
-    @property
     def memory_overhead_ratio(self) -> float:
         """Memory overhead relative to the document size ("Mem ovhd")."""
         if self.document_bytes == 0:
@@ -154,11 +147,6 @@ class TreeStats:
         if self.document_bytes == 0:
             return 0.0
         return self.disk_overhead_bytes / self.document_bytes
-
-    @property
-    def sync_frame_bytes(self) -> int:
-        """Run-aware state-transfer message size, in bytes."""
-        return (self.sync_frame_bits + 7) // 8
 
     @property
     def sync_per_op_bytes(self) -> int:
@@ -327,11 +315,3 @@ def measure_tree(tree: TreedocTree, with_disk: bool = True,
         (stats.sync_frame_bits, stats.sync_per_op_bits,
          stats.sync_run_segments, stats.sync_op_segments) = measure_sync(tree)
     return stats
-
-
-def compare_total_posid_bits(stats_a: TreeStats,
-                             stats_b: TreeStats) -> Optional[float]:
-    """Ratio of total PosID sizes (Table 5's Logoot/Treedoc column)."""
-    if stats_b.total_posid_bits == 0:
-        return None
-    return stats_a.total_posid_bits / stats_b.total_posid_bits

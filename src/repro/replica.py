@@ -106,7 +106,8 @@ class Replica:
                  store: Optional["DurableStore"] = None) -> None:
         self.doc = Treedoc(site, mode=mode, balanced=balanced)
         self._outbox: List[OpBatch] = []
-        #: Batches merged from remote replicas (monitoring aid).
+        #: Batches merged from remote replicas, a bare operation
+        #: counting as a one-op batch (monitoring aid).
         self.merged_batches = 0
         #: State snapshots adopted via :meth:`sync` (monitoring aid).
         self.synced_states = 0
@@ -191,6 +192,11 @@ class Replica:
         delivery belongs to :mod:`repro.replication`. With ``verify``
         (the default) each batch's content digest is checked first.
         """
+        if isinstance(patch, (InsertOp, DeleteOp, FlattenOp)):
+            # One kind of record to journal and apply: a bare operation
+            # merges as a one-op batch that claims no seq number (and
+            # carries no transported digest to check).
+            patch, verify = OpBatch((patch,), patch.origin, 0, 0), False
         if isinstance(patch, OpBatch):
             if verify and not patch.verify():
                 raise ReproError(
@@ -208,15 +214,6 @@ class Replica:
             self.merged_batches += 1
             self._maybe_checkpoint()
             return len(patch.ops)
-        if isinstance(patch, (InsertOp, DeleteOp, FlattenOp)):
-            if self.store is not None:
-                from repro.core.encoding import encode_operation
-                from repro.storage.wal import RECORD_REMOTE
-
-                self.store.append(RECORD_REMOTE, encode_operation(patch)[0])
-            self.doc.apply(patch)
-            self._maybe_checkpoint()
-            return 1
         if isinstance(patch, (str, bytes)):
             raise TypeError(
                 "merge takes batches or operations, not text; "
@@ -354,11 +351,9 @@ class Replica:
                 return
             event = decode_frame(record.payload)
             if record.kind == RECORD_REMOTE:
-                if isinstance(event, OpBatch):
-                    self.doc.apply_batch(event)
-                    self.merged_batches += 1
-                else:
-                    self.doc.apply(event)
+                # A batch, or a bare operation an older journal wrote.
+                self.doc.apply(event)
+                self.merged_batches += 1
             else:
                 # LOCAL or OUTBOX: back into the outbox; only LOCAL
                 # (minted after the checkpoint) also re-applies.

@@ -7,13 +7,15 @@ message once it has delivered everything the sender had, buffering it
 otherwise. Duplicates (from the lossy transport's retransmissions) are
 filtered by the per-origin sequence number embedded in the clock.
 
-The channel speaks bytes: :meth:`CausalBroadcast.broadcast` encodes the
-event — one :class:`repro.core.ops.OpBatch` (a whole typed string,
-deleted range or replayed revision) or one bare operation — into an
-:class:`repro.replication.wire.EnvelopeFrame` and puts only the encoded
-frame on the network; delivery decodes the payload after the causal
-test passes. The per-envelope vector-clock stamp, the encode and the
-delivery test are all paid once per edit, not once per atom.
+The channel speaks bytes: :meth:`CausalBroadcast.broadcast` encodes one
+:class:`repro.core.ops.OpBatch` (a whole typed string, deleted range,
+single-atom edit or committed flatten) as a compact batch frame inside
+an :class:`repro.replication.wire.EnvelopeFrame` and puts only the
+encoded frame on the network; delivery decodes the payload after the
+causal test passes. The per-envelope vector-clock stamp, the encode and
+the delivery test are all paid once per edit, not once per atom. A
+received payload may still be a bare v1 operation (journals and peers
+from before batch-only writers); delivery hands it on as decoded.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Union
 
 from repro.core.disambiguator import SiteId
-from repro.core.encoding import encode_batch, encode_operation
+from repro.core.encoding import encode_batch
 from repro.core.ops import OpBatch, Operation
 from repro.errors import CausalityError
 from repro.replication.clock import VectorClock
@@ -29,7 +31,8 @@ from repro.replication.network import SimulatedNetwork
 from repro.replication.wire import EnvelopeFrame, decode_wire
 
 #: Application callback on causal delivery: callback(origin, event),
-#: where the event is the decoded OpBatch or bare operation.
+#: where the event is the decoded OpBatch (or a bare operation an older
+#: writer sent).
 DeliverFn = Callable[[SiteId, Union[Operation, OpBatch]], None]
 
 
@@ -58,17 +61,14 @@ class CausalBroadcast:
 
     # -- sending ------------------------------------------------------------------
 
-    def broadcast(self, event: Union[Operation, OpBatch]) -> EnvelopeFrame:
-        """Stamp, encode and broadcast a locally generated event.
+    def broadcast(self, batch: OpBatch) -> EnvelopeFrame:
+        """Stamp, encode and broadcast a locally generated batch.
 
         The local event is delivered to the local application by the
         caller (it already applied the operation); this only ships it.
         Returns the envelope frame that went on the wire.
         """
-        if isinstance(event, OpBatch):
-            payload, bits = encode_batch(event)
-        else:
-            payload, bits = encode_operation(event)
+        payload, bits = encode_batch(batch)
         self.clock = self.clock.tick(self.site)
         frame = EnvelopeFrame(self.site, self.clock.copy(), payload, bits)
         data = frame.to_wire()

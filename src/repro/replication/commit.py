@@ -123,10 +123,6 @@ class FlattenCoordinator:
         self.decision = CommitDecision.COMMITTED
         self._on_commit()
 
-    @property
-    def votes_received(self) -> int:
-        return len(self._votes)
-
 
 def paths_overlap(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
     """Whether two region paths (branch-bit tuples) share any slot:

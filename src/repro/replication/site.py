@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, deque
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.disambiguator import SiteId
 from repro.core.encoding import encode_state
@@ -191,35 +190,30 @@ class ReplicaSite:
 
     def insert(self, index: int, atom: object) -> InsertOp:
         """Edit locally and broadcast; returns the operation."""
-        self._check_unlocked_for_insert(index)
+        self._check_unlocked(index, index, True, "insert")
         op = self.doc.insert(index, atom)
-        self._ship(op)
+        self._ship_op(op)
         return op
 
     def insert_text(self, index: int, atoms: Sequence[object]) -> OpBatch:
         """Insert a consecutive run locally and broadcast it as ONE
         causal envelope; returns the batch."""
-        self._check_unlocked_for_insert(index)
+        self._check_unlocked(index, index, True, "insert")
         batch = self.doc.insert_text(index, atoms)
         self._ship(batch)
         return batch
 
     def delete(self, index: int) -> DeleteOp:
         """Delete locally and broadcast; returns the operation."""
-        bits = self.doc.posid_at(index).bits()
-        if self._locks.is_locked(bits):
-            raise RegionLockedError(
-                f"site {self.site}: delete at {index} hits a region "
-                "locked by a pending flatten"
-            )
+        self._check_unlocked(index, index + 1, False, "delete")
         op = self.doc.delete(index)
-        self._ship(op)
+        self._ship_op(op)
         return op
 
     def delete_range(self, start: int, end: int) -> OpBatch:
         """Delete ``[start, end)`` locally and broadcast it as ONE
         causal envelope; returns the batch."""
-        self._check_range_unlocked(start, end, "delete")
+        self._check_unlocked(start, end, False, "delete")
         batch = self.doc.delete_range(start, end)
         self._ship(batch)
         return batch
@@ -228,18 +222,31 @@ class ReplicaSite:
                       atoms: Sequence[object]) -> OpBatch:
         """Replace ``[start, end)`` by ``atoms``; one envelope carries
         the whole modify (delete + insert)."""
-        self._check_range_unlocked(start, end, "replace")
-        self._check_unlocked_for_insert(start)
+        self._check_unlocked(start, end, True, "replace")
         batch = self.doc.replace_range(start, end, atoms)
         self._ship(batch)
         return batch
 
-    def _check_range_unlocked(self, start: int, end: int, verb: str) -> None:
+    def _check_unlocked(self, start: int, end: int, inserting: bool,
+                        verb: str) -> None:
+        """Refuse an edit that touches a region locked by a pending
+        flatten: any atom in ``[start, end)`` and, when the edit
+        inserts, the neighbours at ``start - 1`` and ``start`` its new
+        identifiers land between (either could put them in the region).
+        One descent plus successor steps covers them all; with nothing
+        locked, nothing is read."""
         if not len(self._locks):
             return
+        if inserting:
+            if not len(self.doc):
+                raise RegionLockedError(
+                    f"site {self.site}: document region locked by a "
+                    "pending flatten"
+                )
+            end = max(end, start + 1)
+            start = max(start - 1, 0)
         from repro.core.node import slot_posids
 
-        # One descent plus successor steps instead of a descent per atom.
         posids = slot_posids(self.doc.tree.live_slice(start, end))
         for offset, posid in enumerate(posids):
             if self._locks.is_locked(posid.bits()):
@@ -248,35 +255,19 @@ class ReplicaSite:
                     "region locked by a pending flatten"
                 )
 
-    def _check_unlocked_for_insert(self, index: int) -> None:
-        """An insert lands between its neighbours; if either neighbour
-        sits in a locked region the new identifier could too, so refuse
-        conservatively."""
-        for neighbour in (index - 1, index):
-            if 0 <= neighbour < len(self.doc):
-                bits = self.doc.posid_at(neighbour).bits()
-                if self._locks.is_locked(bits):
-                    raise RegionLockedError(
-                        f"site {self.site}: insert at {index} is adjacent "
-                        "to a region locked by a pending flatten"
-                    )
-        if len(self.doc) == 0 and len(self._locks):
-            raise RegionLockedError(
-                f"site {self.site}: document region locked by a pending flatten"
-            )
+    def _ship_op(self, op: Operation) -> None:
+        """Ship a single-op mint as a one-op batch over the one seq
+        number it claimed."""
+        self._ship(OpBatch.build((op,), self.site, self.doc.op_seq - 1))
 
-    def _ship(self, event: Union[Operation, OpBatch]) -> None:
-        """Broadcast one causal envelope: a single operation, or a whole
-        batch counted as a single causal event (its digest stamped at
-        ship time, see :meth:`repro.core.ops.OpBatch.seal`)."""
-        if isinstance(event, OpBatch):
-            if not event.ops:
-                return
-            ops = event.seal().ops
-        else:
-            ops = (event,)
-        frame = self.broadcast.broadcast(event)
-        for op in ops:
+    def _ship(self, batch: OpBatch) -> None:
+        """Broadcast one edit as one causal envelope: the whole batch
+        is a single causal event, its digest stamped at ship time (see
+        :meth:`repro.core.ops.OpBatch.seal`)."""
+        if not batch.ops:
+            return
+        frame = self.broadcast.broadcast(batch.seal())
+        for op in batch.ops:
             self._log_op(op, self.site, frame.sequence)
         self._maybe_checkpoint()
 
@@ -806,9 +797,10 @@ class ReplicaSite:
         op = FlattenOp(op.path, op.digest, op.origin, txn=txn)
         self.doc.apply_flatten(op)
         self._locks.unlock(txn)
-        frame = self.broadcast.broadcast(op)
-        self._log_op(op, op.origin, frame.sequence)
         self._note_txn_decided(txn)
+        # A flatten claims no seq number: its batch's range is empty.
+        seq = self.doc.op_seq
+        self._ship(OpBatch((op,), self.site, seq, seq))
 
     def _abort_flatten(self, txn: str) -> None:
         self._locks.unlock(txn)
@@ -915,16 +907,15 @@ class ReplicaSite:
             raise ReplicationError(f"unhandled wire frame {frame!r}")
 
     def _on_causal_deliver(self, origin: SiteId, payload: object) -> None:
-        if isinstance(payload, OpBatch):
-            self.doc.apply_batch(payload)
-            ops: Sequence[Operation] = payload.ops
-        elif isinstance(payload, (InsertOp, DeleteOp, FlattenOp)):
-            self.doc.apply(payload)
-            ops = (payload,)
-        else:
+        if isinstance(payload, (InsertOp, DeleteOp, FlattenOp)):
+            # A bare v1 operation: old logs and older peers still carry
+            # them; nothing here writes one.
+            payload = OpBatch((payload,), origin, 0, 0)
+        elif not isinstance(payload, OpBatch):
             raise ReplicationError(f"unexpected causal payload {payload!r}")
+        self.doc.apply_batch(payload)
         sequence = self.broadcast.clock.get(origin)
-        for op in ops:
+        for op in payload.ops:
             self._log_op(op, origin, sequence)
             if isinstance(op, FlattenOp) and op.txn is not None:
                 # The committed flatten is the outcome message: release

@@ -6,8 +6,9 @@ complete frame vocabulary one replica site may send another — the only
 payloads :class:`repro.replication.network.SimulatedNetwork` accepts:
 
 - :class:`EnvelopeFrame` — a causal-broadcast event: the sender's
-  vector clock plus an encoded batch frame (or bare v1 operation)
-  from :mod:`repro.core.encoding`;
+  vector clock plus a compact batch frame from
+  :mod:`repro.core.encoding` (writers produce nothing else; a bare v1
+  operation from an older journal or peer is still read);
 - :class:`AckFrame` — a gossiped applied-clock acknowledgement (drives
   the causal-stability frontier for SDIS tombstone GC);
 - :class:`SyncRequest` — an anti-entropy probe: the requester's clock;
@@ -162,9 +163,10 @@ class EnvelopeFrame(_CachedWire):
 
     ``clock`` includes the message's own event (the message is the
     ``clock.get(origin)``-th event of ``origin``); ``payload`` is the
-    encoded batch frame or bare v1 operation, exactly as
-    :mod:`repro.core.encoding` wrote it, with its bit length alongside
-    so padding bits never become ambiguous.
+    encoded batch frame exactly as :mod:`repro.core.encoding` wrote
+    it, with its bit length alongside so padding bits never become
+    ambiguous. A bare v1 operation, which older writers sent, decodes
+    too (read-only).
     """
 
     origin: SiteId
@@ -182,7 +184,8 @@ class EnvelopeFrame(_CachedWire):
         return self.clock.get(self.origin)
 
     def decode_payload(self) -> Union[Operation, OpBatch]:
-        """The carried event, decoded (one batch or one operation)."""
+        """The carried event, decoded: one batch (or the bare
+        operation an older writer sent)."""
         return decode_frame(self.payload, self.payload_bits)
 
 

@@ -58,9 +58,6 @@ class CrashInjector:
         record reaches the file before the crash."""
         self._armed[point] = _Armed(at=at, keep_bytes=keep_bytes)
 
-    def disarm(self, point: str) -> None:
-        self._armed.pop(point, None)
-
     def check(self, point: str) -> None:
         """Visit ``point``; raises :class:`CrashError` when armed and due."""
         armed = self._armed.get(point)

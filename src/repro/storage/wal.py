@@ -46,7 +46,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import DecodeError, StorageError
 
@@ -120,12 +120,6 @@ def read_segment(path: Path) -> Tuple[List[WalRecord], int, int]:
     data = Path(path).read_bytes()
     records, good_end = scan_records(data)
     return records, good_end, len(data)
-
-
-def iter_payloads(records: List[WalRecord],
-                  kind: int) -> Iterator[bytes]:
-    """The payloads of all records of one kind, in log order."""
-    return (record.payload for record in records if record.kind == kind)
 
 
 def check_payload(payload: bytes, declared_crc: int) -> None:

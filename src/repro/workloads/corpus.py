@@ -35,10 +35,6 @@ class DocumentSpec:
     flatten_cadences: tuple = ()
 
     @property
-    def atom_label(self) -> str:
-        return "paras" if self.kind == "wiki" else "lines"
-
-    @property
     def avg_atom_bytes(self) -> float:
         return self.final_bytes / self.final_atoms
 

@@ -282,6 +282,62 @@ class TestIncrementalSweep:
         assert list(history)[-2:] == [(0,), (limit,)]
         assert history[(0,)] == [2, limit]
 
+    def test_explode_history_soak(self, monkeypatch):
+        # A large UDIS document collapsed into many small leaves (a
+        # hole every 31 atoms keeps them apart; SDIS would fold the
+        # holes into two bitmap leaves), then scattered one-atom edits
+        # until well over the cap's worth of regions exploded.
+        import random
+
+        from repro.core.node import slot_posid
+
+        doc = Treedoc(site=1)
+        doc.insert_text(0, [f"a{i}" for i in range(4000)])
+        doc.note_revision()
+        doc.flatten_local(ROOT)
+        for index in range(len(doc) - 31, 0, -31):
+            doc.delete(index)
+        for _ in range(3):
+            doc.note_revision()
+        doc.collapse_cold()
+        assert doc.array_leaf_count > 100
+        model = doc.atoms()
+
+        exploded = set()
+        on_explode = doc._on_explode
+
+        def record(node):
+            exploded.add(slot_posid(node).bits())
+            on_explode(node)
+
+        monkeypatch.setattr(doc, "_on_explode", record)
+        limit = Treedoc._HISTORY_LIMIT
+        history = doc._explode_history
+        rng = random.Random(7)
+        evictions = 0
+        while len(exploded) < 80:
+            before = list(history)
+            index = rng.randrange(len(doc))
+            if rng.random() < 0.3:
+                doc.insert(index, "x")
+                model.insert(index, "x")
+            else:
+                doc.delete(index)
+                del model[index]
+            doc.note_revision()
+            assert len(history) <= limit
+            # Nothing decays without a collapse pass: a key leaves only
+            # by eviction, and the stalest goes first.
+            gone = [key for key in before if key not in history]
+            assert gone == before[:len(gone)]
+            evictions += len(gone)
+            stamps = [entry[1] for entry in history.values()]
+            assert stamps == sorted(stamps)  # recency order
+        assert len(history) == limit
+        assert evictions >= len(exploded) - limit
+        assert doc.atoms() == model
+        doc.check()
+
     def test_load_state_resets_sweep_state(self):
         source = Treedoc(site=1, mode="sdis", collapse_every=1,
                          collapse_min_age=1, collapse_min_atoms=4)

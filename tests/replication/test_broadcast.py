@@ -1,8 +1,8 @@
 """Causal broadcast: happened-before delivery under adverse networks.
 
-The channel is bytes-only now: every broadcast is an encoded
-EnvelopeFrame, and payloads are real operations or batches (the only
-things the codec ships).
+The channel is bytes-only: every broadcast is an encoded EnvelopeFrame
+around one batch. Hand-crafted envelopes (``_frame``) still carry a bare
+v1 operation, the payload older writers produced, to pin the read path.
 """
 
 from repro.core.ops import InsertOp, OpBatch
@@ -26,6 +26,11 @@ def _op(tag: int, origin: int = 1) -> InsertOp:
     return InsertOp(posid, f"payload-{tag}", origin)
 
 
+def _one(tag: int, origin: int = 1) -> OpBatch:
+    """``_op`` as the one-op batch a writer ships (seq ``tag``)."""
+    return OpBatch.build((_op(tag, origin),), origin, tag)
+
+
 def _frame(origin: int, clock: VectorClock, tag: int) -> EnvelopeFrame:
     """A hand-crafted envelope (for delivery-order tests)."""
     from repro.core.encoding import encode_operation
@@ -34,9 +39,18 @@ def _frame(origin: int, clock: VectorClock, tag: int) -> EnvelopeFrame:
     return EnvelopeFrame(origin, clock, payload, bits)
 
 
+def _payload_op(payload):
+    """The one operation a delivered payload carries (a one-op batch,
+    or a bare operation from a hand-crafted envelope)."""
+    if isinstance(payload, OpBatch):
+        (op,) = payload.ops
+        return op
+    return payload
+
+
 def _atoms(log, site, origin=None):
     return [
-        payload.atom
+        _payload_op(payload).atom
         for s, o, payload in log
         if s == site and (origin is None or o == origin)
     ]
@@ -49,7 +63,7 @@ class TestCausalDelivery:
         a = _endpoint(net, 1, log)
         _endpoint(net, 2, log)
         for n in range(20):
-            a.broadcast(_op(n, 1))
+            a.broadcast(_one(n, 1))
         net.run()
         assert _atoms(log, 2) == [f"payload-{n}" for n in range(20)]
 
@@ -62,11 +76,11 @@ class TestCausalDelivery:
         a = _endpoint(net, 1, log)
         b = _endpoint(net, 2, log)
         _endpoint(net, 3, log)
-        a.broadcast(_op(0, 1))  # "cause"
+        a.broadcast(_one(0, 1))  # "cause"
         net.run()
-        b.broadcast(_op(1, 2))  # "effect": b saw the cause before sending
+        b.broadcast(_one(1, 2))  # "effect": b saw the cause before sending
         net.run()
-        at_c = [(origin, payload.atom)
+        at_c = [(origin, _payload_op(payload).atom)
                 for site, origin, payload in log if site == 3]
         assert at_c == [(1, "payload-0"), (2, "payload-1")]
 
@@ -164,8 +178,8 @@ class TestCausalDelivery:
         b = _endpoint(net, 2, log)
         _endpoint(net, 3, log)
         for n in range(15):
-            a.broadcast(_op(n, 1))
-            b.broadcast(_op(100 + n, 2))
+            a.broadcast(_one(n, 1))
+            b.broadcast(_one(100 + n, 2))
         net.run()
         for site in (1, 2, 3):
             if site != 1:
