@@ -231,10 +231,11 @@ class ReplicaSite:
                         verb: str) -> None:
         """Refuse an edit that touches a region locked by a pending
         flatten: any atom in ``[start, end)`` and, when the edit
-        inserts, the neighbours at ``start - 1`` and ``start`` its new
-        identifiers land between (either could put them in the region).
-        One descent plus successor steps covers them all; with nothing
-        locked, nothing is read."""
+        inserts, the neighbours its new identifiers land between (either
+        could put them in the region): the atom at ``start - 1``, and
+        the atom at ``start`` — or, for a replace, at ``end``, once the
+        range is gone. One descent plus successor steps covers them all;
+        with nothing locked, nothing is read."""
         if not len(self._locks):
             return
         if inserting:
@@ -243,7 +244,7 @@ class ReplicaSite:
                     f"site {self.site}: document region locked by a "
                     "pending flatten"
                 )
-            end = max(end, start + 1)
+            end = max(end, start) + 1
             start = max(start - 1, 0)
         from repro.core.node import slot_posids
 

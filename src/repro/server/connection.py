@@ -19,8 +19,9 @@ clock immediately feeds the receiver's stability tracker. Subsequent
 idle-time heartbeats are the same frame, pushed through the low band.
 
 Stream damage never escapes: resyncs (:class:`repro.errors.
-FrameSyncError`) are counted and reading continues; payload-level
-corruption is caught later by ``decode_wire``'s CRC in the apply loop.
+FrameSyncError`) and the bytes they discard are counted and reading
+continues; payload-level corruption is caught later by
+``decode_wire``'s CRC in the apply loop.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class PeerConnection:
             while True:
                 try:
                     payload = self.frames.next_frame()
-                except FrameSyncError:
+                except FrameSyncError as err:
                     self.daemon.stream_resyncs += 1
+                    self.daemon.stream_bytes_discarded += err.offset
                     continue
                 if payload is None:
                     break
@@ -178,8 +180,9 @@ class PeerConnection:
             while True:
                 try:
                     payload = self.frames.next_frame()
-                except FrameSyncError:
+                except FrameSyncError as err:
                     self.daemon.stream_resyncs += 1
+                    self.daemon.stream_bytes_discarded += err.offset
                     continue
                 if payload is None:
                     break

@@ -143,6 +143,7 @@ class SiteDaemon:
         self.decode_errors = 0
         self.apply_errors = 0
         self.stream_resyncs = 0
+        self.stream_bytes_discarded = 0
         self.shed_inbound = 0
         self.declined_syncs = 0
         self.protocol_errors = 0
@@ -445,6 +446,7 @@ class SiteDaemon:
             "decode_errors": self.decode_errors,
             "apply_errors": self.apply_errors,
             "stream_resyncs": self.stream_resyncs,
+            "stream_bytes_discarded": self.stream_bytes_discarded,
             "shed_inbound": self.shed_inbound,
             "declined_syncs": self.declined_syncs,
             "protocol_errors": self.protocol_errors,

@@ -8,14 +8,15 @@ atom it removes is locked. An insert lands between the atoms at
 ``index - 1`` and ``index``, so it is refused when either neighbour is
 locked, or when the document is empty and any region is locked. A
 replace is refused when its delete half or an insert at its start would
-be.
+be, or when the atom at its end is locked: once the range is gone, that
+atom is the inserted atoms' right neighbour.
 """
 
 import pytest
 
 from repro.core.path import PosID
 from repro.replication.cluster import Cluster
-from repro.replication.commit import paths_overlap
+from repro.replication.commit import CommitDecision, paths_overlap
 from repro.replication.site import RegionLockedError
 
 ATOMS = list("abcdefghijklmnop")
@@ -55,7 +56,8 @@ def _expected(verb, locked, length, position):
     if verb == "delete_range":
         return _refused_range(locked, position, end)
     return (_refused_range(locked, position, end)
-            or _refused_insert(locked, length, position))
+            or _refused_insert(locked, length, position)
+            or (end < length and end in locked))
 
 
 def _edit(site, verb, position):
@@ -119,3 +121,25 @@ def test_empty_document(verb):
         site.delete_range(0, 0)  # removes nothing, ships nothing
     assert site.text() == ""
     assert site.broadcast.clock.get(site.site) == 0
+
+
+def test_replace_checks_its_right_neighbour_on_a_participant():
+    # UDIS: with atom 3 (the region's parent) deleted, a replace of
+    # atoms 1-2 lands between atom 0 and the region's first atom. Let
+    # through, its identifiers fall inside the region and the committed
+    # flatten finds content it did not vote on.
+    cluster = Cluster(2, seed=3, mode="udis")
+    cluster.bootstrap(ATOMS)
+    cluster[1].delete(3)
+    cluster.settle()
+    coordinator = cluster[2].initiate_flatten(PosID.from_bits(list(REGION)))
+    while not cluster[1].locked_regions:
+        assert cluster.network.step()
+    text = cluster[1].text()
+    with pytest.raises(RegionLockedError):
+        cluster[1].replace_range(1, 3, list("xy"))
+    assert cluster[1].text() == text
+    cluster.settle()
+    assert cluster[1].locked_regions == cluster[2].locked_regions == 0
+    assert coordinator.decision is CommitDecision.COMMITTED
+    cluster.assert_converged(identities=True)

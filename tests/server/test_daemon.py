@@ -16,9 +16,12 @@ import json
 
 import pytest
 
+from repro.replication.clock import VectorClock
+from repro.replication.wire import AckFrame, encode_wire
 from repro.server.admin import identity_digest
 from repro.server.daemon import SiteDaemon
 from repro.server.faults import FaultPlan, FaultyTransport
+from repro.server.framing import MAGIC, encode_segment
 
 from tests.server.conftest import (
     free_ports,
@@ -430,5 +433,42 @@ class TestScriptedCorruption:
             finally:
                 await stop_cluster(daemons)
                 await proxy.stop()
+
+        run(scenario())
+
+
+class TestStreamResyncs:
+    def test_garbage_is_counted_with_the_bytes_it_cost(self, run):
+        # A peer socket carrying garbage before its hello and again
+        # before a heartbeat: both framing resyncs (one in the
+        # handshake, one in the read loop) are counted, with the bytes
+        # each discarded, and both segments behind them still land.
+        async def scenario():
+            configs = make_cluster_configs(2)
+            daemons = await start_cluster(configs[:1])
+            daemon = daemons[0]
+            before, after = b"\x00junk" * 5, b"more junk!"
+            assert MAGIC not in before + after
+            hello = encode_segment(encode_wire(AckFrame(2, VectorClock())))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            try:
+                writer.write(before + hello)
+                await writer.drain()
+                assert await wait_until(
+                    lambda: 2 in daemon.transport.connected)
+                writer.write(after + hello)
+                await writer.drain()
+                assert await wait_until(
+                    lambda: daemon.stream_resyncs == 2)
+                status = await admin_request(daemon.admin_port, "status")
+                assert status["stream_resyncs"] == 2
+                assert status["stream_bytes_discarded"] \
+                    == len(before) + len(after)
+                assert status["decode_errors"] == 0
+                assert status["protocol_errors"] == 0
+            finally:
+                writer.close()
+                await stop_cluster(daemons)
 
         run(scenario())

@@ -34,7 +34,7 @@ from repro.replication.wire import (
     peek_wire_kind,
 )
 from repro.server.framing import (
-    HEADER_BYTES,
+    DEFAULT_MAX_FRAME_BYTES,
     MAGIC,
     FrameReader,
     encode_segment,
@@ -77,6 +77,52 @@ def read_all(reader, swallow_errors=False):
         if frame is None:
             return frames
         frames.append(frame)
+
+
+def _crc8(data):
+    """CRC-8, polynomial 0x07, bit by bit (independent of the table
+    the framing module builds)."""
+    crc = 0
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x07 if crc & 0x80 else crc << 1) & 0xFF
+    return crc
+
+
+def _varint(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _forge_header(frame, length):
+    """A segment for ``frame`` whose header declares ``length`` and
+    carries the check byte that matches it: damage the check cannot
+    see."""
+    head = MAGIC + _varint(length)
+    return head + bytes([_crc8(head)]) + frame
+
+
+def _segment_spelled_by_text():
+    """A segment whose payload closes with its own CRC-32, and UTF-8
+    text whose bytes, read a few bits off byte alignment, spell it."""
+    for n in range(10_000):
+        body = bytes(0x41 + n // 15 ** k % 15 for k in range(12))
+        forged = encode_segment(body + zlib.crc32(body).to_bytes(4, "big"))
+        for shift in range(1, 8):
+            # A 0x40 bit ahead of the segment keeps the first byte ASCII.
+            bits = int.from_bytes(forged, "big") << shift \
+                | 1 << (8 * len(forged) + 6)
+            try:
+                text = bits.to_bytes(len(forged) + 1, "big").decode("utf-8")
+            except UnicodeDecodeError:
+                continue
+            return forged, text
+    raise AssertionError("no text spells a segment")
 
 
 class TestEveryKindEveryBoundary:
@@ -189,63 +235,72 @@ class TestDamageRecovery:
                 _assert_stream_recovers(reader, recovered, FRAMES[:k])
 
     def test_oversized_length_field_resyncs(self):
-        # A flipped high bit in the length field demands gigabytes; the
-        # reader treats the implausible header as corruption instead of
-        # buffering toward it.
-        segments = [encode_segment(frame) for frame in FRAMES]
-        damaged = bytearray(segments[0])
-        damaged[len(MAGIC)] |= 0x80  # length's top byte
-        segments[0] = bytes(damaged)
+        # A length far past the ceiling, with a check byte that agrees:
+        # the reader treats the implausible header as corruption instead
+        # of buffering toward it. With the frame behind it intact, the
+        # next magic shows where the frame ends; with that frame damaged
+        # too, the segment is dropped and the stream resyncs.
+        oversized = _forge_header(FRAMES[0], 1 << 27)
         reader = FrameReader()
-        reader.feed(b"".join(segments))
+        reader.feed(oversized + STREAM[len(encode_segment(FRAMES[0])):])
+        assert read_all(reader) == FRAMES
+        assert reader.resyncs == 1
+        damaged = bytearray(oversized)
+        damaged[-1] ^= 0x01  # the frame's CRC trailer
+        reader = FrameReader()
+        reader.feed(bytes(damaged)
+                    + STREAM[len(encode_segment(FRAMES[0])):])
         with pytest.raises(FrameSyncError):
             read_all(reader)
         recovered = read_all(reader, swallow_errors=True)
         assert recovered == FRAMES[1:]
 
     def test_inflated_length_does_not_swallow_later_segments(self):
-        # A flipped length bit that still passes the max_frame_bytes
-        # check: the reader must not wait for bytes that belong to the
-        # segments behind it. The damaged segment's frame is intact, so
-        # nothing is lost.
-        damaged = bytearray(STREAM)
-        damaged[3] ^= 0x10  # the length grows by 1 MiB
+        # A damaged length that still passes both the header check and
+        # the max_frame_bytes check: the reader must not wait for bytes
+        # that belong to the segments behind it. The damaged segment's
+        # frame is intact, so nothing is lost.
+        inflated = _forge_header(FRAMES[0], len(FRAMES[0]) + 64)
+        assert len(inflated) == len(encode_segment(FRAMES[0]))
         reader = FrameReader()
-        reader.feed(bytes(damaged))
+        reader.feed(inflated + STREAM[len(inflated):])
         assert read_all(reader) == FRAMES
         assert reader.resyncs == 1
 
     def test_inflated_last_length_is_repaired_by_the_next_magic(self):
-        last = len(STREAM) - len(encode_segment(FRAMES[-1]))
-        damaged = bytearray(STREAM)
-        damaged[last + HEADER_BYTES - 1] ^= 0x80  # 128 bytes too long
-        reader = FrameReader(max_frame_bytes=len(STREAM))
-        reader.feed(bytes(damaged))
-        assert read_all(reader) == FRAMES[:-1]
-        # Fed a byte at a time, the next segment's magic shows where
-        # the last frame really ended.
-        fresh = encode_segment(FRAMES[0])
-        frames = []
-        for byte in range(len(fresh)):
-            reader.feed(fresh[byte:byte + 1])
-            frames += read_all(reader)
-        assert frames == [FRAMES[-1], FRAMES[0]]
-        assert reader.resyncs == 1
-        assert reader.buffered == 0
+        # The last segment's length grows by 64, with a check byte that
+        # agrees (forged) or not (a plain bit flip): either way the
+        # frame waits for the next magic, not for 64 more bytes.
+        last = encode_segment(FRAMES[-1])
+        flipped = bytearray(last)
+        flipped[1] ^= 0x40
+        forged = _forge_header(FRAMES[-1], len(FRAMES[-1]) + 64)
+        for damaged in (forged, bytes(flipped)):
+            reader = FrameReader(max_frame_bytes=len(STREAM))
+            reader.feed(STREAM[:-len(last)] + damaged)
+            assert read_all(reader) == FRAMES[:-1]
+            # Fed a byte at a time, the next segment's magic shows
+            # where the last frame really ended.
+            fresh = encode_segment(FRAMES[0])
+            frames = []
+            for byte in range(len(fresh)):
+                reader.feed(fresh[byte:byte + 1])
+                frames += read_all(reader)
+            assert frames == [FRAMES[-1], FRAMES[0]]
+            assert reader.resyncs == 1
+            assert reader.buffered == 0
 
     def test_segment_inside_atom_text_never_moves_a_boundary(self):
-        # An atom whose UTF-8 bytes are a whole segment (magic U+05DC,
-        # a length, and a payload closing with its own CRC-32), landing
-        # byte-aligned in a state transfer that arrives piecewise.
-        for n in range(10_000):
-            body = b"f%04d" % n
-            crc = zlib.crc32(body).to_bytes(4, "big")
-            if max(crc) < 0x80:
-                break
-        forged = encode_segment(body + crc)
+        # The magic byte never occurs in UTF-8, but text bit-packed at
+        # an odd offset can still spell it: an atom whose UTF-8 bytes,
+        # shifted, are a whole segment (magic, length, check byte and a
+        # payload closing with its own CRC-32), landing byte-aligned in
+        # a state transfer that arrives piecewise.
+        forged, text = _segment_spelled_by_text()
+        assert MAGIC not in text.encode("utf-8")
         for extra in range(64):
             doc = Treedoc(site=1, mode="sdis")
-            doc.insert_text(0, [forged.decode("utf-8")] + ["c"] * extra)
+            doc.insert_text(0, [text] + ["c"] * extra)
             frame = SyncResponse(1, VectorClock({1: 1}),
                                  doc.capture_state()).to_wire()
             if forged in frame:
@@ -289,6 +344,59 @@ class TestDamageRecovery:
         tail = read_all(reader, swallow_errors=True)
         assert tail and tail[-1] == FRAMES[0]
 
+    def test_every_header_bit_flip_delivers_every_frame(self):
+        # One flipped bit in a segment's length or check byte fails the
+        # header check; the reader finds where the frame really ends
+        # and delivers it, so nothing is lost. A trailing segment shows
+        # where the last frame ends.
+        sentinel = encode_segment(FRAMES[1])
+        offset = 0
+        for frame in FRAMES:
+            size = len(encode_segment(frame)) - len(frame)
+            for bit in range(8, 8 * size):
+                damaged = bytearray(STREAM)
+                damaged[offset + bit // 8] ^= 0x80 >> (bit % 8)
+                reader = FrameReader(max_frame_bytes=len(STREAM))
+                reader.feed(bytes(damaged) + sentinel)
+                assert read_all(reader) == FRAMES + [FRAMES[1]]
+                assert reader.resyncs == 1
+            offset += size + len(frame)
+
+    def test_every_magic_bit_flip_loses_only_that_segment(self):
+        sentinel = encode_segment(FRAMES[1])
+        offset = 0
+        for k, frame in enumerate(FRAMES):
+            for bit in range(8):
+                damaged = bytearray(STREAM)
+                damaged[offset] ^= 0x80 >> bit
+                reader = FrameReader(max_frame_bytes=len(STREAM))
+                reader.feed(bytes(damaged) + sentinel)
+                recovered = read_all(reader, swallow_errors=True)
+                assert recovered == FRAMES[:k] + FRAMES[k + 1:] + [FRAMES[1]]
+            offset += len(encode_segment(frame))
+
+    def test_older_two_byte_magic_stream_delivers_nothing(self):
+        # Segments framed with the older header (magic d7 9c, u32
+        # length) never line up: the reader delivers none of them,
+        # raises only typed errors, and takes the next valid segment.
+        older = b"".join(b"\xd7\x9c" + len(frame).to_bytes(4, "big") + frame
+                         for frame in FRAMES)
+        reader = FrameReader()
+        reader.feed(older)
+        delivered = []
+        while True:
+            try:
+                frame = reader.next_frame()
+            except DecodeError:
+                continue
+            if frame is None:
+                break
+            delivered.append(frame)
+        assert delivered == []
+        assert reader.resyncs >= 1
+        reader.feed(encode_segment(FRAMES[0]))
+        assert read_all(reader, swallow_errors=True) == [FRAMES[0]]
+
     def test_interleaved_garbage_between_segments(self):
         reader = FrameReader()
         reader.feed(b"\x00\x01\x02" + encode_segment(FRAMES[1])
@@ -300,11 +408,29 @@ class TestDamageRecovery:
 
 class TestSegmentCodec:
     def test_header_layout(self):
+        # Magic, LEB128 length, CRC-8 of both; the check value of the
+        # CRC-8 (polynomial 0x07) over "123456789" is 0xF4.
+        assert _crc8(b"123456789") == 0xF4
         segment = encode_segment(b"abc")
-        assert segment[:2] == MAGIC
-        assert segment[2:6] == (3).to_bytes(4, "big")
-        assert segment[6:] == b"abc"
-        assert len(segment) == HEADER_BYTES + 3
+        assert segment[:1] == MAGIC
+        assert segment[1] == 3
+        assert segment[2] == _crc8(MAGIC + b"\x03")
+        assert segment[3:] == b"abc"
+        segment = encode_segment(bytes(300))
+        assert segment[:4] == MAGIC + b"\xac\x02" \
+            + bytes([_crc8(MAGIC + b"\xac\x02")])
+        assert segment[4:] == bytes(300)
+
+    def test_header_is_three_bytes_below_128_and_at_most_six(self):
+        # Every envelope, ack and heartbeat is under 128 bytes: each
+        # pays 3 header bytes. The 16 MiB ceiling needs no more than 6.
+        for length in range(128):
+            assert len(encode_segment(bytes(length))) - length == 3
+        for length in (128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1,
+                       1 << 21, DEFAULT_MAX_FRAME_BYTES):
+            assert len(encode_segment(bytes(length))) - length <= 6
+        with pytest.raises(EncodingError):
+            encode_segment(bytes(DEFAULT_MAX_FRAME_BYTES + 1))
 
     def test_empty_payload_round_trips(self):
         reader = FrameReader()
