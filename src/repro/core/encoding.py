@@ -373,8 +373,7 @@ def write_operation(writer: BitWriter, op: Operation) -> None:
 def read_operation(reader: BitReader) -> Operation:
     """Read an operation written by :func:`write_operation`.
 
-    Atoms decode as strings (the only atom type the traces use); flatten
-    operations decode without ``expected_atoms``.
+    Atoms decode as strings (the only atom type the traces use).
     """
     tag = reader.read_bits(2)
     if tag == _TAG_FRAME:

@@ -82,14 +82,11 @@ class FlattenOp:
     ``digest`` is the content digest of the subtree's visible atoms as
     seen by the initiator; every committer must agree (the commitment
     protocol guarantees it — the assertion catches protocol bugs).
-    ``expected_atoms`` optionally carries the atoms themselves so a
-    replica can validate, or apply, without local recomputation.
     """
 
     path: PosID
     digest: str
     origin: SiteId
-    expected_atoms: Optional[Tuple[object, ...]] = field(default=None)
     #: Commitment-protocol transaction tag (opaque to the data type);
     #: lets participants match the committed flatten to their vote lock.
     txn: Optional[str] = field(default=None)
@@ -142,9 +139,9 @@ class OpBatch:
     without inspecting the operations. ``digest`` is the content digest
     of the operations (see :func:`batch_digest`), computed lazily on
     first access — a batch minted and applied inside one replica
-    (single-site replay, benchmarks) never pays for it, while shipping
-    or verifying one forces it; :meth:`verify` checks it after
-    transport.
+    (single-site replay, benchmarks) or broadcast as a wire frame never
+    pays for it, while the facade's outbox (:meth:`seal`) or verifying
+    one forces it; :meth:`verify` checks it after transport.
 
     Operations are deliberately opaque (``object``): a batch can carry
     Treedoc operations or any baseline's, which is what lets the whole
@@ -172,11 +169,12 @@ class OpBatch:
     def seal(self) -> "OpBatch":
         """Materialize the digest and return the batch.
 
-        Ship points (outboxes, broadcast) call this so every batch that
-        leaves its minting replica carries a digest stamped *before*
-        transport — :meth:`verify` on the receiving side then checks
-        real integrity, not a lazily self-computed tautology. Batches
-        that live and die inside one replica never pay for it.
+        The facade's outbox (:meth:`repro.replica.Replica.edit`) calls
+        this so every batch handed out in memory carries a digest
+        stamped *before* transport — :meth:`verify` on the receiving
+        side then checks real integrity, not a lazily self-computed
+        tautology. Wire frames carry no digest, so the broadcast paths
+        never pay for it.
         """
         if self._digest is None:
             self._digest = batch_digest(self.ops)

@@ -421,18 +421,12 @@ class Treedoc:
 
     # -- flatten (section 4.2) -----------------------------------------------------------
 
-    def make_flatten(self, path: PosID,
-                     carry_atoms: bool = False) -> FlattenOp:
+    def make_flatten(self, path: PosID) -> FlattenOp:
         """Build a flatten operation for the subtree at ``path`` from this
         replica's current state (used by the commitment initiator)."""
         node = resolve_region(self.tree, path)
         atoms = tuple(subtree_atoms(node))
-        return FlattenOp(
-            path,
-            content_digest(atoms),
-            self.site,
-            expected_atoms=atoms if carry_atoms else None,
-        )
+        return FlattenOp(path, content_digest(atoms), self.site)
 
     def apply_flatten(self, op: FlattenOp) -> List[object]:
         """Apply a committed flatten: rebuild the subtree canonically.

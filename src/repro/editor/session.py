@@ -49,7 +49,7 @@ class EditorSession:
 
     def _send(self, batch: OpBatch) -> None:
         if batch.ops:
-            self.broadcast.broadcast(batch.seal())
+            self.broadcast.broadcast(batch)
 
     def cursor(self, offset: int = 0, name: str = "") -> Cursor:
         """A cursor pinned at ``offset``."""

@@ -70,7 +70,6 @@ class Cluster:
         balanced: bool = True,
         config: NetworkConfig | None = None,
         seed: int = 0,
-        first_site: SiteId = 1,
         tombstone_gc: bool = False,
         policy: Optional[AntiEntropyPolicy] = None,
     ) -> None:
@@ -84,9 +83,9 @@ class Cluster:
         self.sites: Dict[SiteId, ReplicaSite] = {}
         #: High-water mark of ids ever used: default-id joins must not
         #: collide with a crashed (recoverable) or departed site's id.
-        self._next_site_id: SiteId = first_site
-        for offset in range(n_sites):
-            self.add_site(first_site + offset)
+        self._next_site_id: SiteId = 1
+        for _ in range(n_sites):
+            self.add_site()
 
     def add_site(self, site_id: Optional[SiteId] = None,
                  store: Optional["DurableStore"] = None) -> ReplicaSite:

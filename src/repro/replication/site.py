@@ -147,7 +147,6 @@ class ReplicaSite:
         #: Anti-entropy: when this site stops waiting for replay and
         #: asks a peer for a snapshot instead.
         self.policy = policy or AntiEntropyPolicy()
-        self._last_sync_request = float("-inf")
         #: Earliest simulated time the next request may fire (the
         #: jittered min-interval gate; stale/declined exchanges reset
         #: it so the policy re-triggers at once instead of waiting out
@@ -263,11 +262,10 @@ class ReplicaSite:
 
     def _ship(self, batch: OpBatch) -> None:
         """Broadcast one edit as one causal envelope: the whole batch
-        is a single causal event, its digest stamped at ship time (see
-        :meth:`repro.core.ops.OpBatch.seal`)."""
+        is a single causal event."""
         if not batch.ops:
             return
-        frame = self.broadcast.broadcast(batch.seal())
+        frame = self.broadcast.broadcast(batch)
         for op in batch.ops:
             self._log_op(op, self.site, frame.sequence)
         self._maybe_checkpoint()
@@ -505,7 +503,6 @@ class ReplicaSite:
                 return False
         request = SyncRequest(self.site, self.broadcast.clock.copy())
         self.network.send(self.site, peer, encode_wire(request))
-        self._last_sync_request = now
         self._next_request_at = now + self._jittered(
             self.policy.min_request_interval
         )

@@ -53,6 +53,13 @@ from repro.util.backoff import BackoffPolicy
 #: frame under its historical name (see module docstring).
 StateTransfer = _WireStateTransfer
 
+#: Per-peer exponential backoff after a decline (or a useless
+#: response), in simulated ms: first retry after 200, doubling per
+#: consecutive failure up to 3200. Successful catch-up resets the
+#: peer's score. The daemon's reconnect loop uses the same
+#: :class:`repro.util.backoff.BackoffPolicy` implementation.
+SYNC_BACKOFF = BackoffPolicy(base=200.0, factor=2.0, maximum=3200.0)
+
 
 @dataclass(frozen=True)
 class AntiEntropyPolicy:
@@ -75,15 +82,6 @@ class AntiEntropyPolicy:
     #: Minimum simulated milliseconds between two requests from the
     #: same site.
     min_request_interval: float = 200.0
-    #: Per-peer exponential backoff after a decline (or a useless
-    #: response): first retry after ``backoff_base`` simulated ms,
-    #: doubling (``backoff_factor``) per consecutive failure up to
-    #: ``backoff_max``. Successful catch-up resets the peer's score.
-    #: The schedule is :class:`repro.util.backoff.BackoffPolicy` — the
-    #: same implementation the site daemon's reconnect loop uses.
-    backoff_base: float = 200.0
-    backoff_factor: float = 2.0
-    backoff_max: float = 3200.0
     #: Jitter fraction: trigger thresholds, request intervals and
     #: backoffs stretch by up to this share of themselves, drawn from a
     #: *seeded* stream (:data:`jitter_seed` — no wall clock anywhere),
@@ -105,18 +103,10 @@ class AntiEntropyPolicy:
         return (buffered >= self.max_buffered
                 or gap_age >= self.max_gap_age * (1.0 + stretch))
 
-    @property
-    def backoff_policy(self) -> BackoffPolicy:
-        """This policy's retry schedule as the shared
-        :class:`repro.util.backoff.BackoffPolicy`."""
-        return BackoffPolicy(self.backoff_base, self.backoff_factor,
-                             self.backoff_max)
-
     def backoff(self, failures: int) -> float:
         """Backoff (simulated ms) after ``failures`` consecutive
-        failed exchanges with one peer (delegates to
-        :meth:`backoff_policy`)."""
-        return self.backoff_policy.delay(failures)
+        failed exchanges with one peer (:data:`SYNC_BACKOFF`)."""
+        return SYNC_BACKOFF.delay(failures)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ class AdminServer:
         self.daemon = daemon
         self._server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
-        self.commands_served = 0
 
     async def start(self, host: str, port: int) -> None:
         self._server = await asyncio.start_server(self._serve, host, port)
@@ -82,7 +81,6 @@ class AdminServer:
                 response = self._dispatch(line)
                 writer.write(json.dumps(response).encode("utf-8") + b"\n")
                 await writer.drain()
-                self.commands_served += 1
                 if response.get("closing"):
                     return
         except (ConnectionError, OSError):

@@ -56,8 +56,6 @@ class PeerConnection:
         self.last_rx = loop.time()
         self.last_tx = loop.time()
         self.established = False
-        self.frames_received = 0
-        self.heartbeats_sent = 0
         self._writer_task: Optional[asyncio.Task] = None
         self._closing = False
 
@@ -134,65 +132,60 @@ class PeerConnection:
     async def _handshake(self) -> Optional[SiteId]:
         """Read until the peer's hello identifies it (or EOF).
 
-        One frame at a time, never ``drain()``: a fast peer's first
-        chunk can carry the hello *and* a burst of queued traffic
-        behind it, and those frames must stay buffered in the reader
-        for the read loop — not be consumed and dropped here."""
+        One frame at a time: a fast peer's first chunk can carry the
+        hello *and* a burst of queued traffic behind it, and those
+        frames must stay buffered in the reader for the read loop —
+        not be consumed and dropped here."""
         while True:
-            while True:
-                try:
-                    payload = self.frames.next_frame()
-                except FrameSyncError as err:
-                    self.daemon.stream_resyncs += 1
-                    self.daemon.stream_bytes_discarded += err.offset
-                    continue
-                if payload is None:
-                    break
-                try:
-                    frame = decode_wire(payload)
-                except DecodeError:
-                    self.daemon.decode_errors += 1
-                    continue
-                if isinstance(frame, AckFrame):
-                    self.last_rx = asyncio.get_event_loop().time()
-                    # The hello is also a real ack: deliver it once the
-                    # daemon knows whose it is.
-                    await self.daemon.admit(frame.site, payload)
-                    return frame.site
-                # Traffic before identity: unattributable, drop.
-                self.daemon.note_protocol_error(
-                    "frame received before hello"
-                )
+            payload = await self._next_frame()
+            if payload is None:
+                return None
+            try:
+                frame = decode_wire(payload)
+            except DecodeError:
+                self.daemon.decode_errors += 1
+                continue
+            if isinstance(frame, AckFrame):
+                self.last_rx = asyncio.get_event_loop().time()
+                # The hello is also a real ack: deliver it once the
+                # daemon knows whose it is.
+                await self.daemon.admit(frame.site, payload)
+                return frame.site
+            # Traffic before identity: unattributable, drop.
+            self.daemon.note_protocol_error("frame received before hello")
+
+    # -- serving ----------------------------------------------------------------------
+
+    async def _next_frame(self) -> Optional[bytes]:
+        """The next frame off the stream, or None at EOF.
+
+        Frames first, socket second: the handshake may have left
+        complete frames buffered in the reader (hello and traffic
+        arriving in one chunk), and they must flow before blocking on
+        the next read. Each resync is counted with the bytes it
+        discarded, and reading goes on."""
+        while True:
+            try:
+                payload = self.frames.next_frame()
+            except FrameSyncError as err:
+                self.daemon.stream_resyncs += 1
+                self.daemon.stream_bytes_discarded += err.offset
+                continue
+            if payload is not None:
+                return payload
             chunk = await self.reader.read(_READ_CHUNK)
             if not chunk:
                 return None
             self.frames.feed(chunk)
 
-    # -- serving ----------------------------------------------------------------------
-
     async def _read_loop(self) -> None:
-        # Frames first, socket second: the handshake may have left
-        # complete frames buffered in the reader (hello and traffic
-        # arriving in one chunk), and they must flow before blocking
-        # on the next read.
         loop = asyncio.get_event_loop()
         while True:
-            while True:
-                try:
-                    payload = self.frames.next_frame()
-                except FrameSyncError as err:
-                    self.daemon.stream_resyncs += 1
-                    self.daemon.stream_bytes_discarded += err.offset
-                    continue
-                if payload is None:
-                    break
-                self.last_rx = loop.time()
-                self.frames_received += 1
-                await self.daemon.admit(self.peer, payload)
-            chunk = await self.reader.read(_READ_CHUNK)
-            if not chunk:
+            payload = await self._next_frame()
+            if payload is None:
                 return
-            self.frames.feed(chunk)
+            self.last_rx = loop.time()
+            await self.daemon.admit(self.peer, payload)
 
     async def _write_loop(self) -> None:
         queue = self.daemon.transport.queues[self.peer]
@@ -211,5 +204,4 @@ class PeerConnection:
         when real traffic is advancing ``last_rx`` anyway)."""
         site = self.daemon.site
         frame = AckFrame(site.site, site.broadcast.clock.copy())
-        if self.daemon.transport.queues[self.peer].push(encode_wire(frame)):
-            self.heartbeats_sent += 1
+        self.daemon.transport.queues[self.peer].push(encode_wire(frame))

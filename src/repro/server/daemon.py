@@ -55,7 +55,11 @@ from repro.replication.wire import (
 )
 from repro.server.transport import SocketTransport
 from repro.server.supervisor import ConnectionSupervisor
-from repro.util.backoff import BackoffPolicy
+
+#: How long a graceful shutdown waits for admitted frames to apply and
+#: the send queues to flush (loop seconds); a dead peer cannot wedge
+#: exit past it.
+DRAIN_TIMEOUT = 2.0
 
 
 @dataclass
@@ -85,8 +89,6 @@ class DaemonConfig:
     heartbeat_interval: float = 0.5
     idle_timeout: float = 5.0
     tick_interval: float = 0.05
-    #: Ack gossip cadence, in ticks (tombstone_gc only).
-    ack_every_ticks: int = 20
     #: How long a peer's acked frontier may stay ahead of ours before
     #: the lag detector fires a targeted sync request (seconds). The
     #: replication layer only notices gaps through *buffered* out-of-
@@ -94,12 +96,7 @@ class DaemonConfig:
     #: dying connection is simply gone, and this detector is what
     #: keeps a restarted or cut-off site from staying behind forever.
     lag_sync_after: float = 1.0
-    drain_timeout: float = 2.0
-    #: Reconnect schedule (milliseconds, like every repro backoff).
-    reconnect_backoff: BackoffPolicy = BackoffPolicy(
-        base=100.0, factor=2.0, maximum=2000.0
-    )
-    reconnect_jitter: float = 0.5
+    #: Seeds the reconnect jitter (see :mod:`repro.server.supervisor`).
     seed: int = 0
 
 
@@ -212,7 +209,7 @@ class SiteDaemon:
             await self._admin.stop()
         # Apply whatever was already admitted, then flush the send
         # queues — both bounded waits; a dead peer cannot wedge exit.
-        await self._drain(self.config.drain_timeout)
+        await self._drain()
         await self.supervisor.stop()
         for connection in list(self.connections.values()):
             await connection.close()
@@ -229,9 +226,9 @@ class SiteDaemon:
             self.store.close()
         self._closed.set()
 
-    async def _drain(self, timeout: float) -> bool:
+    async def _drain(self) -> bool:
         loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
+        deadline = loop.time() + DRAIN_TIMEOUT
         while loop.time() < deadline:
             inbound_empty = self._inbound.empty()
             outbound_empty = all(
@@ -363,16 +360,11 @@ class SiteDaemon:
 
     async def _tick_loop(self) -> None:
         loop = asyncio.get_event_loop()
-        ticks = 0
         while True:
             await asyncio.sleep(self.config.tick_interval)
-            ticks += 1
             try:
                 self.site.maybe_request_sync()
                 self._check_frontier_lag(loop.time())
-                if (self.site.tombstone_gc
-                        and ticks % self.config.ack_every_ticks == 0):
-                    self.site.broadcast_ack()
             except ReproError as exc:
                 self.apply_errors += 1
                 self.last_error = f"tick: {exc}"

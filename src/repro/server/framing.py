@@ -315,20 +315,6 @@ class FrameReader:
                 self._decodes_left = 0
         return None
 
-    def drain(self) -> List[bytes]:
-        """Every currently-complete payload, swallowing resyncs (the
-        counters still record them). Convenience for tests and for
-        callers that do not need per-error handling."""
-        frames: List[bytes] = []
-        while True:
-            try:
-                frame = self.next_frame()
-            except FrameSyncError:
-                continue
-            if frame is None:
-                return frames
-            frames.append(frame)
-
     def _resync(self, skip: int) -> NoReturn:
         """Discard up to the next magic at/after ``skip`` and raise."""
         buffer = self._buffer

@@ -34,8 +34,13 @@ from typing import Dict, List
 
 from repro.core.disambiguator import SiteId
 from repro.server.connection import PeerConnection
-from repro.util.backoff import jittered
+from repro.util.backoff import BackoffPolicy, jittered
 from repro.util.rng import derive_rng
+
+#: Reconnect schedule (milliseconds, like every repro backoff) and the
+#: share of each delay its seeded jitter may add.
+RECONNECT_BACKOFF = BackoffPolicy(base=100.0, factor=2.0, maximum=2000.0)
+RECONNECT_JITTER = 0.5
 
 
 class ConnectionSupervisor:
@@ -47,7 +52,6 @@ class ConnectionSupervisor:
         self._tasks: List[asyncio.Task] = []
         #: Consecutive dial failures per peer (status reporting).
         self.dial_failures: Dict[SiteId, int] = {}
-        self.idle_drops = 0
 
     def dialed_peers(self) -> List[SiteId]:
         """The peers this daemon is responsible for calling."""
@@ -101,8 +105,8 @@ class ConnectionSupervisor:
 
     def _delay(self, failures: int, rng) -> float:
         """Jittered backoff, converted from policy-ms to loop-seconds."""
-        delay_ms = jittered(self.config.reconnect_backoff.delay(failures),
-                            self.config.reconnect_jitter, rng)
+        delay_ms = jittered(RECONNECT_BACKOFF.delay(failures),
+                            RECONNECT_JITTER, rng)
         return delay_ms / 1000.0
 
     # -- heartbeats and idle detection ------------------------------------------------
@@ -119,7 +123,6 @@ class ConnectionSupervisor:
                         >= self.config.idle_timeout):
                     # Silent too long: presumed failed. Closing tears
                     # down both loops; the owning dialer redials.
-                    self.idle_drops += 1
                     asyncio.get_event_loop().create_task(
                         connection.close()
                     )

@@ -59,8 +59,7 @@ class SendQueue:
         self._high: Deque[bytes] = deque()
         self._low: Deque[bytes] = deque()
         self._wakeup = asyncio.Event()
-        #: Counters: what went in, what was refused, the worst depth.
-        self.enqueued = 0
+        #: Counters: what was refused, the worst depth.
         self.shed_low = 0
         self.shed_high = 0
         self.max_depth_seen = 0
@@ -87,7 +86,6 @@ class SendQueue:
                 self.shed_low += 1
                 return False
             self._low.append(payload)
-        self.enqueued += 1
         self.max_depth_seen = max(self.max_depth_seen, depth + 1)
         self._wakeup.set()
         return True

@@ -77,6 +77,10 @@ from repro.util.files import atomic_write_bytes, fsync_dir
 _SEGMENT_GLOB = "wal-*.log"
 _CHECKPOINT_GLOB = "checkpoint-*.bin"
 
+#: Previous generations (checkpoint + WAL segment pairs) kept after a
+#: checkpoint, as insurance against at-rest damage of the newest one.
+RETAINED_GENERATIONS = 1
+
 #: The META keys the store carries from segment to segment.
 _META_KEYS = ("site", "mode", "op_seq", "dis_counter")
 
@@ -166,10 +170,6 @@ class DurableStore:
         Logged events (envelopes/batches) between automatic
         checkpoints; the owner polls :meth:`checkpoint_due`. ``None``
         disables cadence-driven checkpoints (explicit ones still work).
-    retain:
-        Previous generations (checkpoint + WAL segment pairs) kept
-        after a checkpoint, as insurance against at-rest damage of the
-        newest checkpoint.
     fsync:
         fsync every append and checkpoint (the durable default); turn
         off only for tests and simulations where the process outlives
@@ -180,14 +180,13 @@ class DurableStore:
     """
 
     def __init__(self, root, checkpoint_every: Optional[int] = 64,
-                 retain: int = 1, fsync: bool = True,
+                 fsync: bool = True,
                  crash_points: Optional[CrashInjector] = None) -> None:
         if checkpoint_every is not None and checkpoint_every < 1:
             raise StorageError("checkpoint_every must be at least 1")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.checkpoint_every = checkpoint_every
-        self.retain = retain
         self.fsync = fsync
         self.crash_points = crash_points
         self._meta: Dict[str, object] = {}
@@ -477,13 +476,14 @@ class DurableStore:
         self._append_handle()
 
     def _prune(self) -> None:
-        """Keep the newest ``retain`` + 1 checkpoints and the segments
-        from the oldest kept one on. Generation ids can skip (a crash
-        before the rename leaves a rotated segment with no checkpoint),
-        so the window counts the checkpoint files, not the ids."""
+        """Keep the newest checkpoint, :data:`RETAINED_GENERATIONS`
+        previous ones, and the segments from the oldest kept one on.
+        Generation ids can skip (a crash before the rename leaves a
+        rotated segment with no checkpoint), so the window counts the
+        checkpoint files, not the ids."""
         self._crash("prune.before")
         checkpoints = list(self.root.glob(_CHECKPOINT_GLOB))
-        kept = sorted(map(_file_id, checkpoints))[-(self.retain + 1):]
+        kept = sorted(map(_file_id, checkpoints))[-(RETAINED_GENERATIONS + 1):]
         keep_from = kept[0]
         for path in [*checkpoints, *self.root.glob(_SEGMENT_GLOB)]:
             if _file_id(path) < keep_from:

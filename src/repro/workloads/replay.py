@@ -43,7 +43,6 @@ def replay_history(
     doc: Treedoc,
     history: History,
     flatten_every: Optional[int] = None,
-    flatten_min_age: int = 1,
     flatten_min_depth: int = 1,
     probe: Optional[Probe] = None,
     use_runs: bool = True,
@@ -76,9 +75,7 @@ def replay_history(
                 result.deletes += op.count
         revision = doc.note_revision()
         if flatten_every and revision % flatten_every == 0:
-            flattened = doc.flatten_cold(
-                min_age=flatten_min_age, min_depth=flatten_min_depth
-            )
+            flattened = doc.flatten_cold(min_depth=flatten_min_depth)
             if flattened is not None:
                 result.flattens += 1
         if probe is not None:

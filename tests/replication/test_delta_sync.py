@@ -515,9 +515,9 @@ class TestDeclineAndRotation:
     def test_backoff_grows_exponentially_and_caps(self):
         policy = AntiEntropyPolicy()
         assert policy.backoff(0) == 0.0
-        assert policy.backoff(1) == policy.backoff_base
-        assert policy.backoff(2) == policy.backoff_base * 2
-        assert policy.backoff(10) == policy.backoff_max
+        assert policy.backoff(1) == 200.0
+        assert policy.backoff(2) == 400.0
+        assert policy.backoff(10) == 3200.0
 
     def test_jitter_stream_is_seeded_and_per_site(self):
         from repro.util.rng import derive_rng

@@ -304,6 +304,53 @@ class TestFrontierLagDetector:
         run(scenario())
 
 
+class TestTombstoneGC:
+    def test_heartbeats_and_piggybacked_clocks_drive_the_purge(
+        self, run, monkeypatch
+    ):
+        # SDIS purge needs every site's applied clock (paper 4.2). A
+        # daemon's hello, send-idle heartbeats and the clock on every
+        # envelope carry it already: a delete becomes stable and is
+        # purged on both sites with no admin ``ack`` op and no ack
+        # timer (``broadcast_ack`` is never called).
+        from repro.replication.site import ReplicaSite
+
+        broadcasts = []
+        monkeypatch.setattr(ReplicaSite, "broadcast_ack",
+                            lambda site: broadcasts.append(site.site))
+        heartbeat = 0.1
+
+        async def scenario():
+            daemons = await start_cluster(make_cluster_configs(
+                2, mode="sdis", tombstone_gc=True,
+                heartbeat_interval=heartbeat,
+            ))
+            d1, d2 = daemons
+            try:
+                assert await wait_until(
+                    lambda: 2 in d1.transport.connected
+                    and 1 in d2.transport.connected
+                )
+                port = d1.admin_port
+                assert (await admin_request(port, "edit",
+                                            index=0, text="abc"))["ok"]
+                assert await wait_until(lambda: d2.site.text() == "abc")
+                assert (await admin_request(port, "delete",
+                                            index=1, count=1))["ok"]
+                assert await wait_until(
+                    lambda: all(d.site.purged_tombstones >= 1
+                                for d in daemons),
+                    timeout=30 * heartbeat,
+                )
+                assert converged(daemons, expected_len=2)
+                assert d2.site.text() == "ac"
+                assert broadcasts == []
+            finally:
+                await stop_cluster(daemons)
+
+        run(scenario())
+
+
 class TestFiveDaemonFaultyCluster:
     def test_convergence_under_split_merge_latency_and_sever(self, run):
         # Five daemons, three dial paths routed through fault proxies

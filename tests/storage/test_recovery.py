@@ -96,7 +96,7 @@ class TestCheckpointRotation:
         return SyncResponse(site, VectorClock(), doc.capture_state()).to_wire()
 
     def test_checkpoint_rotates_and_prunes(self, tmp_path):
-        store = _store(tmp_path / "s", retain=0)
+        store = _store(tmp_path / "s")
         store.recover()
         store.append(RECORD_ENVELOPE, b"pre")
         store.write_checkpoint(self._checkpoint_frame())
@@ -105,9 +105,16 @@ class TestCheckpointRotation:
         assert (tmp_path / "s" / "checkpoint-00000001.bin").exists()
         # The checkpoint file and the WAL are the whole store.
         assert not (tmp_path / "s" / "MANIFEST.json").exists()
+        # Past the one retained previous generation, older ones go.
+        store.write_checkpoint(self._checkpoint_frame())
+        store.write_checkpoint(self._checkpoint_frame())
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "checkpoint-00000002.bin", "checkpoint-00000003.bin",
+            "wal-00000002.log", "wal-00000003.log",
+        ]
 
     def test_retain_keeps_previous_generation(self, tmp_path):
-        store = _store(tmp_path / "s", retain=1)
+        store = _store(tmp_path / "s")
         store.recover()
         store.append(RECORD_ENVELOPE, b"pre")
         store.write_checkpoint(self._checkpoint_frame())
@@ -121,7 +128,7 @@ class TestCheckpointRotation:
 
     def test_retain_counts_checkpoint_files_when_ids_skip(self, tmp_path):
         injector = CrashInjector()
-        store = _store(tmp_path / "s", retain=1, crash_points=injector)
+        store = _store(tmp_path / "s", crash_points=injector)
         store.recover()
         store.append(RECORD_ENVELOPE, b"one")
         store.write_checkpoint(self._checkpoint_frame())
@@ -130,7 +137,7 @@ class TestCheckpointRotation:
         injector.arm("checkpoint.after_rotate")
         with pytest.raises(CrashError):
             store.write_checkpoint(self._checkpoint_frame())
-        again = _store(tmp_path / "s", retain=1)
+        again = _store(tmp_path / "s")
         again.recover()
         again.append(RECORD_ENVELOPE, b"three")
         again.write_checkpoint(self._checkpoint_frame())
@@ -146,7 +153,7 @@ class TestCheckpointRotation:
         assert [r.payload for r in recovered.records] == [b"two", b"three"]
 
     def test_recovery_skips_corrupt_checkpoint(self, tmp_path):
-        store = _store(tmp_path / "s", retain=1)
+        store = _store(tmp_path / "s")
         store.recover()
         store.append(RECORD_ENVELOPE, b"pre")
         store.write_checkpoint(self._checkpoint_frame())

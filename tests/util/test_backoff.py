@@ -13,17 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.replication.sync import AntiEntropyPolicy
+from repro.replication.sync import SYNC_BACKOFF, AntiEntropyPolicy
 from repro.util.backoff import BackoffPolicy, jittered
 from repro.util.rng import derive_rng
 
 
-def legacy_backoff(policy: AntiEntropyPolicy, failures: int) -> float:
+def legacy_backoff(base: float, factor: float, cap: float,
+                   failures: int) -> float:
     """The pre-extraction formula, verbatim (the regression oracle)."""
     if failures <= 0:
         return 0.0
-    return min(policy.backoff_max,
-               policy.backoff_base * policy.backoff_factor ** (failures - 1))
+    return min(cap, base * factor ** (failures - 1))
 
 
 class TestSchedule:
@@ -51,17 +51,18 @@ class TestSchedule:
     ):
         # The extraction regression: BackoffPolicy IS the old inline
         # AntiEntropyPolicy formula, for any parameters and any count.
-        policy = AntiEntropyPolicy(backoff_base=base, backoff_factor=factor,
-                                   backoff_max=cap)
-        expected = legacy_backoff(policy, failures)
+        expected = legacy_backoff(base, factor, cap, failures)
         assert BackoffPolicy(base, factor, cap).delay(failures) == expected
-        assert policy.backoff(failures) == expected
 
     def test_policy_delegates_to_shared_implementation(self):
-        policy = AntiEntropyPolicy(backoff_base=10.0, backoff_factor=3.0,
-                                   backoff_max=50.0)
-        assert policy.backoff_policy == BackoffPolicy(10.0, 3.0, 50.0)
-        assert policy.backoff(3) == policy.backoff_policy.delay(3)
+        # The anti-entropy schedule is the shared implementation:
+        # 200 ms, doubling per failure, capped at 3200 ms.
+        assert SYNC_BACKOFF == BackoffPolicy(200.0, 2.0, 3200.0)
+        policy = AntiEntropyPolicy()
+        for failures in range(12):
+            assert policy.backoff(failures) == SYNC_BACKOFF.delay(failures)
+            assert policy.backoff(failures) == legacy_backoff(
+                200.0, 2.0, 3200.0, failures)
 
 
 class TestJitter:
