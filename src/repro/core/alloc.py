@@ -35,7 +35,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.disambiguator import Disambiguator
-from repro.core.node import EMPTY, AtomSlot, MiniNode, PosNode, slot_host
+from repro.core.node import NO_ATOM, AtomSlot, MiniNode, PosNode, slot_host
 from repro.core.path import LEFT, RIGHT
 from repro.core.tree import TreedocTree, _as_node
 from repro.errors import AllocationError
@@ -183,7 +183,7 @@ class Allocator:
             if steps >= GAP_SCAN_LIMIT:
                 return None
             if (
-                slot.state == EMPTY
+                slot.atom is NO_ATOM
                 and not isinstance(slot, MiniNode)
                 and not slot.minis
                 and slot is not self.tree.root

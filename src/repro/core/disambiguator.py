@@ -19,6 +19,7 @@ both UDIS and SDIS, and 4 bytes for the UDIS counter").
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Tuple, Union
 
 from repro.errors import EncodingError
@@ -45,63 +46,56 @@ def validate_site_id(site: SiteId) -> SiteId:
     return site
 
 
-class Udis:
+class Udis(tuple):
     """Unique disambiguator: ``(counter, siteID)``.
 
     Ordered by counter first, site second, exactly as in section 3.3.1:
     ``(c1, s1) < (c2, s2) iff c1 < c2 or (c1 = c2 and s1 < s2)``.
 
-    ``key`` holds the precomputed total-order key: comparisons, mini-node
-    insertion sorts and packed PosID keys all read the attribute instead
-    of building a tuple per call (disambiguators are minted once per
-    atom, but compared many times on the materialize/lookup hot path).
+    A Udis *is* its total-order key: an immutable ``(counter, site)``
+    tuple, so it compares, hashes and equals as that pair does, and
+    ``key`` returns the tag itself. One 56-byte object per UDIS
+    mini-node, with no separate key tuple beside it (DESIGN.md section
+    7.1); comparisons, mini-node insertion sorts and packed PosID keys
+    run as plain tuple operations.
     """
 
-    __slots__ = ("counter", "site", "key")
+    __slots__ = ()
 
-    def __init__(self, counter: int, site: SiteId) -> None:
+    def __new__(cls, counter: int, site: SiteId) -> "Udis":
         validate_site_id(site)
         if counter < 0 or counter >= 1 << COUNTER_BITS:
             raise EncodingError(
                 f"UDIS counter {counter} does not fit in {COUNTER_BYTES} bytes"
             )
-        self.counter = counter
-        self.site = site
-        self.key: Tuple[int, int] = (counter, site)
+        return tuple.__new__(cls, (counter, site))
+
+    counter = property(itemgetter(0), doc="The minting site's counter.")
+    site = property(itemgetter(1), doc="The minting site's identifier.")
+
+    @property
+    def key(self) -> Tuple[int, int]:
+        """The total-order key: the tag itself."""
+        return self
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickled values are rebuilt (and re-validated)
+        # through the constructor.
+        return (Udis, (self[0], self[1]))
 
     def sort_key(self) -> tuple:
         """Total-order key; comparable across Udis and Sdis values."""
         # UDIS and SDIS are never mixed inside one document, but giving both
         # a common key shape keeps comparisons total if they ever meet.
-        return self.key
+        return self
 
     @property
     def size_bits(self) -> int:
         """Encoded size in bits (counter + site id)."""
         return COUNTER_BITS + SITE_ID_BITS
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Udis):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __lt__(self, other: "Disambiguator") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "Disambiguator") -> bool:
-        return self.key <= other.key
-
-    def __gt__(self, other: "Disambiguator") -> bool:
-        return self.key > other.key
-
-    def __ge__(self, other: "Disambiguator") -> bool:
-        return self.key >= other.key
-
     def __repr__(self) -> str:
-        return f"u{self.counter}:{self.site}"
+        return f"u{self[0]}:{self[1]}"
 
 
 class Sdis:

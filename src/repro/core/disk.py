@@ -59,9 +59,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.encoding import read_disambiguator, write_disambiguator
 from repro.core.node import (
-    EMPTY,
-    LIVE,
-    TOMBSTONE,
+    DEAD_ATOM,
+    NO_ATOM,
     ArrayLeaf,
     PosNode,
 )
@@ -77,8 +76,11 @@ from repro.errors import DecodeError, EncodingError
 from repro.util.bits import BitReader, BitWriter
 from repro.util.files import atomic_write_bytes
 
-_STATE_TAGS = {EMPTY: 0, LIVE: 1, TOMBSTONE: 2}
-_TAG_STATES = {tag: state for state, tag in _STATE_TAGS.items()}
+#: Two-bit slot tags: 0 EMPTY, 1 LIVE (an atom-file index follows),
+#: 2 TOMBSTONE.
+_LIVE_TAG = 1
+_MARK_TAGS = {NO_ATOM: 0, DEAD_ATOM: 2}
+_TAG_MARKS = {tag: mark for mark, tag in _MARK_TAGS.items()}
 
 #: Current on-disk format: v2 added array-leaf child records; v3 adds
 #: the optional dead-slot bitmap sidecar to the leaf record.
@@ -110,20 +112,23 @@ class DiskImage:
 _AtomFile = AtomTable
 
 
-def _write_slot_state(writer: BitWriter, state: str, atom: object,
-                      atoms: _AtomFile) -> None:
-    writer.write_bits(_STATE_TAGS[state], 2)
-    if state == LIVE:
+def _write_slot(writer: BitWriter, atom: object, atoms: _AtomFile) -> None:
+    """A slot's tag, and when LIVE its atom-file index; ``atom`` is the
+    slot's ``atom`` field."""
+    if atom is NO_ATOM or atom is DEAD_ATOM:
+        writer.write_bits(_MARK_TAGS[atom], 2)
+    else:
+        writer.write_bits(_LIVE_TAG, 2)
         writer.write_elias_gamma(atoms.add(atom) + 1)
 
 
-def _read_slot_state(reader: BitReader,
-                     payloads: List[bytes]) -> Tuple[str, Optional[str]]:
-    state = _TAG_STATES[reader.read_bits(2)]
-    if state == LIVE:
+def _read_slot(reader: BitReader, payloads: List[bytes]) -> object:
+    """The ``atom`` field of a slot written by :func:`_write_slot`."""
+    tag = reader.read_bits(2)
+    if tag == _LIVE_TAG:
         index = reader.read_elias_gamma() - 1
-        return state, payloads[index].decode("utf-8")
-    return state, None
+        return payloads[index].decode("utf-8")
+    return _TAG_MARKS[tag]
 
 
 def _write_leaf(writer: BitWriter, leaf: ArrayLeaf,
@@ -178,11 +183,12 @@ def _write_subtree(writer: BitWriter, root: PosNode,
 
 def _write_entry(writer: BitWriter, node: PosNode,
                  atoms: _AtomFile) -> None:
-    _write_slot_state(writer, node.plain_state, node.plain_atom, atoms)
-    writer.write_elias_gamma(len(node.minis) + 1)
-    for mini in node.minis:
+    _write_slot(writer, node.atom, atoms)
+    minis = node.mini_nodes()
+    writer.write_elias_gamma(len(minis) + 1)
+    for mini in minis:
         write_disambiguator(writer, mini.dis)
-        _write_slot_state(writer, mini.state, mini.atom, atoms)
+        _write_slot(writer, mini.atom, atoms)
         for child in (mini.left, mini.right):
             if child is None:
                 writer.write_bit(0)
@@ -237,12 +243,12 @@ def _read_subtree(reader: BitReader, parent, bit: int,
 
 def _read_entry(reader: BitReader, node: PosNode,
                 payloads: List[bytes], version: int) -> List[int]:
-    node.plain_state, node.plain_atom = _read_slot_state(reader, payloads)
+    node.atom = _read_slot(reader, payloads)
     mini_count = reader.read_elias_gamma() - 1
     for _ in range(mini_count):
         dis = read_disambiguator(reader)
         mini = node.get_or_create_mini(dis)
-        mini.state, mini.atom = _read_slot_state(reader, payloads)
+        mini.atom = _read_slot(reader, payloads)
         for child_bit in (0, 1):
             child = _read_subtree(reader, mini, child_bit, payloads, version)
             if child is not None:
@@ -289,7 +295,7 @@ def load(image: DiskImage) -> TreedocTree:
     while stack:
         node, depth = stack.pop()
         height = max(height, depth)
-        for mini in node.minis:
+        for mini in node.mini_nodes():
             for child in (mini.left, mini.right):
                 if child is not None:
                     stack.append((child, depth + 1))

@@ -90,9 +90,8 @@ from repro.core.disambiguator import (
     validate_site_id,
 )
 from repro.core.node import (
-    EMPTY,
-    LIVE,
-    TOMBSTONE,
+    DEAD_ATOM,
+    NO_ATOM,
     ArrayLeaf,
     MiniNode,
     PosNode,
@@ -1043,30 +1042,34 @@ def _decode_state_frame(state: DocumentState, read):
 
 # -- tree-walk body ---------------------------------------------------------------
 
-#: Slot states as a prefix code ``(value, width)``: live atoms, by far
-#: the most common, cost one bit.
-_SLOT_CODES = {LIVE: (1, 1), EMPTY: (0, 2), TOMBSTONE: (1, 2)}
+#: Slot states as a prefix code: a live atom, by far the most common,
+#: costs the one bit ``1``; EMPTY and TOMBSTONE marks take two bits
+#: ``(value, width)``.
+_MARK_CODES = {NO_ATOM: (0, 2), DEAD_ATOM: (1, 2)}
 #: Fewest bits one mini-node record can take (slot state + two
 #: child-presence bits); bounds a decoded mini-node count.
 _MINI_MIN_BITS = 3
 
 
-def _write_slot(writer: BitWriter, state: str, atom: object) -> None:
-    """A slot's state code and, when live, its atom as a text field."""
-    writer.write_bits(*_SLOT_CODES[state])
-    if state == LIVE:
+def _write_slot(writer: BitWriter, atom: object) -> None:
+    """A slot's state code and, when live, its atom as a text field;
+    ``atom`` is the slot's ``atom`` field."""
+    if atom is NO_ATOM or atom is DEAD_ATOM:
+        writer.write_bits(*_MARK_CODES[atom])
+    else:
+        writer.write_bit(1)
         write_text(writer, atom)
 
 
-def _read_slot(reader: BitReader,
-               keep_tombstones: bool) -> Tuple[str, Optional[str]]:
+def _read_slot(reader: BitReader, keep_tombstones: bool) -> object:
+    """The ``atom`` field of a slot written by :func:`_write_slot`."""
     if reader.read_bit():
-        return LIVE, read_text(reader)
+        return read_text(reader)
     if not reader.read_bit():
-        return EMPTY, None
+        return NO_ATOM
     if not keep_tombstones:
         raise EncodingError("tombstone in a discard-mode (UDIS) document")
-    return TOMBSTONE, None
+    return DEAD_ATOM
 
 
 def _write_atom_list(writer: BitWriter, atoms) -> None:
@@ -1113,8 +1116,8 @@ def _kept_minis(node: PosNode) -> List[MiniNode]:
     """The mini-nodes a frame carries: id-holders, and empty ones still
     routing to an id-holder. Subtrees without a used identifier are
     pruned, as the segment frame (which names only id-holders) did."""
-    return [mini for mini in node.minis
-            if mini.state != EMPTY or _holds_ids(mini.left)
+    return [mini for mini in node.mini_nodes()
+            if mini.atom is not NO_ATOM or _holds_ids(mini.left)
             or _holds_ids(mini.right)]
 
 
@@ -1173,10 +1176,11 @@ def _write_tree(writer: BitWriter, root: PosNode, mode: str,
     stack = [(root, 0, cover)]
     while stack:
         node, depth, cover = stack.pop()
-        _write_slot(writer, node.plain_state, node.plain_atom)
-        if node.plain_state != EMPTY:
+        atom = node.atom
+        _write_slot(writer, atom)
+        if atom is not NO_ATOM:
             slots += 1
-            live += node.plain_state == LIVE
+            live += atom is not DEAD_ATOM
         minis = _kept_minis(node)
         writer.write_elias_gamma(len(minis) + 1)
         below: List[Tuple[PosNode, int, object]] = []
@@ -1187,10 +1191,11 @@ def _write_tree(writer: BitWriter, root: PosNode, mode: str,
             if udis:
                 writer.write_bits(*_counter_field(last, site_index,
                                                   dis.counter))
-            _write_slot(writer, mini.state, mini.atom)
-            if mini.state != EMPTY:
+            atom = mini.atom
+            _write_slot(writer, atom)
+            if atom is not NO_ATOM:
                 slots += 1
-                live += mini.state == LIVE
+                live += atom is not DEAD_ATOM
             for bit, child in ((0, mini.left), (1, mini.right)):
                 inner = narrow(cover, depth, bit)
                 if _holds_ids(child) and inner != ():
@@ -1240,8 +1245,7 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
         node, depth = stack.pop()
         if depth > height:
             height = depth
-        node.plain_state, node.plain_atom = _read_slot(reader,
-                                                       keep_tombstones)
+        node.atom = _read_slot(reader, keep_tombstones)
         count = reader.read_count(_MINI_MIN_BITS)
         below: List[Tuple[PosNode, int]] = []
         if count:
@@ -1263,7 +1267,7 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
                     raise EncodingError("mini-nodes out of order")
                 previous = dis.key
                 mini = MiniNode(node, dis)
-                mini.state, mini.atom = _read_slot(reader, keep_tombstones)
+                mini.atom = _read_slot(reader, keep_tombstones)
                 if reader.read_bit():
                     mini.left = PosNode(mini, 0)
                     below.append((mini.left, depth + 1))
@@ -1271,7 +1275,7 @@ def _read_tree(reader: BitReader, tree: TreedocTree, mode: str) -> None:
                     mini.right = PosNode(mini, 1)
                     below.append((mini.right, depth + 1))
                 minis.append(mini)
-            node.minis = tuple(minis)
+            node.set_minis(minis)
         for bit in (0, 1):
             if not reader.read_bit():
                 continue

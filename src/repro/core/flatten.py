@@ -29,12 +29,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.node import (
-    LIVE,
     ArrayLeaf,
     PosNode,
     build_exploded,
     collect_leaf_slots,
-    iter_subtree_entries,
+    subtree_atoms,
 )
 from repro.core.path import LEFT, RIGHT, PosID
 from repro.core.tree import TreedocTree
@@ -66,7 +65,7 @@ def _subtree_height(node: PosNode) -> int:
             continue
         if depth > height:
             height = depth
-        for mini in current.minis:
+        for mini in current.mini_nodes():
             for child in (mini.left, mini.right):
                 if child is not None:
                     stack.append((child, depth + 1))
@@ -74,21 +73,6 @@ def _subtree_height(node: PosNode) -> int:
             if child is not None:
                 stack.append((child, depth + 1))
     return height
-
-
-def subtree_atoms(node: PosNode) -> List[object]:
-    """Visible atoms of ``node``'s subtree, in identifier order
-    (collapsed regions contribute their arrays without exploding)."""
-    atoms: List[object] = []
-    append = atoms.append
-    for entry in iter_subtree_entries(node):
-        # Slots first (the common case): a leaf's pseudo-state never
-        # equals LIVE, so it falls through to the extend branch.
-        if entry.state == LIVE:
-            append(entry.atom)
-        elif type(entry) is ArrayLeaf:
-            atoms.extend(entry.live_atoms())
-    return atoms
 
 
 def flatten_subtree(tree: TreedocTree, path: PosID,
@@ -220,7 +204,7 @@ class ColdRegionFinder:
         while stack:
             current = stack.pop()
             order.append(current)
-            for mini in current.minis:
+            for mini in current.mini_nodes():
                 for child in (mini.left, mini.right):
                     if child is not None:
                         stack.append(child)
@@ -233,7 +217,7 @@ class ColdRegionFinder:
         for current in reversed(order):
             value = get_stamp(id(current), 0)
             is_leafy = False
-            for mini in current.minis:
+            for mini in current.mini_nodes():
                 for child in (mini.left, mini.right):
                     if child is not None:
                         child_value = newest[id(child)]

@@ -15,7 +15,9 @@ elements that follow a disambiguated element (rule (ii) of section 3.1).
 
 Both the plain slot of a position node and every mini-node are *atom
 slots*; a slot is EMPTY (structural only), LIVE (holds an atom) or a
-TOMBSTONE (atom deleted under SDIS; the identifier stays used).
+TOMBSTONE (atom deleted under SDIS; the identifier stays used). The
+state has no field of its own: a slot's ``atom`` field holds its atom
+when LIVE, else :data:`NO_ATOM` or :data:`DEAD_ATOM`.
 
 Position nodes cache two subtree aggregates maintained incrementally:
 
@@ -57,24 +59,57 @@ from repro.core.disambiguator import Disambiguator
 from repro.core.path import LEFT, PLAIN, RIGHT, PathElement, PosID
 from repro.errors import TreeError
 
-# Atom-slot states.
+# Atom-slot states, as the ``state`` property reports them.
 EMPTY = "empty"
 LIVE = "live"
 TOMBSTONE = "tombstone"
 
 
+class _SlotMark:
+    """The ``atom`` field of a slot that holds no visible atom."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"<{self.name} slot>"
+
+
+# Slot state lives in the ``atom`` field (DESIGN.md section 7.1): a
+# LIVE slot holds its atom, any other slot one of these two marks, which
+# no atom can be. Storage code tests them by identity, so hot loops pay
+# no property call; everything else reads ``slot.state``.
+#: The ``atom`` field of an EMPTY slot.
+NO_ATOM = _SlotMark(EMPTY)
+#: The ``atom`` field of a TOMBSTONE (its identifier stays used).
+DEAD_ATOM = _SlotMark(TOMBSTONE)
+
+
+def _slot_state(slot: "AtomSlot") -> str:
+    atom = slot.atom
+    if atom is NO_ATOM:
+        return EMPTY
+    if atom is DEAD_ATOM:
+        return TOMBSTONE
+    return LIVE
+
+
 class MiniNode:
     """A mini-node: one disambiguated atom slot inside a position node."""
 
-    __slots__ = ("host", "dis", "state", "atom", "left", "right")
+    __slots__ = ("host", "dis", "atom", "left", "right")
 
     def __init__(self, host: "PosNode", dis: Disambiguator) -> None:
         self.host = host
         self.dis = dis
-        self.state = EMPTY
-        self.atom = None
+        self.atom: object = NO_ATOM
         self.left: Optional[PosNode] = None
         self.right: Optional[PosNode] = None
+
+    #: EMPTY, LIVE or TOMBSTONE, read off the ``atom`` field.
+    state = property(_slot_state)
 
     def child(self, bit: int) -> Optional["PosNode"]:
         """The child position node on side ``bit``, if materialized."""
@@ -118,8 +153,7 @@ class PosNode:
     __slots__ = (
         "parent",
         "side",
-        "plain_state",
-        "plain_atom",
+        "atom",
         "minis",
         "left",
         "right",
@@ -133,16 +167,21 @@ class PosNode:
         #: a ``(container, bit)`` tuple per node.
         self.parent: Container = parent
         self.side = side
-        self.plain_state = EMPTY
-        self.plain_atom = None
-        # Mini-nodes sorted by disambiguator; nearly always 0 or 1
-        # entries, so an immutable tuple rebuilt on the rare insert or
-        # removal beats a list per node. Nodes without minis share ().
-        self.minis: Tuple[MiniNode, ...] = ()
+        #: The plain slot's atom, or NO_ATOM / DEAD_ATOM.
+        self.atom: object = NO_ATOM
+        #: The mini-nodes, packed: the shared ``()`` when there are none,
+        #: the one :class:`MiniNode` itself (nearly every host has just
+        #: one), or a tuple strictly sorted by disambiguator for two or
+        #: more. Falsy exactly when empty; read the nodes through
+        #: :meth:`mini_nodes`.
+        self.minis: Union[MiniNode, Tuple[MiniNode, ...]] = ()
         self.left: Optional[PosNode] = None
         self.right: Optional[PosNode] = None
         self.live_count = 0
         self.id_count = 0
+
+    #: State of this node's plain atom slot, read off the ``atom`` field.
+    state = property(_slot_state)
 
     # -- structure -----------------------------------------------------------
 
@@ -157,10 +196,24 @@ class PosNode:
         else:
             self.right = node
 
+    def mini_nodes(self) -> Tuple[MiniNode, ...]:
+        """The mini-nodes in disambiguator order, as a tuple: how code
+        reads the packed ``minis`` field (only the infix walks here and
+        the counted descent inline it, to save a call per node)."""
+        minis = self.minis
+        return (minis,) if type(minis) is MiniNode else minis
+
+    def set_minis(self, minis: Sequence[MiniNode]) -> None:
+        """Store ``minis`` (strictly sorted by disambiguator) packed."""
+        self.minis = minis[0] if len(minis) == 1 else tuple(minis)
+
     def find_mini(self, dis: Disambiguator) -> Optional[MiniNode]:
         """The mini-node with disambiguator ``dis``, if present."""
+        minis = self.minis
+        if type(minis) is MiniNode:
+            return minis if minis.dis == dis else None
         key = dis.key
-        for mini in self.minis:
+        for mini in minis:
             mini_key = mini.dis.key
             if mini_key == key:
                 return mini
@@ -170,26 +223,24 @@ class PosNode:
 
     def get_or_create_mini(self, dis: Disambiguator) -> MiniNode:
         """Find or insert (in disambiguator order) the mini-node ``dis``."""
-        key = dis.key
-        minis = self.minis
-        for index, mini in enumerate(minis):
-            mini_key = mini.dis.key
-            if mini_key == key:
-                return mini
-            if mini_key > key:
-                new = MiniNode(self, dis)
-                self.minis = minis[:index] + (new,) + minis[index:]
-                return new
+        found = self.find_mini(dis)
+        if found is not None:
+            return found
         new = MiniNode(self, dis)
-        self.minis = minis + (new,)
+        minis = self.mini_nodes()
+        key = dis.key
+        index = 0
+        while index < len(minis) and minis[index].dis.key < key:
+            index += 1
+        self.set_minis(minis[:index] + (new,) + minis[index:])
         return new
 
     def remove_mini(self, mini: MiniNode) -> None:
         """Detach ``mini`` from this node (UDIS discard)."""
-        minis = self.minis
+        minis = self.mini_nodes()
         for index, candidate in enumerate(minis):
             if candidate is mini:
-                self.minis = minis[:index] + minis[index + 1:]
+                self.set_minis(minis[:index] + minis[index + 1:])
                 return
         raise TreeError("mini-node not attached to this position node")
 
@@ -197,31 +248,11 @@ class PosNode:
     def is_structurally_empty(self) -> bool:
         """No atoms, no tombstones, no minis, no children: prunable."""
         return (
-            self.plain_state == EMPTY
+            self.atom is NO_ATOM
             and not self.minis
             and self.left is None
             and self.right is None
         )
-
-    # -- slot protocol for the plain slot ------------------------------------
-
-    @property
-    def state(self) -> str:
-        """State of this node's plain atom slot."""
-        return self.plain_state
-
-    @state.setter
-    def state(self, value: str) -> None:
-        self.plain_state = value
-
-    @property
-    def atom(self):
-        """Atom held by the plain slot (None unless LIVE)."""
-        return self.plain_atom
-
-    @atom.setter
-    def atom(self, value) -> None:
-        self.plain_atom = value
 
     # -- infix iteration -----------------------------------------------------
 
@@ -258,8 +289,14 @@ class PosNode:
                     yield item
                     if item.right is not None:
                         stack.append((item.right, 0))
-                    for mini in reversed(item.minis):
-                        stack.append((mini, 0))
+                    # mini_nodes() inline: no call, no tuple for a
+                    # lone mini.
+                    minis = item.minis
+                    if type(minis) is MiniNode:
+                        stack.append((minis, 0))
+                    elif minis:
+                        for mini in reversed(minis):
+                            stack.append((mini, 0))
             else:  # MiniNode
                 mini = item
                 if phase == 0:
@@ -279,7 +316,7 @@ class PosNode:
         while stack:
             node = stack.pop()
             yield node
-            for mini in node.minis:
+            for mini in node.mini_nodes():
                 if mini.right is not None:
                     stack.append(mini.right)
                 if mini.left is not None:
@@ -296,12 +333,13 @@ class PosNode:
 
 def slot_is_id_holder(slot: AtomSlot) -> bool:
     """True when the slot occupies a used identifier (LIVE or TOMBSTONE)."""
-    return slot.state != EMPTY
+    return slot.atom is not NO_ATOM
 
 
 def slot_is_live(slot: AtomSlot) -> bool:
     """True when the slot currently holds a visible atom."""
-    return slot.state == LIVE
+    atom = slot.atom
+    return atom is not NO_ATOM and atom is not DEAD_ATOM
 
 
 def slot_host(slot: AtomSlot) -> PosNode:
@@ -484,8 +522,7 @@ def build_exploded(node: "PosNode", atoms: Sequence[object],
 
     With no atoms the subtree becomes a bare empty node.
     """
-    node.plain_state = EMPTY
-    node.plain_atom = None
+    node.atom = NO_ATOM
     node.minis = ()
     node.left = None
     node.right = None
@@ -517,16 +554,14 @@ def _fill_complete(node: "PosNode", atoms: Sequence[object],
         count = hi - lo
         left_atoms, right_atoms = _canonical_split(count)
         mid = lo + left_atoms
-        current.plain_state = LIVE
-        current.plain_atom = atoms[mid]
+        current.atom = atoms[mid]
         current.live_count = count
         current.id_count = count
         if dead:
             current.live_count -= (
                 (dead >> lo) & ((1 << count) - 1)).bit_count()
             if (dead >> mid) & 1:
-                current.plain_state = TOMBSTONE
-                current.plain_atom = None
+                current.atom = DEAD_ATOM
         if left_atoms > 0:
             left = PosNode(current, LEFT)
             current.left = left
@@ -554,8 +589,7 @@ def build_partial_exploded(node: "PosNode", atoms: Sequence[object],
     most ``core_atoms`` atoms (materialized complete); sides smaller
     than ``leaf_min`` are materialized rather than kept as leaves.
     """
-    node.plain_state = EMPTY
-    node.plain_atom = None
+    node.atom = NO_ATOM
     node.minis = ()
     node.left = None
     node.right = None
@@ -567,8 +601,7 @@ def build_partial_exploded(node: "PosNode", atoms: Sequence[object],
             return
         left_atoms, _right_atoms = _canonical_split(count)
         mid = lo + left_atoms
-        current.plain_state = LIVE
-        current.plain_atom = atoms[mid]
+        current.atom = atoms[mid]
         current.live_count = count
         current.id_count = count
         if around < mid:
@@ -670,9 +703,9 @@ def _collect_canonical_slots(child: Child, expected: int, out: List[object],
         out.extend(child.atoms)
         return True
     node = child
-    state = node.plain_state
-    if node.minis or node.id_count != expected or (
-        state != LIVE and (state != TOMBSTONE or not allow_tombstones)
+    atom = node.atom
+    if node.minis or node.id_count != expected or atom is NO_ATOM or (
+        atom is DEAD_ATOM and not allow_tombstones
     ):
         return False
     left_atoms, right_atoms = _canonical_split(expected)
@@ -683,11 +716,11 @@ def _collect_canonical_slots(child: Child, expected: int, out: List[object],
         node.left, left_atoms, out, allow_tombstones, dead_acc
     ):
         return False
-    if state == LIVE:
-        out.append(node.plain_atom)
-    else:
+    if atom is DEAD_ATOM:
         dead_acc[0] |= 1 << len(out)
         out.append(None)
+    else:
+        out.append(atom)
     if right_atoms == 0:
         return node.right is None
     if node.right is None:
@@ -792,10 +825,9 @@ class ArrayLeaf:
                  "live_count", "id_count", "_live_map")
 
     #: Class-level pseudo-state: a leaf is not an atom slot, but giving
-    #: it a ``state`` that matches no slot state lets hot dispatch loops
-    #: test ``entry.state == LIVE`` first (the common case) and fall to
-    #: a type check only for leaves, instead of paying an isinstance on
-    #: every slot.
+    #: it a ``state`` that matches no slot state lets an entry walk test
+    #: ``entry.state == LIVE`` before a type check. (Hot walks test the
+    #: leaf type first and then the slot's ``atom`` field by identity.)
     state = "array"
 
     def __init__(self, parent: Container, side: int, atoms: List[object],
@@ -917,8 +949,12 @@ def iter_subtree_entries(root: "PosNode") -> Iterator[Entry]:
                 yield item
                 if item.right is not None:
                     stack.append((item.right, 0))
-                for mini in reversed(item.minis):
-                    stack.append((mini, 0))
+                minis = item.minis  # as in PosNode.iter_slots
+                if type(minis) is MiniNode:
+                    stack.append((minis, 0))
+                elif minis:
+                    for mini in reversed(minis):
+                        stack.append((mini, 0))
         elif isinstance(item, MiniNode):
             mini = item
             if phase == 0:
@@ -931,3 +967,19 @@ def iter_subtree_entries(root: "PosNode") -> Iterator[Entry]:
                     stack.append((mini.right, 0))
         else:  # ArrayLeaf: the whole region, in one entry
             yield item
+
+
+def subtree_atoms(root: "PosNode") -> List[object]:
+    """Visible atoms of ``root``'s subtree, in identifier order, by one
+    entry walk: a collapsed region contributes its array in one
+    ``extend``, without exploding."""
+    atoms: List[object] = []
+    append = atoms.append
+    for entry in iter_subtree_entries(root):
+        if type(entry) is ArrayLeaf:
+            atoms.extend(entry.live_atoms())
+            continue
+        atom = entry.atom
+        if atom is not NO_ATOM and atom is not DEAD_ATOM:
+            append(atom)
+    return atoms

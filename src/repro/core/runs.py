@@ -42,9 +42,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.disambiguator import Disambiguator, Sdis, SiteId, Udis
 from repro.core.node import (
-    EMPTY,
-    LIVE,
-    TOMBSTONE,
+    DEAD_ATOM,
+    NO_ATOM,
     ArrayLeaf,
     MiniNode,
     canonical_posids,
@@ -558,7 +557,7 @@ def iter_state_segments(tree, origin: SiteId,
             if node.right is not None:
                 stack.append(("sub", node.right,
                               elements + (PathElement(RIGHT),), True))
-            for mini in reversed(node.minis):
+            for mini in reversed(node.mini_nodes()):
                 if not elements:
                     raise TreeError(
                         "mini-node attached to the root position node"
@@ -581,10 +580,11 @@ def iter_state_segments(tree, origin: SiteId,
                               elements + (PathElement(LEFT),), True))
         else:  # "slot"
             _, slot, elements = frame
-            if slot.state == LIVE:
-                segments.append(InsertOp(PosID(elements), slot.atom, origin))
-            elif slot.state == TOMBSTONE:
+            atom = slot.atom
+            if atom is DEAD_ATOM:
                 segments.append(DeleteOp(PosID(elements), origin))
+            elif atom is not NO_ATOM:
+                segments.append(InsertOp(PosID(elements), atom, origin))
     return segments
 
 
@@ -620,11 +620,11 @@ def load_state_segments(tree, segments: Sequence[Segment],
                     "tombstone segment in a discard-mode (UDIS) document"
                 )
             slot = tree.materialize(segment.posid)
-            if slot.state != EMPTY:
+            if slot.atom is not NO_ATOM:
                 raise TreeError(
                     f"state segments collide at {segment.posid!r}"
                 )
-            slot.state = TOMBSTONE
+            slot.atom = DEAD_ATOM
         else:
             raise TreeError(f"unknown state segment {segment!r}")
     tree.recount_subtree(tree.root)
@@ -653,7 +653,6 @@ def _attach_run_leaf(tree, run: AtomRun) -> Optional[ArrayLeaf]:
 
 def _load_live(tree, posid: PosID, atom: object) -> None:
     slot = tree.materialize(posid)
-    if slot.state != EMPTY:
+    if slot.atom is not NO_ATOM:
         raise TreeError(f"state segments collide at {posid!r}")
-    slot.state = LIVE
     slot.atom = atom

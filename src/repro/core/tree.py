@@ -53,9 +53,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.disambiguator import Disambiguator
 from repro.core.node import (
-    EMPTY,
+    DEAD_ATOM,
     LIVE,
-    TOMBSTONE,
+    NO_ATOM,
     ArrayLeaf,
     AtomSlot,
     Entry,
@@ -74,6 +74,7 @@ from repro.core.node import (
     slot_is_id_holder,
     slot_is_live,
     slot_posid,
+    subtree_atoms,
 )
 from repro.core.path import LEFT, PLAIN, RIGHT, PosID
 from repro.errors import MissingAtomError, TreeError
@@ -111,17 +112,18 @@ def _mini_region_first(mini: MiniNode) -> AtomSlot:
 
 def _mini_index(host: PosNode, mini: MiniNode) -> int:
     """Position of ``mini`` within its host's sorted mini list."""
-    for index, candidate in enumerate(host.minis):
+    for index, candidate in enumerate(host.mini_nodes()):
         if candidate is mini:
             return index
     raise TreeError("mini-node not attached to its host")
 
 
 def _after_mini_region(host: PosNode, index: int) -> Optional[AtomSlot]:
-    """Slot following the region of ``host.minis[index]``, within or
-    above ``host``."""
-    if index + 1 < len(host.minis):
-        return _mini_region_first(host.minis[index + 1])
+    """Slot following the region of ``host.mini_nodes()[index]``,
+    within or above ``host``."""
+    minis = host.mini_nodes()
+    if index + 1 < len(minis):
+        return _mini_region_first(minis[index + 1])
     if host.right is not None:
         return _leftmost_slot(_as_node(host.right))
     return _up_successor(host)
@@ -158,7 +160,7 @@ def successor_slot(slot: AtomSlot) -> Optional[AtomSlot]:
     # its right subtree, then upwards.
     node = slot
     if node.minis:
-        return _mini_region_first(node.minis[0])
+        return _mini_region_first(node.mini_nodes()[0])
     child = node.right
     if child is not None:
         if type(child) is ArrayLeaf:
@@ -319,15 +321,15 @@ class TreedocTree:
             host = slot.host
             if slot.left is not None:
                 index += slot.left.live_count
-            for mini in host.minis:
+            for mini in host.mini_nodes():
                 if mini is slot:
                     break
-                index += int(mini.state == LIVE)
+                index += slot_is_live(mini)
                 if mini.left is not None:
                     index += mini.left.live_count
                 if mini.right is not None:
                     index += mini.right.live_count
-            index += int(host.plain_state == LIVE)
+            index += slot_is_live(host)
             if host.left is not None:
                 index += host.left.live_count
             node: PosNode = host
@@ -341,32 +343,35 @@ class TreedocTree:
                 mini = container
                 host = mini.host
                 if bit == RIGHT:
-                    index += int(mini.state == LIVE)
+                    index += slot_is_live(mini)
                     if mini.left is not None:
                         index += mini.left.live_count
-                for earlier in host.minis:
+                for earlier in host.mini_nodes():
                     if earlier is mini:
                         break
-                    index += int(earlier.state == LIVE)
+                    index += slot_is_live(earlier)
                     if earlier.left is not None:
                         index += earlier.left.live_count
                     if earlier.right is not None:
                         index += earlier.right.live_count
-                index += int(host.plain_state == LIVE)
+                index += slot_is_live(host)
                 if host.left is not None:
                     index += host.left.live_count
                 node = host
             else:
                 if bit == RIGHT:
-                    index += int(container.plain_state == LIVE)
+                    atom = container.atom
+                    if atom is not NO_ATOM and atom is not DEAD_ATOM:
+                        index += 1
                     if container.left is not None:
                         index += container.left.live_count
-                    for mini in container.minis:
-                        index += int(mini.state == LIVE)
-                        if mini.left is not None:
-                            index += mini.left.live_count
-                        if mini.right is not None:
-                            index += mini.right.live_count
+                    if container.minis:
+                        for mini in container.mini_nodes():
+                            index += slot_is_live(mini)
+                            if mini.left is not None:
+                                index += mini.left.live_count
+                            if mini.right is not None:
+                                index += mini.right.live_count
                 node = container
         return index
 
@@ -495,24 +500,33 @@ class TreedocTree:
         while stack:
             current = stack.pop()
             order.append(current)
-            for mini in current.minis:
-                if mini.left is not None:
-                    stack.append(mini.left)
-                if mini.right is not None:
-                    stack.append(mini.right)
+            if current.minis:
+                for mini in current.mini_nodes():
+                    if mini.left is not None:
+                        stack.append(mini.left)
+                    if mini.right is not None:
+                        stack.append(mini.right)
             for child in (current.left, current.right):
                 if child is not None and type(child) is not ArrayLeaf:
                     stack.append(child)
         for current in reversed(order):
-            live = int(current.plain_state == LIVE)
-            ids = int(current.plain_state != EMPTY)
-            for mini in current.minis:
-                live += int(mini.state == LIVE)
-                ids += int(mini.state != EMPTY)
-                for child in (mini.left, mini.right):
-                    if child is not None:
-                        live += child.live_count
-                        ids += child.id_count
+            atom = current.atom
+            if atom is NO_ATOM:
+                live = ids = 0
+            else:
+                ids = 1
+                live = 0 if atom is DEAD_ATOM else 1
+            if current.minis:
+                for mini in current.mini_nodes():
+                    atom = mini.atom
+                    if atom is not NO_ATOM:
+                        ids += 1
+                        if atom is not DEAD_ATOM:
+                            live += 1
+                    for child in (mini.left, mini.right):
+                        if child is not None:
+                            live += child.live_count
+                            ids += child.id_count
             for child in (current.left, current.right):
                 if child is not None:
                     live += child.live_count
@@ -640,6 +654,23 @@ class TreedocTree:
         entry per collapsed region."""
         return iter_subtree_entries(self.root)
 
+    def storage_counts(self) -> Dict[str, int]:
+        """Resident storage by representation, by one entry walk:
+        position nodes, mini-nodes, array leaves, and the atom slots
+        the leaves hold (dead slots included)."""
+        nodes = minis = leaves = leaf_atoms = 0
+        for entry in iter_subtree_entries(self.root):
+            kind = type(entry)
+            if kind is PosNode:
+                nodes += 1
+            elif kind is MiniNode:
+                minis += 1
+            else:
+                leaves += 1
+                leaf_atoms += len(entry.atoms)
+        return {"position_nodes": nodes, "mini_nodes": minis,
+                "array_leaves": leaves, "leaf_atoms": leaf_atoms}
+
     def array_leaves(self) -> List[ArrayLeaf]:
         """The collapsed regions, in document order."""
         return [
@@ -651,29 +682,26 @@ class TreedocTree:
 
     def set_live(self, slot: AtomSlot, atom: object) -> None:
         """Place ``atom`` in ``slot`` (must be EMPTY)."""
-        if slot.state != EMPTY:
+        if slot.atom is not NO_ATOM:
             raise TreeError(f"slot {slot_posid(slot)!r} is not empty")
-        slot.state = LIVE
         slot.atom = atom
         self._adjust_counts(slot, +1, +1)
         self._generation += 1
 
     def make_tombstone(self, slot: AtomSlot) -> None:
         """Delete the slot's atom, keeping the identifier used (SDIS)."""
-        if slot.state != LIVE:
+        if not slot_is_live(slot):
             raise MissingAtomError(f"no live atom at {slot_posid(slot)!r}")
-        slot.state = TOMBSTONE
-        slot.atom = None
+        slot.atom = DEAD_ATOM
         self._adjust_counts(slot, -1, 0)
         self._generation += 1
 
     def discard(self, slot: AtomSlot) -> None:
         """Delete the slot's atom and free its identifier (UDIS), pruning
         any structure that becomes empty and leaf-less."""
-        if slot.state != LIVE:
+        if not slot_is_live(slot):
             raise MissingAtomError(f"no live atom at {slot_posid(slot)!r}")
-        slot.state = EMPTY
-        slot.atom = None
+        slot.atom = NO_ATOM
         self._adjust_counts(slot, -1, -1)
         self._generation += 1
         self._prune_from(slot)
@@ -684,10 +712,9 @@ class TreedocTree:
         visible content is untouched (tombstones are invisible), so the
         generation is not bumped.
         """
-        if slot.state != TOMBSTONE:
+        if slot.atom is not DEAD_ATOM:
             raise MissingAtomError(f"no tombstone at {slot_posid(slot)!r}")
-        slot.state = EMPTY
-        slot.atom = None
+        slot.atom = NO_ATOM
         self._adjust_counts(slot, 0, -1)
         self._prune_from(slot)
 
@@ -696,7 +723,7 @@ class TreedocTree:
         empty leaf mini-nodes go immediately; position nodes with no
         content and no children follow, cascading upward."""
         if isinstance(slot, MiniNode):
-            if slot.state != EMPTY or not slot.is_leaf:
+            if slot.atom is not NO_ATOM or not slot.is_leaf:
                 return
             host = slot.host
             host.remove_mini(slot)
@@ -711,7 +738,7 @@ class TreedocTree:
                 return
             container.set_child(node.side, None)
             if isinstance(container, MiniNode):
-                if container.state == EMPTY and container.is_leaf:
+                if container.atom is NO_ATOM and container.is_leaf:
                     host = container.host
                     host.remove_mini(container)
                     node = host
@@ -725,21 +752,22 @@ class TreedocTree:
     def apply_insert(self, posid: PosID, atom: object) -> AtomSlot:
         """Replay ``insert(posid, atom)``; idempotent for exact duplicates."""
         slot = self.materialize(posid)
-        if slot.state == LIVE:
-            if slot.atom == atom:
-                return slot  # duplicate delivery of the same operation
-            raise TreeError(f"conflicting atom already at {posid!r}")
-        if slot.state == TOMBSTONE:
+        held = slot.atom
+        if held is NO_ATOM:
+            self.set_live(slot, atom)
+            return slot
+        if held is DEAD_ATOM:
             # Insert happened-before any delete of the same PosID, so a
             # tombstone here means causal delivery was violated.
             raise TreeError(f"insert at tombstoned identifier {posid!r}")
-        self.set_live(slot, atom)
-        return slot
+        if held == atom:
+            return slot  # duplicate delivery of the same operation
+        raise TreeError(f"conflicting atom already at {posid!r}")
 
     def apply_delete(self, posid: PosID, keep_tombstone: bool) -> Optional[AtomSlot]:
         """Replay ``delete(posid)``; idempotent (section 2.2)."""
         slot = self.lookup(posid)
-        if slot is None or slot.state != LIVE:
+        if slot is None or not slot_is_live(slot):
             # Already deleted (and possibly discarded): deletes commute
             # and are idempotent, so this is a no-op.
             return None
@@ -775,6 +803,8 @@ class TreedocTree:
         """
         if node is None:
             node = self.root
+        # A slot counts unless its atom field is one of these marks.
+        empty, skipped = NO_ATOM, (DEAD_ATOM if live else NO_ATOM)
         while True:
             target = node.left
             if target is not None:
@@ -785,33 +815,38 @@ class TreedocTree:
                     node = target
                     continue
                 index -= weight
-            state = node.plain_state
-            if (state == LIVE) if live else (state != EMPTY):
+            atom = node.atom
+            if atom is not empty and atom is not skipped:
                 if not index:
                     return node, 0
                 index -= 1
-            for mini in node.minis:
-                target = mini.left
-                if target is not None:
-                    weight = target.live_count if live else target.id_count
-                    if index < weight:
-                        break
-                    index -= weight
-                state = mini.state
-                if (state == LIVE) if live else (state != EMPTY):
-                    if not index:
-                        return mini, 0
-                    index -= 1
-                target = mini.right
-                if target is not None:
-                    weight = target.live_count if live else target.id_count
-                    if index < weight:
-                        break
-                    index -= weight
-            else:
-                target = node.right
-                if target is None:
-                    raise TreeError("count bookkeeping out of sync")
+            target = node.right
+            # mini_nodes() inline: this step runs once per level, most
+            # nodes hold no mini, and nearly every other one a bare one.
+            minis = node.minis
+            if minis:
+                for mini in (minis,) if type(minis) is MiniNode else minis:
+                    child = mini.left
+                    if child is not None:
+                        weight = child.live_count if live else child.id_count
+                        if index < weight:
+                            target = child
+                            break
+                        index -= weight
+                    atom = mini.atom
+                    if atom is not empty and atom is not skipped:
+                        if not index:
+                            return mini, 0
+                        index -= 1
+                    child = mini.right
+                    if child is not None:
+                        weight = child.live_count if live else child.id_count
+                        if index < weight:
+                            target = child
+                            break
+                        index -= weight
+            if target is None:
+                raise TreeError("count bookkeeping out of sync")
             if type(target) is ArrayLeaf:
                 return target, index
             node = target
@@ -877,7 +912,7 @@ class TreedocTree:
         slots = [slot]
         for _ in range(end - start - 1):
             slot = successor_slot(slot)
-            while slot is not None and slot.state != LIVE:
+            while slot is not None and not slot_is_live(slot):
                 slot = successor_slot(slot)
             if slot is None:
                 raise TreeError("live count out of sync with slot walk")
@@ -910,17 +945,9 @@ class TreedocTree:
         return list(self.iter_live_slots())
 
     def atoms(self) -> List[object]:
-        """The visible document content as a list of atoms, by one
-        entry walk: a collapsed region contributes its array in one
-        ``extend``, without exploding."""
-        atoms: List[object] = []
-        append = atoms.append
-        for entry in iter_subtree_entries(self.root):
-            if entry.state == LIVE:
-                append(entry.atom)
-            elif type(entry) is ArrayLeaf:
-                atoms.extend(entry.live_atoms())
-        return atoms
+        """The visible document content as a list of atoms
+        (:func:`~repro.core.node.subtree_atoms` of the root)."""
+        return subtree_atoms(self.root)
 
     def posids(self) -> List[PosID]:
         """PosIDs of all visible atoms, in document order, by one entry
@@ -929,10 +956,10 @@ class TreedocTree:
         memo = PathMemo()
         posids: List[PosID] = []
         for entry in iter_subtree_entries(self.root):
-            if entry.state == LIVE:
-                posids.append(memo.posid(entry))
-            elif type(entry) is ArrayLeaf:
+            if type(entry) is ArrayLeaf:
                 posids.extend(entry.posids())
+            elif slot_is_live(entry):
+                posids.append(memo.posid(entry))
         return posids
 
     def first_slot(self) -> Optional[AtomSlot]:
@@ -996,7 +1023,7 @@ class TreedocTree:
                     raise TreeError("parent chain does not terminate")
             if node is not self.root:
                 raise TreeError("slot not reachable from the root")
-            if slot.state == LIVE and host.plain_state == LIVE and (
+            if slot.state == LIVE and host.state == LIVE and (
                 isinstance(slot, MiniNode)
             ):
                 raise TreeError(

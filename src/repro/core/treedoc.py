@@ -34,9 +34,8 @@ from repro.core.flatten import (
     subtree_atoms,
 )
 from repro.core.node import (
-    EMPTY,
-    LIVE,
-    TOMBSTONE,
+    DEAD_ATOM,
+    NO_ATOM,
     ArrayLeaf,
     AtomSlot,
     MiniNode,
@@ -45,6 +44,7 @@ from repro.core.node import (
     collect_leaf_slots,
     parent_host,
     slot_host,
+    slot_is_live,
     slot_posid,
     slot_posids,
 )
@@ -343,7 +343,7 @@ class Treedoc:
     def delete_posid(self, posid: PosID) -> DeleteOp:
         """Delete by identifier (initiator must hold the atom)."""
         slot = self.tree.lookup(posid)
-        if slot is None or slot.state != "live":
+        if slot is None or not slot_is_live(slot):
             raise MissingAtomError(f"no live atom at {posid!r}")
         self._claim_seqs(1)
         self._touch(slot)
@@ -805,8 +805,10 @@ class Treedoc:
         for entry in decode_state(state)[2].iter_entries():
             if type(entry) is ArrayLeaf:
                 used.extend(zip(entry.id_posids(), entry.atoms))
-            elif entry.state != EMPTY:
-                used.append((memo.posid(entry), entry.atom))
+            elif entry.atom is not NO_ATOM:
+                atom = entry.atom
+                used.append((memo.posid(entry),
+                             None if atom is DEAD_ATOM else atom))
         tree = self.tree
         touched: List[AtomSlot] = []
         applied = 0
@@ -818,20 +820,23 @@ class Treedoc:
                         raise TreeError(
                             "tombstone in a discard-mode (UDIS) document")
                     slot = tree.materialize(posid)
-                    if slot.state == LIVE:
-                        tree.make_tombstone(slot)
-                    elif slot.state == EMPTY:  # its insert never came here
-                        slot.state = TOMBSTONE
+                    held = slot.atom
+                    if held is DEAD_ATOM:
+                        continue
+                    if held is NO_ATOM:  # its insert never came here
+                        slot.atom = DEAD_ATOM
                         tree._adjust_counts(slot, 0, 1)
                     else:
-                        continue
+                        tree.make_tombstone(slot)
                 elif posid in skip:
                     continue
                 else:
                     slot = tree.materialize(posid)
-                    if slot.state == LIVE and slot.atom != atom:
-                        raise TreeError(f"region merge conflict at {posid!r}")
-                    if slot.state != EMPTY:
+                    held = slot.atom
+                    if held is not NO_ATOM:
+                        if held is not DEAD_ATOM and held != atom:
+                            raise TreeError(
+                                f"region merge conflict at {posid!r}")
                         continue
                     tree.set_live(slot, atom)
                     applied += 1

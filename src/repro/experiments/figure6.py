@@ -30,12 +30,13 @@ def _count_nodes(doc) -> Sample:
     total = 0
     live = 0
     for node in doc.tree.root.iter_nodes():
-        if node is doc.tree.root and node.plain_state == EMPTY and not node.minis:
+        if node is doc.tree.root and node.state == EMPTY and not node.minis:
             continue
-        total += 1 + max(0, len(node.minis) - 1)
-        if node.plain_state == LIVE:
+        minis = node.mini_nodes()
+        total += 1 + max(0, len(minis) - 1)
+        if node.state == LIVE:
             live += 1
-        live += sum(1 for m in node.minis if m.state == LIVE)
+        live += sum(1 for m in minis if m.state == LIVE)
     return Sample(0, total, live)
 
 

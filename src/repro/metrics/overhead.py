@@ -259,10 +259,10 @@ def measure_tree(tree: TreedocTree, with_disk: bool = True,
     for node in tree.root.iter_nodes():
         # One logical node per position node, plus extra entries of the
         # mini-node array beyond the first.
-        structural_nodes += 1 + max(0, len(node.minis) - 1)
+        structural_nodes += 1 + max(0, len(node.mini_nodes()) - 1)
     # Subtract the root when it is bare bookkeeping only.
     root = tree.root
-    if root.plain_state == EMPTY and not root.minis:
+    if root.state == EMPTY and not root.minis:
         structural_nodes -= 1
     stats.nodes = max(0, structural_nodes)
     paths = PathMemo()

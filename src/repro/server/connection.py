@@ -18,9 +18,9 @@ hello doubles as the first delivery — an ack is idempotent, and its
 clock immediately feeds the receiver's stability tracker. Subsequent
 idle-time heartbeats are the same frame, pushed through the low band.
 
-Stream damage never escapes: resyncs (:class:`repro.errors.
-FrameSyncError`) and the bytes they discard are counted and reading
-continues; payload-level corruption is caught later by
+Stream damage never escapes: the frame reader counts resyncs and the
+bytes they discard (the daemon's ``stream_resyncs`` sums its readers)
+and reading continues; payload-level corruption is caught later by
 ``decode_wire``'s CRC in the apply loop.
 """
 
@@ -32,7 +32,7 @@ from typing import Optional
 from repro.core.disambiguator import SiteId
 from repro.errors import DecodeError, FrameSyncError
 from repro.replication.wire import AckFrame, decode_wire, encode_wire
-from repro.server.framing import FrameReader, encode_segment
+from repro.server.framing import encode_segment
 
 _READ_CHUNK = 65536
 
@@ -51,7 +51,7 @@ class PeerConnection:
         #: learns the peer from the hello.
         self.expected_peer = expected_peer
         self.peer: Optional[SiteId] = None
-        self.frames = FrameReader()
+        self.frames = daemon.open_stream()
         loop = asyncio.get_event_loop()
         self.last_rx = loop.time()
         self.last_tx = loop.time()
@@ -103,6 +103,7 @@ class PeerConnection:
             return
         self._closing = True
         self.daemon.detach_connection(self)
+        self.daemon.close_stream(self.frames)
         if self._writer_task is not None:
             self._writer_task.cancel()
             try:
@@ -162,14 +163,12 @@ class PeerConnection:
         Frames first, socket second: the handshake may have left
         complete frames buffered in the reader (hello and traffic
         arriving in one chunk), and they must flow before blocking on
-        the next read. Each resync is counted with the bytes it
-        discarded, and reading goes on."""
+        the next read. A resync (the reader counts it) costs the
+        garbage it discarded, and reading goes on."""
         while True:
             try:
                 payload = self.frames.next_frame()
-            except FrameSyncError as err:
-                self.daemon.stream_resyncs += 1
-                self.daemon.stream_bytes_discarded += err.offset
+            except FrameSyncError:
                 continue
             if payload is not None:
                 return payload

@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.disambiguator import SiteId
 from repro.errors import DecodeError, OverloadedError, ReproError
@@ -53,6 +53,7 @@ from repro.replication.wire import (
     encode_wire,
     peek_wire_kind,
 )
+from repro.server.framing import FrameReader
 from repro.server.transport import SocketTransport
 from repro.server.supervisor import ConnectionSupervisor
 
@@ -139,8 +140,11 @@ class SiteDaemon:
         self.frames_applied = 0
         self.decode_errors = 0
         self.apply_errors = 0
-        self.stream_resyncs = 0
-        self.stream_bytes_discarded = 0
+        #: Peer-stream frame readers still open, and the framing
+        #: damage the closed ones met (``stream_resyncs``).
+        self._open_streams: Set[FrameReader] = set()
+        self._closed_resyncs = 0
+        self._closed_bytes_discarded = 0
         self.shed_inbound = 0
         self.declined_syncs = 0
         self.protocol_errors = 0
@@ -273,6 +277,33 @@ class SiteDaemon:
         if self.connections.get(peer) is connection:
             del self.connections[peer]
             self.transport.mark_disconnected(peer)
+
+    def open_stream(self) -> FrameReader:
+        """A frame reader for a new peer stream, counted in
+        ``stream_resyncs`` from now on."""
+        reader = FrameReader()
+        self._open_streams.add(reader)
+        return reader
+
+    def close_stream(self, reader: FrameReader) -> None:
+        """Fold a finished stream's framing damage into the totals."""
+        if reader in self._open_streams:
+            self._open_streams.remove(reader)
+            self._closed_resyncs += reader.resyncs
+            self._closed_bytes_discarded += reader.bytes_discarded
+
+    @property
+    def stream_resyncs(self) -> int:
+        """Framing resyncs over every peer stream this daemon read:
+        each is counted once, by the stream's frame reader."""
+        return self._closed_resyncs + sum(
+            reader.resyncs for reader in self._open_streams)
+
+    @property
+    def stream_bytes_discarded(self) -> int:
+        """Bytes those resyncs discarded."""
+        return self._closed_bytes_discarded + sum(
+            reader.bytes_discarded for reader in self._open_streams)
 
     def note_protocol_error(self, message: str) -> None:
         self.protocol_errors += 1
@@ -421,11 +452,11 @@ class SiteDaemon:
         return {
             "site": self.config.site,
             "atoms": len(self.site),
-            # Storage health (live mixed tree/array form): collapsed
-            # regions resident, and the tree's cumulative explode
-            # counters.
+            # Storage health (live mixed tree/array form): what the
+            # tree is made of (one entry walk), and its cumulative
+            # explode counters.
             "storage": {
-                "array_leaves": len(tree.array_leaves()),
+                **tree.storage_counts(),
                 "explodes": tree.explodes,
                 "partial_explodes": tree.partial_explodes,
             },

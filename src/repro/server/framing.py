@@ -190,9 +190,11 @@ class FrameReader:
         #: Whether the buffer front is where a segment must start: the
         #: stream's start, or right after a frame that passed its CRC.
         self._aligned = True
-        #: Counters for status reporting and tests.
+        #: Bytes fed, and the framing damage met: every resync (a
+        #: discard to the next magic, or a frame recovered behind a
+        #: damaged length) and the bytes discarded. The one count of
+        #: these events: the daemon's totals sum its readers'.
         self.bytes_fed = 0
-        self.frames_delivered = 0
         self.resyncs = 0
         self.bytes_discarded = 0
         self._reset_scan()
@@ -265,7 +267,6 @@ class FrameReader:
         del self._buffer[:end]
         self._reset_scan()
         self._aligned = intact
-        self.frames_delivered += 1
         return payload
 
     def _real_end(self, starts: Sequence[int], limit: int,

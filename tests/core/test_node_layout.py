@@ -1,20 +1,26 @@
-"""The in-memory node layout (DESIGN.md section 7, "Node layout").
+"""The in-memory node layout (DESIGN.md section 7.1, "Node layout").
 
-Four invariants keep the tree lean without changing a serialised byte:
+Seven invariants keep the tree lean without changing a serialised byte:
 
 - **flat parent links** — every position node and array leaf names its
   container in ``parent`` and its branch in ``side``, and
   ``parent.child(side)`` is the node itself (no ``(container, bit)``
   tuple per node);
-- **tuple mini-lists** — ``minis`` is a tuple strictly sorted by
-  disambiguator key, and a node without minis holds the shared ``()``;
+- **sorted mini collections** — the mini-nodes of a node, read through
+  ``mini_nodes()``, are strictly sorted by disambiguator key, and a
+  node without minis holds the shared ``()``;
 - **interned SDIS tags** — every ``Sdis`` reachable from the tree is the
   one instance for its site;
 - **derived identifiers** — no node stores a PosID: an identifier is
   derived from the parent links when asked for, so no ``PosID`` is
-  reachable from the tree, whatever was minted or read before.
+  reachable from the tree, whatever was minted or read before;
+- **a lone mini-node is stored bare** — ``minis`` holds the one
+  ``MiniNode`` itself, and a tuple only for two or more;
+- **a Udis is its own key** — no ``(counter, site)`` tuple beside it;
+- **slot state lives in the atom field** — no slot has a state field:
+  ``atom`` holds the atom, or ``NO_ATOM`` / ``DEAD_ATOM``.
 
-:func:`check_layout` asserts all four; the state-frame property test
+:func:`check_layout` asserts all seven; the state-frame property test
 runs it after every step of its edit histories, together with
 :func:`check_identifiers`, which pins every derived identifier to its
 slot. The census tests count objects, never bytes, so they hold on
@@ -23,16 +29,22 @@ every CPython version.
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import disk
 from repro.core.disambiguator import Sdis, Udis
 from repro.core.node import (
+    DEAD_ATOM,
     EMPTY,
     LIVE,
+    NO_ATOM,
+    TOMBSTONE,
     ArrayLeaf,
     MiniNode,
     PathMemo,
@@ -60,29 +72,56 @@ def _check_child(child, container, side: int, tree) -> None:
         assert child.tree is tree, "leaf owned by another tree"
 
 
+_MARK = type(NO_ATOM)
+
+
+def _check_slot(slot) -> None:
+    """A slot's ``atom`` field holds an atom or one of the two shared
+    marks, and its state is read off that field."""
+    atom = slot.atom
+    assert atom is not None, "a slot's atom field holds None"
+    if type(atom) is _MARK:
+        assert atom is NO_ATOM or atom is DEAD_ATOM, "a third slot mark"
+        assert slot.state == (EMPTY if atom is NO_ATOM else TOMBSTONE)
+    else:
+        assert slot.state == LIVE
+
+
 def check_layout(tree) -> None:
     """Assert the lean-layout invariants over every node of ``tree``."""
     assert "cached_posid" not in PosNode.__slots__
+    for cls in (PosNode, MiniNode):
+        assert not any("state" in name for name in cls.__slots__), \
+            f"{cls.__name__} has a state field"
     assert "PosID" not in resident_census(tree), "a PosID is stored"
     root = tree.root
     assert root.parent is None
     stack = [root]
     while stack:
         node = stack.pop()
+        _check_slot(node)
         minis = node.minis
-        assert type(minis) is tuple, f"minis is a {type(minis).__name__}"
-        if not minis:
-            assert minis is _NO_MINIS, "empty minis not the shared ()"
-        keys = [mini.dis.key for mini in minis]
+        if type(minis) is tuple:
+            assert len(minis) != 1, "a lone mini-node wrapped in a tuple"
+            if not minis:
+                assert minis is _NO_MINIS, "empty minis not the shared ()"
+        else:
+            assert type(minis) is MiniNode, \
+                f"minis is a {type(minis).__name__}"
+        assert node.mini_nodes() == (
+            (minis,) if type(minis) is MiniNode else minis)
+        keys = [mini.dis.key for mini in node.mini_nodes()]
         assert all(a < b for a, b in zip(keys, keys[1:])), \
             "minis not strictly sorted by disambiguator"
-        for mini in minis:
+        for mini in node.mini_nodes():
             assert mini.host is node
+            _check_slot(mini)
             dis = mini.dis
             if isinstance(dis, Sdis):
                 assert dis is Sdis(dis.site), "Sdis not interned"
             else:
-                assert isinstance(dis, Udis)
+                assert type(dis) is Udis
+                assert dis.key is dis, "a Udis with a separate key"
             for side, child in enumerate((mini.left, mini.right)):
                 if child is not None:
                     assert isinstance(child, PosNode)
@@ -147,6 +186,23 @@ def sdis_doc() -> Treedoc:
     return doc
 
 
+def udis_doc() -> Treedoc:
+    """A fixed UDIS document: four writing sites, hosts with one
+    mini-node and a host with two (concurrent inserts at one place),
+    and a discarded atom."""
+    doc = Treedoc(site=1, mode="udis")
+    doc.insert_text(0, [f"a{i}" for i in range(24)])
+    base = doc.capture_state()
+    for site, index, atoms in ((2, 3, ["x", "y"]), (3, 3, ["w"]),
+                               (4, 12, list("tail"))):
+        other = Treedoc(site=site, mode="udis")
+        other.load_state(base)
+        doc.apply_batch(other.insert_text(index, atoms))
+    doc.insert_text(5, ["v"])
+    doc.delete_range(8, 10)
+    return doc
+
+
 def _reachable(root):
     seen = set()
     stack = [root]
@@ -168,13 +224,28 @@ class TestLayout:
 
     def test_minis_rebuild_as_sorted_tuples(self):
         node = PosNode()
-        for site in (5, 1, 3):
+        first = node.get_or_create_mini(Sdis(5))
+        assert node.minis is first, "a lone mini-node is stored bare"
+        assert node.mini_nodes() == (first,)
+        for site in (1, 3):
             node.get_or_create_mini(Sdis(site))
-        assert [mini.dis.site for mini in node.minis] == [1, 3, 5]
-        assert node.get_or_create_mini(Sdis(3)) is node.minis[1]
-        for mini in list(node.minis):
-            node.remove_mini(mini)
+        assert type(node.minis) is tuple
+        assert [mini.dis.site for mini in node.mini_nodes()] == [1, 3, 5]
+        assert node.get_or_create_mini(Sdis(3)) is node.mini_nodes()[1]
+        assert node.find_mini(Sdis(5)) is first
+        assert node.find_mini(Sdis(4)) is None
+        node.remove_mini(node.mini_nodes()[0])
+        node.remove_mini(first)
+        assert type(node.minis) is MiniNode, "back to one: stored bare"
+        assert node.minis.dis is Sdis(3)
+        node.remove_mini(node.minis)
         assert node.minis is _NO_MINIS
+        assert node.mini_nodes() is _NO_MINIS
+        for counter in (2, 0, 1):
+            node.get_or_create_mini(Udis(counter, 4))
+        assert [mini.dis for mini in node.mini_nodes()] == [
+            Udis(0, 4), Udis(1, 4), Udis(2, 4)]
+        assert node.find_mini(Udis(1, 4)) is node.mini_nodes()[1]
 
     def test_every_path_returns_the_interned_sdis(self):
         doc = sdis_doc()
@@ -242,7 +313,7 @@ class TestCensus:
     def test_no_parent_tuples_and_one_sdis_per_site(self):
         doc = sdis_doc()
         sites = {mini.dis.site for node in doc.tree.root.iter_nodes()
-                 for mini in node.minis}
+                 for mini in node.mini_nodes()}
         assert sites == {1, 2, 3}
         census = resident_census(doc.tree)
         assert census["Sdis"][0] == len(sites)
@@ -255,3 +326,76 @@ class TestCensus:
             and isinstance(obj[0], containers)
         ]
         assert parent_tuples == []
+
+    def test_udis_slots_hold_no_side_containers(self):
+        doc = udis_doc()
+        check_layout(doc.tree)
+        hosts = [node for node in doc.tree.root.iter_nodes() if node.minis]
+        counts = sorted(len(node.mini_nodes()) for node in hosts)
+        assert counts[0] == 1 and counts[-1] >= 2, counts
+        reachable = list(_reachable(doc.tree))
+        tags = {tuple(obj) for obj in reachable if type(obj) is Udis}
+        census = resident_census(doc.tree)
+        assert census["Udis"][0] == len(tags) == sum(counts)
+        # A lone mini-node is stored bare: no one-element tuple holds one.
+        assert [obj for obj in reachable if type(obj) is tuple
+                and len(obj) == 1 and type(obj[0]) is MiniNode] == []
+        # A Udis is its own key: no (counter, site) tuple beside it.
+        assert [obj for obj in reachable if type(obj) is tuple
+                and obj in tags] == []
+        # Slot state lives in the atom field: the only marks are the two
+        # shared ones, whatever the number of empty slots.
+        assert census[type(NO_ATOM).__name__][0] <= 2
+        assert any(node.atom is NO_ATOM for node in hosts)
+
+
+class TestStorageCounts:
+    def test_counts_match_the_resident_census(self):
+        for doc in (sdis_doc(), udis_doc()):
+            counts = doc.tree.storage_counts()
+            census = resident_census(doc.tree)
+            leaves = doc.tree.array_leaves()
+            assert counts == {
+                "position_nodes": census["PosNode"][0],
+                "mini_nodes": census["MiniNode"][0],
+                "array_leaves": census.get("ArrayLeaf", (0, 0))[0],
+                "leaf_atoms": sum(len(leaf.atoms) for leaf in leaves),
+            }
+            assert counts["array_leaves"] == len(leaves)
+        assert sdis_doc().tree.storage_counts()["leaf_atoms"] > 0
+
+
+class TestUdisIsItsOwnKey:
+    """A Udis behaves as its old separate ``(counter, site)`` key did:
+    the same order, hash and equality, through ``copy`` and ``pickle``."""
+
+    pairs = st.tuples(st.integers(0, (1 << 32) - 1),
+                      st.integers(0, (1 << 48) - 1))
+
+    @given(pairs, pairs)
+    def test_order_hash_and_equality_match_the_pair(self, a, b):
+        ua, ub = Udis(*a), Udis(*b)
+        assert (ua.counter, ua.site) == a and ua.key is ua
+        assert ua.sort_key() == a and hash(ua) == hash(a)
+        assert (ua == ub, ua != ub) == (a == b, a != b)
+        assert (ua < ub, ua <= ub, ua > ub, ua >= ub) == (
+            a < b, a <= b, a > b, a >= b)
+        for clone in (copy.copy(ua), copy.deepcopy(ua),
+                      pickle.loads(pickle.dumps(ua))):
+            assert type(clone) is Udis
+            assert clone == ua and hash(clone) == hash(ua)
+            assert repr(clone) == f"u{a[0]}:{a[1]}"
+
+    @given(pairs, st.integers(0, (1 << 48) - 1))
+    def test_udis_and_sdis_keys_still_compare(self, a, site):
+        ua, tag = Udis(*a), Sdis(site)
+        assert ua != tag and tag != ua
+        assert (ua < tag) == (a < tag.key)
+        assert (tag < ua) == (tag.key < a)
+
+    def test_udis_is_immutable(self):
+        tag = Udis(3, 4)
+        with pytest.raises(AttributeError):
+            tag.counter = 5
+        with pytest.raises(AttributeError):
+            tag.extra = 1

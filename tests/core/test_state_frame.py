@@ -301,7 +301,7 @@ class TestShapes:
         doc = Treedoc(site=1, mode="udis")
         doc.insert_text(0, list("abc"))
         mini = next(mini for node in doc.tree.root.iter_nodes()
-                    for mini in node.minis)
+                    for mini in node.mini_nodes())
         mini.dis = Sdis(1)
         with pytest.raises(EncodingError, match="Sdis disambiguator in a Udis"):
             encode_state(doc.tree, "udis", 1, "")

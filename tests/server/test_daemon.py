@@ -16,12 +16,14 @@ import json
 
 import pytest
 
+from repro.metrics import resident_census
 from repro.replication.clock import VectorClock
 from repro.replication.wire import AckFrame, encode_wire
 from repro.server.admin import identity_digest
 from repro.server.daemon import SiteDaemon
 from repro.server.faults import FaultPlan, FaultyTransport
 from repro.server.framing import MAGIC, encode_segment
+from tests.server.test_framing import _forge_header
 
 from tests.server.conftest import (
     free_ports,
@@ -121,9 +123,14 @@ class TestAdminProtocol:
                 assert status["frames_applied"] >= 1
                 storage = status["storage"]
                 assert set(storage) == {
-                    "array_leaves", "explodes", "partial_explodes",
+                    "position_nodes", "mini_nodes", "array_leaves",
+                    "leaf_atoms", "explodes", "partial_explodes",
                 }
                 assert all(value >= 0 for value in storage.values())
+                census = resident_census(d1.site.doc.tree)
+                assert storage["position_nodes"] == census["PosNode"][0]
+                assert storage["mini_nodes"] == \
+                    census.get("MiniNode", (0, 0))[0]
                 synced = await admin_request(port, "sync", peer=2)
                 assert synced["ok"]
                 # Errors are typed JSON, never closed sockets.
@@ -517,5 +524,37 @@ class TestStreamResyncs:
             finally:
                 writer.close()
                 await stop_cluster(daemons)
+
+        run(scenario())
+
+    def test_a_repaired_length_is_one_resync(self, run):
+        # A hello whose length field was forged (its check byte agrees):
+        # the reader recovers the frame behind it from the next
+        # segment's magic and discards nothing. That repair is the one
+        # resync the daemon reports, and both frames still land.
+        async def scenario():
+            configs = make_cluster_configs(2)
+            daemons = await start_cluster(configs[:1])
+            daemon = daemons[0]
+            frame = encode_wire(AckFrame(2, VectorClock()))
+            forged = _forge_header(frame, len(frame) + 64)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            try:
+                writer.write(forged + encode_segment(frame))
+                await writer.drain()
+                assert await wait_until(
+                    lambda: 2 in daemon.transport.connected)
+                assert await wait_until(
+                    lambda: daemon.stream_resyncs == 1)
+                status = await admin_request(daemon.admin_port, "status")
+                assert status["stream_resyncs"] == 1
+                assert status["stream_bytes_discarded"] == 0
+                assert status["decode_errors"] == 0
+                assert status["protocol_errors"] == 0
+            finally:
+                writer.close()
+                await stop_cluster(daemons)
+            assert daemon.stream_resyncs == 1, "closing the stream kept it"
 
         run(scenario())
