@@ -141,7 +141,7 @@ class Allocator:
         container, bit = anchor
         depth = max(1, math.ceil(math.log2(len(dises) + 1)))
         root = self._build_complete_subtree(container, bit, depth)
-        nodes = self._infix_positions(root)
+        nodes = list(root.iter_slots())  # fresh: position nodes only
         slots: List[AtomSlot] = []
         for dis, node in zip(dises, nodes):
             slots.append(node.get_or_create_mini(dis))
@@ -356,19 +356,3 @@ class Allocator:
         if total_depth > self.tree.height:
             self.tree.height = total_depth
         return root
-
-    def _infix_positions(self, root: PosNode) -> List[PosNode]:
-        """Position nodes of ``root``'s subtree in infix order."""
-        result: List[PosNode] = []
-        stack: List[Tuple[PosNode, bool]] = [(root, False)]
-        while stack:
-            node, visited = stack.pop()
-            if visited:
-                result.append(node)
-                continue
-            if node.right is not None:
-                stack.append((node.right, False))
-            stack.append((node, True))
-            if node.left is not None:
-                stack.append((node.left, False))
-        return result

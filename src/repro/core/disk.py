@@ -63,6 +63,7 @@ from repro.core.node import (
     NO_ATOM,
     ArrayLeaf,
     PosNode,
+    subtree_height,
 )
 from repro.core.runs import (
     AtomTable,
@@ -290,23 +291,10 @@ def load(image: DiskImage) -> TreedocTree:
     tree = TreedocTree()
     if root is not None:
         tree.root = root
-    height = 0
-    stack: List[Tuple[PosNode, int]] = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        height = max(height, depth)
-        for mini in node.mini_nodes():
-            for child in (mini.left, mini.right):
-                if child is not None:
-                    stack.append((child, depth + 1))
-        for child in (node.left, node.right):
-            if isinstance(child, ArrayLeaf):
-                child.tree = tree
-                height = max(height, depth + child.implicit_depth)
-            elif child is not None:
-                stack.append((child, depth + 1))
+    for leaf in tree.array_leaves():
+        leaf.tree = tree
     tree.recount_subtree(tree.root)
-    tree.height = height
+    tree.height = subtree_height(tree.root)
     return tree
 
 

@@ -98,7 +98,7 @@ from repro.core.node import (
     collect_leaf_slots,
 )
 from repro.core.ops import DeleteOp, FlattenOp, InsertOp, OpBatch, Operation
-from repro.core.path import PathElement, PosID
+from repro.core.path import PLAIN, PathElement, PosID
 from repro.core.runs import (
     AtomRun,
     AtomTable,
@@ -163,7 +163,9 @@ _MODE_TAGS = MODE_TAGS
 _TAG_MODES = TAG_MODES
 
 
-_BRANCH = {"0": 0, "1": 1}
+#: A decoded plain digit's element: the shared pair of
+#: :data:`repro.core.path.PLAIN`, as the tree derives them.
+_PLAIN_DIGIT = {"0": PLAIN[0], "1": PLAIN[1]}
 _UDIS_BITS = 1 + COUNTER_BITS + SITE_ID_BITS
 _SDIS_BITS = 1 + SITE_ID_BITS
 _SITE_MASK = (1 << SITE_ID_BITS) - 1
@@ -253,8 +255,7 @@ def _read_path(reader: BitReader, read_dis) -> List[PathElement]:
         plain = pairs - (flags.bit_length() + 1) // 2 if flags else pairs
         if plain:
             branch = format(reader.read_bits(2 * plain), f"0{2 * plain}b")
-            elements.extend([PathElement(_BRANCH[digit])
-                             for digit in branch[::2]])
+            elements.extend([_PLAIN_DIGIT[digit] for digit in branch[::2]])
         if flags:
             bit = reader.read_bits(2) >> 1
             elements.append(PathElement(bit, read_dis(reader)))

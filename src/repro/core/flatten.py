@@ -34,6 +34,7 @@ from repro.core.node import (
     build_exploded,
     collect_leaf_slots,
     subtree_atoms,
+    subtree_height,
 )
 from repro.core.path import LEFT, RIGHT, PosID
 from repro.core.tree import TreedocTree
@@ -48,31 +49,8 @@ def explode(atoms: Sequence[object]) -> TreedocTree:
     """
     tree = TreedocTree()
     build_exploded(tree.root, atoms)
-    tree.height = _subtree_height(tree.root)
+    tree.height = subtree_height(tree.root)
     return tree
-
-
-def _subtree_height(node: PosNode) -> int:
-    height = 0
-    stack: List[Tuple[object, int]] = [(node, 0)]
-    while stack:
-        current, depth = stack.pop()
-        if isinstance(current, ArrayLeaf):
-            # The region's exploded form would occupy this many levels.
-            depth += current.implicit_depth - 1
-            if depth > height:
-                height = depth
-            continue
-        if depth > height:
-            height = depth
-        for mini in current.mini_nodes():
-            for child in (mini.left, mini.right):
-                if child is not None:
-                    stack.append((child, depth + 1))
-        for child in (current.left, current.right):
-            if child is not None:
-                stack.append((child, depth + 1))
-    return height
 
 
 def flatten_subtree(tree: TreedocTree, path: PosID,
@@ -94,7 +72,7 @@ def flatten_subtree(tree: TreedocTree, path: PosID,
         atoms = subtree_atoms(node)
     build_exploded(node, atoms)
     tree.recount_subtree(node, old_counts=old_counts)
-    tree.height = _subtree_height(tree.root)
+    tree.height = subtree_height(tree.root)
     return atoms
 
 
@@ -191,7 +169,8 @@ class ColdRegionFinder:
 
     @staticmethod
     def _survey(node: PosNode, stamps: dict) -> Tuple[dict, set]:
-        """One post-order pass over the subtree under ``node``:
+        """One children-first pass over the subtree under ``node`` (the
+        reversed :meth:`PosNode.iter_nodes`):
 
         - ``newest``: id(PosNode) -> newest stamp in that node's
           subtree (collapsed regions are quiescent by construction and
@@ -199,22 +178,10 @@ class ColdRegionFinder:
         - ``leafy``: ids of position nodes whose subtree holds an array
           leaf (excluded from flatten candidacy).
         """
-        order: List[PosNode] = []
-        stack: List[PosNode] = [node]
-        while stack:
-            current = stack.pop()
-            order.append(current)
-            for mini in current.mini_nodes():
-                for child in (mini.left, mini.right):
-                    if child is not None:
-                        stack.append(child)
-            for child in (current.left, current.right):
-                if child is not None and type(child) is not ArrayLeaf:
-                    stack.append(child)
         newest: dict = {}
         leafy: set = set()
         get_stamp = stamps.get
-        for current in reversed(order):
+        for current in reversed(list(node.iter_nodes())):
             value = get_stamp(id(current), 0)
             is_leafy = False
             for mini in current.mini_nodes():

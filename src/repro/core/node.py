@@ -254,10 +254,12 @@ class PosNode:
             and self.right is None
         )
 
-    # -- infix iteration -----------------------------------------------------
+    # -- iteration -----------------------------------------------------------
 
     def iter_slots(self) -> Iterator[AtomSlot]:
-        """All atom slots of this subtree, in identifier (infix) order.
+        """All atom slots of this subtree, in identifier (infix) order:
+        the entries of :func:`iter_subtree_entries`, which must all be
+        slots.
 
         Yields position nodes (their plain slot) and mini-nodes. The
         order matches :func:`repro.core.path.compare_posids`: left child,
@@ -269,60 +271,32 @@ class PosNode:
         storage walk :func:`iter_subtree_entries` instead; callers that
         need slots explode the region first.
         """
-        # Iterative walk with an explicit stack: documents replayed from
-        # long append-heavy histories produce trees deeper than CPython's
-        # default recursion limit.
-        stack: List[Tuple[object, int]] = [(self, 0)]
-        while stack:
-            item, phase = stack.pop()
-            if isinstance(item, ArrayLeaf):
+        for entry in iter_subtree_entries(self):
+            if type(entry) is ArrayLeaf:
                 raise TreeError(
                     "iter_slots over a subtree holding an array leaf; "
                     "walk iter_subtree_entries or explode first"
                 )
-            if isinstance(item, PosNode):
-                if phase == 0:
-                    stack.append((item, 1))
-                    if item.left is not None:
-                        stack.append((item.left, 0))
-                else:
-                    yield item
-                    if item.right is not None:
-                        stack.append((item.right, 0))
-                    # mini_nodes() inline: no call, no tuple for a
-                    # lone mini.
-                    minis = item.minis
-                    if type(minis) is MiniNode:
-                        stack.append((minis, 0))
-                    elif minis:
-                        for mini in reversed(minis):
-                            stack.append((mini, 0))
-            else:  # MiniNode
-                mini = item
-                if phase == 0:
-                    stack.append((mini, 1))
-                    if mini.left is not None:
-                        stack.append((mini.left, 0))
-                else:
-                    yield mini
-                    if mini.right is not None:
-                        stack.append((mini.right, 0))
+            yield entry
 
     def iter_nodes(self) -> Iterator["PosNode"]:
-        """All tree-resident position nodes of this subtree (pre-order,
-        iterative). Collapsed regions (:class:`ArrayLeaf`) hold no nodes
-        and are skipped; walk :func:`iter_subtree_entries` to see them."""
+        """All tree-resident position nodes of this subtree, each before
+        any node below it (pre-order, iterative), so the reversed list
+        visits children before parents. Collapsed regions
+        (:class:`ArrayLeaf`) hold no nodes and are skipped; walk
+        :func:`iter_subtree_entries` to see them."""
         stack = [self]
         while stack:
             node = stack.pop()
             yield node
-            for mini in node.mini_nodes():
+            minis = node.minis  # unpacked inline, as in the entry walk
+            for mini in (minis,) if type(minis) is MiniNode else minis:
                 if mini.right is not None:
                     stack.append(mini.right)
                 if mini.left is not None:
                     stack.append(mini.left)
             for child in (node.right, node.left):
-                if child is not None and not isinstance(child, ArrayLeaf):
+                if child is not None and type(child) is not ArrayLeaf:
                     stack.append(child)
 
 
@@ -930,12 +904,16 @@ class ArrayLeaf:
 
 def iter_subtree_entries(root: "PosNode") -> Iterator[Entry]:
     """All storage entries of ``root``'s subtree in identifier order:
-    atom slots as in :meth:`PosNode.iter_slots`, plus each
-    :class:`ArrayLeaf` yielded whole at its region's infix position.
+    every atom slot (left child, plain slot, mini-nodes in
+    disambiguator order, right child), plus each :class:`ArrayLeaf`
+    yielded whole at its region's infix position.
 
-    Type dispatch mirrors :meth:`PosNode.iter_slots` — the PosNode
-    branch first, so the common path costs exactly what the slot walk
-    costs; leaves only pay on the rare mini/leaf branches.
+    The one infix walk of the tree layout (DESIGN.md section 7.1):
+    :meth:`PosNode.iter_slots` and every ordered reader go through it.
+    The PosNode branch is tested first, so the common path pays no
+    leaf check; leaves only pay on the rare mini/leaf branches.
+    Iterative: documents replayed from long append-heavy histories
+    produce trees deeper than CPython's default recursion limit.
     """
     stack: List[Tuple[object, int]] = [(root, 0)]
     while stack:
@@ -949,7 +927,7 @@ def iter_subtree_entries(root: "PosNode") -> Iterator[Entry]:
                 yield item
                 if item.right is not None:
                     stack.append((item.right, 0))
-                minis = item.minis  # as in PosNode.iter_slots
+                minis = item.minis  # unpacked inline: no call, no tuple
                 if type(minis) is MiniNode:
                     stack.append((minis, 0))
                 elif minis:
@@ -967,6 +945,32 @@ def iter_subtree_entries(root: "PosNode") -> Iterator[Entry]:
                     stack.append((mini.right, 0))
         else:  # ArrayLeaf: the whole region, in one entry
             yield item
+
+
+def subtree_height(root: "PosNode") -> int:
+    """Path length of the deepest identifier level under ``root``, in
+    elements: one per plain or mini-node child step, and a collapsed
+    region counted as the levels its exploded form would occupy. Of the
+    whole tree this is what ``TreedocTree.height`` holds."""
+    height = 0
+    stack: List[Tuple[PosNode, int]] = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > height:
+            height = depth
+        depth += 1
+        minis = node.minis
+        for mini in (minis,) if type(minis) is MiniNode else minis:
+            if mini.left is not None:
+                stack.append((mini.left, depth))
+            if mini.right is not None:
+                stack.append((mini.right, depth))
+        for child in (node.left, node.right):
+            if type(child) is ArrayLeaf:
+                height = max(height, depth - 1 + child.implicit_depth)
+            elif child is not None:
+                stack.append((child, depth))
+    return height
 
 
 def subtree_atoms(root: "PosNode") -> List[object]:

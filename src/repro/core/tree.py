@@ -489,27 +489,11 @@ class TreedocTree:
         return new
 
     def _recount(self, node: PosNode) -> Tuple[int, int]:
-        live = 0
-        ids = 0
-        # Post-order over position nodes, iteratively (deep trees).
-        # Array-leaf children are their own ground truth — counts
+        # Children before parents: the reversed pre-order of the node
+        # walk. Array-leaf children are their own ground truth — counts
         # maintained by construction, dead bitmap included — and are
         # not descended.
-        order: List[PosNode] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            order.append(current)
-            if current.minis:
-                for mini in current.mini_nodes():
-                    if mini.left is not None:
-                        stack.append(mini.left)
-                    if mini.right is not None:
-                        stack.append(mini.right)
-            for child in (current.left, current.right):
-                if child is not None and type(child) is not ArrayLeaf:
-                    stack.append(child)
-        for current in reversed(order):
+        for current in reversed(list(node.iter_nodes())):
             atom = current.atom
             if atom is NO_ATOM:
                 live = ids = 0

@@ -87,6 +87,9 @@ class SimulatedNetwork:
         self.config = config or NetworkConfig()
         self._rng = derive_rng(seed, "network")
         self._handlers: Dict[SiteId, Handler] = {}
+        #: Ids that were registered and then disconnected (crashed): a
+        #: send to one is a loss, not an unknown destination.
+        self._departed: Set[SiteId] = set()
         self._queue: List[_Event] = []
         self._held: List[_Event] = []  # messages blocked by a partition
         self._partitions: List[Set[SiteId]] = []
@@ -125,8 +128,10 @@ class SimulatedNetwork:
         already in flight to it are treated as losses and retried —
         the retransmissions bridge a short downtime; a longer one is
         what the anti-entropy exchange recovers on rejoin. The site id
-        can be :meth:`register`-ed again (a restarted process)."""
-        self._handlers.pop(site, None)
+        can be :meth:`register`-ed again (a restarted process). A
+        message sent to it while it is down is lost the same way."""
+        if self._handlers.pop(site, None) is not None:
+            self._departed.add(site)
 
     @property
     def sites(self) -> Tuple[SiteId, ...]:
@@ -174,9 +179,11 @@ class SimulatedNetwork:
 
         Only ``bytes`` payloads are accepted: the network is a wire,
         not an object bus. Encode with
-        :func:`repro.replication.wire.encode_wire` first.
+        :func:`repro.replication.wire.encode_wire` first. A send to a
+        disconnected site is queued and lost like a message in flight
+        when it crashed; a site id never registered raises.
         """
-        if dst not in self._handlers:
+        if dst not in self._handlers and dst not in self._departed:
             raise ReplicationError(f"unknown destination site {dst}")
         if not isinstance(payload, (bytes, bytearray)):
             raise ReplicationError(

@@ -188,11 +188,9 @@ class ReplicaSite:
     # -- local editing ------------------------------------------------------------
 
     def insert(self, index: int, atom: object) -> InsertOp:
-        """Edit locally and broadcast; returns the operation."""
-        self._check_unlocked(index, index, True, "insert")
-        op = self.doc.insert(index, atom)
-        self._ship_op(op)
-        return op
+        """Insert one atom (an :meth:`insert_text` of one); returns the
+        operation."""
+        return self.insert_text(index, (atom,)).ops[0]
 
     def insert_text(self, index: int, atoms: Sequence[object]) -> OpBatch:
         """Insert a consecutive run locally and broadcast it as ONE
@@ -203,11 +201,9 @@ class ReplicaSite:
         return batch
 
     def delete(self, index: int) -> DeleteOp:
-        """Delete locally and broadcast; returns the operation."""
-        self._check_unlocked(index, index + 1, False, "delete")
-        op = self.doc.delete(index)
-        self._ship_op(op)
-        return op
+        """Delete one atom (a :meth:`delete_range` of one); returns the
+        operation."""
+        return self.delete_range(index, index + 1).ops[0]
 
     def delete_range(self, start: int, end: int) -> OpBatch:
         """Delete ``[start, end)`` locally and broadcast it as ONE
@@ -254,11 +250,6 @@ class ReplicaSite:
                     f"site {self.site}: {verb} at {start + offset} hits a "
                     "region locked by a pending flatten"
                 )
-
-    def _ship_op(self, op: Operation) -> None:
-        """Ship a single-op mint as a one-op batch over the one seq
-        number it claimed."""
-        self._ship(OpBatch.build((op,), self.site, self.doc.op_seq - 1))
 
     def _ship(self, batch: OpBatch) -> None:
         """Broadcast one edit as one causal envelope: the whole batch

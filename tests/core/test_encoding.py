@@ -7,8 +7,8 @@ import pytest
 
 from repro.core import encoding
 from repro.core.disambiguator import Sdis, Udis
-from repro.core.ops import DeleteOp, FlattenOp, InsertOp
-from repro.core.path import PathElement, PosID, ROOT
+from repro.core.ops import DeleteOp, FlattenOp, InsertOp, OpBatch
+from repro.core.path import PLAIN, PathElement, PosID, ROOT
 from repro.errors import EncodingError
 from repro.util.bits import BitReader, BitWriter
 from tests.conftest import posid_strategy
@@ -187,3 +187,43 @@ class TestOperationEncoding:
         op = InsertOp(PosID([PathElement(1, Sdis(1))]), "héllo ⊕ wörld", 1)
         back = encoding.decode_operation(*encoding.encode_operation(op))
         assert back.atom == "héllo ⊕ wörld"
+
+
+class TestDecodedPlainElements:
+    """A decoded path's plain elements are the shared ``PLAIN`` pair, as
+    in identifiers derived from the tree (DESIGN.md section 7.1)."""
+
+    posid = PosID([PathElement(1), PathElement(0), PathElement(1, Udis(3, 9)),
+                   PathElement(0), PathElement(1)])
+
+    @staticmethod
+    def assert_shared(decoded, written):
+        assert decoded == written
+        for element in decoded:
+            if element.dis is None:
+                assert element is PLAIN[element.bit]
+
+    def test_v1_operation(self):
+        for op in (InsertOp(self.posid, "a", 9), DeleteOp(self.posid, 9)):
+            back = encoding.decode_operation(*encoding.encode_operation(op))
+            self.assert_shared(back.posid, self.posid)
+
+    def test_compact_batch(self):
+        ops = (InsertOp(self.posid, "a", 9), DeleteOp(self.posid, 9),
+               FlattenOp(PosID([PathElement(1), PathElement(0)]), "ab", 9))
+        batch = OpBatch.build(ops, 9, 1)
+        back = encoding.decode_batch(*encoding.encode_batch(batch))
+        def path(op):
+            return op.path if type(op) is FlattenOp else op.posid
+
+        for op, written in zip(back.ops, ops):
+            self.assert_shared(path(op), path(written))
+
+    def test_prepare_path(self):
+        from repro.replication.clock import VectorClock
+        from repro.replication.commit import PrepareMsg
+        from repro.replication.wire import decode_wire, encode_wire
+
+        prepare = PrepareMsg("3.17", self.posid, VectorClock({3: 2}), 3)
+        self.assert_shared(decode_wire(encode_wire(prepare)).path,
+                           self.posid)

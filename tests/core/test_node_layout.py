@@ -29,15 +29,18 @@ every CPython version.
 
 from __future__ import annotations
 
+import ast
 import copy
 import gc
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import disk
+import repro
+from repro.core import disk, encoding, flatten
 from repro.core.disambiguator import Sdis, Udis
 from repro.core.node import (
     DEAD_ATOM,
@@ -50,8 +53,12 @@ from repro.core.node import (
     PathMemo,
     PosNode,
     iter_subtree_entries,
+    parent_host,
+    slot_depth,
+    slot_host,
     slot_posid,
     slot_posids,
+    subtree_height,
 )
 from repro.core.path import ROOT
 from repro.core.treedoc import Treedoc
@@ -399,3 +406,190 @@ class TestUdisIsItsOwnKey:
             tag.counter = 5
         with pytest.raises(AttributeError):
             tag.extra = 1
+
+
+def partial_doc() -> Treedoc:
+    """A flattened body of 600 atoms collapsed into two large leaves,
+    one of them partially exploded by an edit in its middle."""
+    doc = Treedoc(site=1, mode="sdis")
+    doc.insert_text(0, [f"p{i}" for i in range(600)])
+    doc.apply_flatten(doc.make_flatten(ROOT))
+    for _ in range(3):
+        doc.note_revision()
+    doc.collapse_cold(min_age=1, min_atoms=4)
+    doc.insert_text(150, ["mid"])
+    doc.delete_range(400, 403)
+    assert doc.tree.partial_explodes and doc.array_leaf_count
+    return doc
+
+
+def deep_doc() -> Treedoc:
+    """A chain deeper than the recursion limit, ending in the edits of
+    :func:`udis_doc` (a mini-node with a position node under it)."""
+    doc = Treedoc(site=1, mode="udis", balanced=False)
+    length = sys.getrecursionlimit() + 100
+    doc.insert_text(0, [f"c{i}" for i in range(length)])
+    base = doc.capture_state()
+    tail = length - 24
+    for site, index, atoms in ((2, 3, ["x", "y"]), (3, 3, ["w"]),
+                               (4, 12, list("tail"))):
+        other = Treedoc(site=site, mode="udis")
+        other.load_state(base)
+        doc.apply_batch(other.insert_text(tail + index, atoms))
+    doc.insert_text(tail + 5, ["v"])
+    assert doc.tree.height > sys.getrecursionlimit()
+    return doc
+
+
+def walk_docs():
+    """Mixed documents: mini-nodes, tombstones, array leaves, partial
+    explodes, and a chain deeper than the recursion limit."""
+    return [sdis_doc(), udis_doc(), partial_doc(), deep_doc()]
+
+
+def reference_height(tree) -> int:
+    """The deepest identifier level, from each entry's own path length."""
+    return max(
+        slot_depth(entry.parent) + entry.implicit_depth
+        if type(entry) is ArrayLeaf else slot_depth(entry)
+        for entry in iter_subtree_entries(tree.root))
+
+
+class TestWalks:
+    """The two walks of ``core/node.py`` and the height function beside
+    them, which every general traversal of the layout goes through."""
+
+    def test_iter_slots_is_the_entry_walk_without_leaves(self):
+        for doc in walk_docs():
+            entries = list(iter_subtree_entries(doc.tree.root))
+            leaves = [i for i, e in enumerate(entries)
+                      if type(e) is ArrayLeaf]
+            slots = []
+            if leaves:
+                with pytest.raises(TreeError):
+                    slots.extend(doc.tree.root.iter_slots())
+                assert slots == entries[:leaves[0]]
+                for leaf in doc.tree.array_leaves():
+                    leaf.explode()
+                entries = list(iter_subtree_entries(doc.tree.root))
+            assert list(doc.tree.root.iter_slots()) == entries
+            assert all(type(e) is not ArrayLeaf for e in entries)
+
+    def test_iter_nodes_reaches_the_nodes_under_mini_nodes(self):
+        under_minis = 0
+        for doc in walk_docs():
+            nodes = list(doc.tree.root.iter_nodes())
+            order = {id(node): index for index, node in enumerate(nodes)}
+            assert len(order) == len(nodes), "a node yielded twice"
+            hosts = {id(slot_host(entry)): slot_host(entry)
+                     for entry in iter_subtree_entries(doc.tree.root)
+                     if type(entry) is not ArrayLeaf}
+            assert order.keys() == hosts.keys()
+            for node in nodes[1:]:
+                assert order[id(parent_host(node))] < order[id(node)]
+            under_minis += sum(type(node.parent) is MiniNode
+                               for node in nodes)
+        assert under_minis >= 2
+
+    def test_tree_height_is_the_one_height_function(self):
+        for doc in walk_docs():
+            height = subtree_height(doc.tree.root)
+            assert height == reference_height(doc.tree)
+            loaded = [disk_reload(doc.tree),
+                      encoding.decode_state(doc.capture_state())[2],
+                      flatten.explode(doc.atoms())]
+            for tree in loaded + legacy_disk_trees():
+                assert tree.height == subtree_height(tree.root) \
+                    == reference_height(tree)
+            assert loaded[0].height == loaded[1].height == height
+
+    def test_recount_agrees_with_check_invariants(self):
+        for doc in walk_docs():
+            tree = doc.tree
+            nodes = list(tree.root.iter_nodes())
+            expected = [(node.live_count, node.id_count) for node in nodes]
+            for node in nodes:
+                entries = list(iter_subtree_entries(node))
+                assert (node.live_count, node.id_count) == (
+                    sum(e.live_count if type(e) is ArrayLeaf
+                        else e.state == LIVE for e in entries),
+                    sum(e.id_count if type(e) is ArrayLeaf
+                        else e.state != EMPTY for e in entries))
+            old = (tree.root.live_count, tree.root.id_count)
+            for node in nodes:
+                node.live_count = node.id_count = -1
+            assert tree.recount_subtree(tree.root, old_counts=old) == old
+            assert [(node.live_count, node.id_count)
+                    for node in nodes] == expected
+            tree.check_invariants()
+
+
+def minis_type_tests():
+    """``(module, function)`` of every ``type(m) is MiniNode`` or
+    ``isinstance(m, MiniNode)`` test in ``src/repro`` whose ``m`` is a
+    packed ``minis`` value: an ``x.minis`` attribute, or a name the
+    enclosing function assigned from one."""
+    found = []
+    package = Path(repro.__file__).resolve().parent
+
+    def is_mini_node(expr):
+        return isinstance(expr, ast.Name) and expr.id == "MiniNode"
+
+    def scan(body_owner, qualname, module):
+        packed = {
+            target.id
+            for node in ast.walk(body_owner) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "minis"
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+
+        def is_packed(expr):
+            return (isinstance(expr, ast.Attribute) and expr.attr == "minis"
+                    or isinstance(expr, ast.Name) and expr.id in packed)
+
+        for node in ast.walk(body_owner):
+            tested = None
+            if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                    and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                    and is_mini_node(node.comparators[0])
+                    and isinstance(node.left, ast.Call)
+                    and isinstance(node.left.func, ast.Name)
+                    and node.left.func.id == "type"):
+                tested = node.left.args[0]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance"
+                  and len(node.args) == 2 and is_mini_node(node.args[1])):
+                tested = node.args[0]
+            if tested is not None and is_packed(tested):
+                found.append((module, qualname))
+
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stack = [(tree, "")]
+        while stack:
+            owner, prefix = stack.pop()
+            for child in ast.iter_child_nodes(owner):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scan(child, prefix + child.name, module)
+                elif isinstance(child, ast.ClassDef):
+                    stack.append((child, prefix + child.name + "."))
+    return found
+
+
+class TestLayoutReaders:
+    def test_the_packed_minis_are_read_in_one_module(self):
+        """DESIGN.md section 7.1 rule 5: only ``core/node.py`` (and the
+        counted descent, which inlines the unpacking to save a call per
+        level) tests whether ``minis`` holds a bare mini-node; every
+        other reader goes through ``mini_nodes()`` or the node walks."""
+        found = minis_type_tests()
+        outside = [(module, name) for module, name in found
+                   if module != "core/node.py"]
+        assert outside == [("core/tree.py", "TreedocTree.locate")]
+        assert {name for module, name in found
+                if module == "core/node.py"} >= {
+            "PosNode.mini_nodes", "PosNode.iter_nodes",
+            "iter_subtree_entries", "subtree_height"}

@@ -165,6 +165,41 @@ class TestEndToEnd:
         cluster.assert_converged()
 
 
+class TestCoordinatorCrash:
+    """The initiator crashes while its transaction is in flight."""
+
+    @staticmethod
+    def _flatten_then_crash(steps_until):
+        cluster = Cluster(3, mode="sdis", seed=0)
+        cluster.bootstrap(list("abcdefghijklmnop"))
+        cluster[1].initiate_flatten(ROOT)
+        while not steps_until(cluster):
+            assert cluster.network.step()
+        cluster.crash_site(1)
+        cluster.settle()
+        return cluster
+
+    def test_votes_to_a_crashed_coordinator_are_lost_not_raised(self):
+        # A participant's vote is sent after the coordinator crashed:
+        # the network counts it as a loss instead of raising out of
+        # settle() as an unknown destination.
+        cluster = self._flatten_then_crash(
+            lambda c: c.network.delivered_messages == 2)
+        assert cluster.network.dropped_transmissions > 0
+
+    @pytest.mark.xfail(
+        strict=True, raises=RegionLockedError,
+        reason="the commitment protocol has no deadline: participants "
+               "that voted keep the region locked once the coordinator "
+               "is gone (ROADMAP probe (iii))",
+    )
+    def test_participants_unlock_after_the_coordinator_crashes(self):
+        cluster = self._flatten_then_crash(
+            lambda c: c[2].locked_regions and c[3].locked_regions)
+        for site in (2, 3):
+            cluster[site].insert(0, "x")
+
+
 class TestReorderedOutcomes:
     """A lossy, duplicating network can deliver a transaction's outcome
     before (or again after) its PrepareMsg; a vote lock taken for a

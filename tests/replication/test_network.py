@@ -58,6 +58,35 @@ class TestDelivery:
         with pytest.raises(ReplicationError):
             net.send(1, 9, b"x")
 
+    def test_send_to_a_disconnected_site_is_a_loss(self):
+        # A crashed site's id is known: a send to it is retried like a
+        # message in flight when it crashed, then abandoned.
+        net = SimulatedNetwork(NetworkConfig(max_transmit_attempts=3),
+                               seed=1)
+        log = []
+        for site in (1, 2):
+            net.register(site, _collector(log, site))
+        net.disconnect(2)
+        net.send(1, 2, b"x")
+        assert net.run() == 3
+        assert net.dropped_transmissions == 3
+        assert net.delivered_messages == 0 and log == []
+        with pytest.raises(ReplicationError):
+            net.send(1, 9, b"x")  # never registered: still unknown
+
+    def test_send_to_a_disconnected_site_reaches_its_restart(self):
+        net = SimulatedNetwork(seed=1)
+        log = []
+        net.register(1, _collector(log, 1))
+        net.register(2, _collector(log, 2))
+        net.disconnect(2)
+        net.send(1, 2, b"x")
+        net.step()  # lost once, retried
+        net.register(2, _collector(log, 2))
+        net.run()
+        assert log == [(2, 1, b"x")]
+        assert net.dropped_transmissions == 1
+
     def test_non_bytes_payload_rejected(self):
         # The wire discipline: nothing but bytes may cross a link.
         net = SimulatedNetwork(seed=1)
