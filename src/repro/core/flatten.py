@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.node import (
     ArrayLeaf,
+    MiniNode,
     PosNode,
     build_exploded,
     collect_leaf_slots,
@@ -184,7 +185,8 @@ class ColdRegionFinder:
         for current in reversed(list(node.iter_nodes())):
             value = get_stamp(id(current), 0)
             is_leafy = False
-            for mini in current.mini_nodes():
+            minis = current.minis  # unpacked inline, as in iter_nodes
+            for mini in (minis,) if type(minis) is MiniNode else minis:
                 for child in (mini.left, mini.right):
                     if child is not None:
                         child_value = newest[id(child)]

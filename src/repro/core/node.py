@@ -198,8 +198,9 @@ class PosNode:
 
     def mini_nodes(self) -> Tuple[MiniNode, ...]:
         """The mini-nodes in disambiguator order, as a tuple: how code
-        reads the packed ``minis`` field (only the infix walks here and
-        the counted descent inline it, to save a call per node)."""
+        reads the packed ``minis`` field (only the walks here, the
+        counted descent and the cold-region survey inline it, to save a
+        call per node)."""
         minis = self.minis
         return (minis,) if type(minis) is MiniNode else minis
 

@@ -49,7 +49,7 @@ fully remain PosID-identical with replicas that exploded partially.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.disambiguator import Disambiguator
 from repro.core.node import (
@@ -702,6 +702,17 @@ class TreedocTree:
         self._adjust_counts(slot, 0, -1)
         self._prune_from(slot)
 
+    def revive(self, slot: AtomSlot, atom: object) -> None:
+        """Purge the tombstone in ``slot`` and place ``atom`` there: a
+        re-minted identifier (section 3.3.2). The same end state as
+        :meth:`purge_tombstone` then a fresh insert, without pruning
+        structure only to rebuild it."""
+        if slot.atom is not DEAD_ATOM:
+            raise MissingAtomError(f"no tombstone at {slot_posid(slot)!r}")
+        slot.atom = NO_ATOM
+        self._adjust_counts(slot, 0, -1)
+        self.set_live(slot, atom)
+
     def _prune_from(self, slot: AtomSlot) -> None:
         """Remove now-useless structure starting at ``slot`` (3.3.1):
         empty leaf mini-nodes go immediately; position nodes with no
@@ -733,17 +744,27 @@ class TreedocTree:
 
     # -- remote operation application ---------------------------------------------
 
-    def apply_insert(self, posid: PosID, atom: object) -> AtomSlot:
-        """Replay ``insert(posid, atom)``; idempotent for exact duplicates."""
+    def apply_insert(self, posid: PosID, atom: object,
+                     remint: Optional[Callable[[PosID], bool]] = None
+                     ) -> AtomSlot:
+        """Replay ``insert(posid, atom)``; idempotent for exact duplicates.
+
+        An insert landing on a tombstone is an SDIS re-mint (section
+        3.3.2) when ``remint(posid)`` says so: its origin purged the
+        identifier as stable and minted it again. The tombstone is then
+        purged and the insert applied in its place."""
         slot = self.materialize(posid)
         held = slot.atom
         if held is NO_ATOM:
             self.set_live(slot, atom)
             return slot
         if held is DEAD_ATOM:
-            # Insert happened-before any delete of the same PosID, so a
-            # tombstone here means causal delivery was violated.
-            raise TreeError(f"insert at tombstoned identifier {posid!r}")
+            if remint is None or not remint(posid):
+                # Insert happened-before any delete of the same PosID,
+                # so a tombstone here means causal delivery was violated.
+                raise TreeError(f"insert at tombstoned identifier {posid!r}")
+            self.revive(slot, atom)
+            return slot
         if held == atom:
             return slot  # duplicate delivery of the same operation
         raise TreeError(f"conflicting atom already at {posid!r}")

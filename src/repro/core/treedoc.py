@@ -22,7 +22,7 @@ Example
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.alloc import Allocator
 from repro.core.disambiguator import DisambiguatorFactory, SiteId, Udis
@@ -355,14 +355,17 @@ class Treedoc:
 
     # -- remote replay ----------------------------------------------------------------
 
-    def apply(self, op: Operation) -> None:
+    def apply(self, op: Operation,
+              remint: Optional[Callable[[PosID], bool]] = None) -> None:
         """Replay a (remote) operation or batch. Operations must arrive
         in an order compatible with happened-before; the replication
-        layer's causal broadcast guarantees it."""
+        layer's causal broadcast guarantees it. ``remint`` decides
+        whether an insert landing on a tombstone re-mints a purged
+        identifier (see :meth:`TreedocTree.apply_insert`)."""
         if isinstance(op, OpBatch):
-            self.apply_batch(op)
+            self.apply_batch(op, remint)
         elif isinstance(op, InsertOp):
-            slot = self.tree.apply_insert(op.posid, op.atom)
+            slot = self.tree.apply_insert(op.posid, op.atom, remint)
             self._touch(slot)
         elif isinstance(op, DeleteOp):
             slot = self.tree.apply_delete(
@@ -375,7 +378,9 @@ class Treedoc:
         else:
             raise TreeError(f"unknown operation {op!r}")
 
-    def apply_batch(self, batch: OpBatch) -> None:
+    def apply_batch(self, batch: OpBatch,
+                    remint: Optional[Callable[[PosID], bool]] = None
+                    ) -> None:
         """Replay a remote batch with deferred index maintenance.
 
         Semantically identical to applying the batch's operations one by
@@ -388,14 +393,15 @@ class Treedoc:
         ops = batch.ops if isinstance(batch, OpBatch) else tuple(batch)
         if len(ops) <= 1:
             for op in ops:
-                self.apply(op)
+                self.apply(op, remint)
             return
         touched: List[AtomSlot] = []
         self.tree.begin_bulk()
         try:
             for op in ops:
                 if isinstance(op, InsertOp):
-                    touched.append(self.tree.apply_insert(op.posid, op.atom))
+                    touched.append(
+                        self.tree.apply_insert(op.posid, op.atom, remint))
                 elif isinstance(op, DeleteOp):
                     slot = self.tree.apply_delete(
                         op.posid, keep_tombstone=self.keeps_tombstones
@@ -782,7 +788,9 @@ class Treedoc:
         return len(atoms)
 
     def merge_segments(self, state: "DocumentState",
-                       skip: frozenset = frozenset()) -> int:
+                       skip: frozenset = frozenset(),
+                       remint: Optional[Callable[[PosID], bool]] = None
+                       ) -> int:
         """Join a delta's region frame into this replica's document in
         place: one walk over the decoded partial tree's used identifiers.
 
@@ -796,6 +804,14 @@ class Treedoc:
         survive. The caller owns the causal safety argument (see
         :meth:`repro.replication.site.ReplicaSite._apply_sync_delta`).
         Returns the number of atoms newly placed live.
+
+        ``remint`` makes the merge re-mint aware (section 3.3.2, SDIS
+        tombstone GC): a live atom of the frame landing on a tombstone
+        here revives it when ``remint(posid)`` holds, and the frame's
+        tombstones delete nothing live — the caller applies the frame's
+        new deletes from its delete log, so a live atom here that the
+        frame holds dead was re-minted after a purge the sender has not
+        made yet.
         """
         from repro.core.encoding import decode_state
 
@@ -826,6 +842,8 @@ class Treedoc:
                     if held is NO_ATOM:  # its insert never came here
                         slot.atom = DEAD_ATOM
                         tree._adjust_counts(slot, 0, 1)
+                    elif remint is not None:
+                        continue
                     else:
                         tree.make_tombstone(slot)
                 elif posid in skip:
@@ -833,12 +851,16 @@ class Treedoc:
                 else:
                     slot = tree.materialize(posid)
                     held = slot.atom
-                    if held is not NO_ATOM:
+                    if (held is DEAD_ATOM and remint is not None
+                            and remint(posid)):
+                        tree.revive(slot, atom)
+                    elif held is not NO_ATOM:
                         if held is not DEAD_ATOM and held != atom:
                             raise TreeError(
                                 f"region merge conflict at {posid!r}")
                         continue
-                    tree.set_live(slot, atom)
+                    else:
+                        tree.set_live(slot, atom)
                     applied += 1
                 touched.append(slot)
         finally:

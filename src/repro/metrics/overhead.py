@@ -215,8 +215,8 @@ def measure_network_sync(doc) -> Tuple[int, int]:
     frame — over a two-site :class:`SimulatedNetwork`, and reads the
     numbers from the network's per-link byte counters. Unlike the
     frame-bits estimate of :func:`measure_sync`, this includes every
-    real cost: clock varints, the delete log, frame headers and the
-    CRC.
+    real cost: clock varints, the (empty) delete-log field, frame
+    headers and the CRC.
     """
     from repro.replication.network import SimulatedNetwork
     from repro.replication.site import ReplicaSite

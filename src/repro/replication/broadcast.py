@@ -52,6 +52,10 @@ class CausalBroadcast:
         #: install it; None means no journaling.
         self.journal: Optional[Callable[[bytes], None]] = None
         self._buffer: List[EnvelopeFrame] = []
+        #: Clock of the envelope last handed to ``deliver``: inside the
+        #: callback, the causal past of the event being applied (the
+        #: event itself included).
+        self.delivering: Optional[VectorClock] = None
         #: Simulated time at which the buffer last became non-empty
         #: (None while empty): the age of the oldest unmet causal gap,
         #: which the anti-entropy policy reads.
@@ -161,6 +165,7 @@ class CausalBroadcast:
                         # frame journals the bytes it arrived as.
                         self.journal(frame.to_wire())
                     self.clock = self.clock.merge(frame.clock)
+                    self.delivering = frame.clock
                     self._deliver(frame.origin, payload)
                     progressed = True
         if not self._buffer:

@@ -70,7 +70,6 @@ class Cluster:
         balanced: bool = True,
         config: NetworkConfig | None = None,
         seed: int = 0,
-        tombstone_gc: bool = False,
         policy: Optional[AntiEntropyPolicy] = None,
     ) -> None:
         if n_sites < 1:
@@ -78,7 +77,6 @@ class Cluster:
         self.network = SimulatedNetwork(config, seed=seed)
         self.mode = mode
         self.balanced = balanced
-        self.tombstone_gc = tombstone_gc
         self.policy = policy
         self.sites: Dict[SiteId, ReplicaSite] = {}
         #: High-water mark of ids ever used: default-id joins must not
@@ -107,7 +105,7 @@ class Cluster:
         self._next_site_id = max(self._next_site_id, site_id + 1)
         self.sites[site_id] = ReplicaSite(
             site_id, self.network, mode=self.mode, balanced=self.balanced,
-            tombstone_gc=self.tombstone_gc, policy=self.policy, store=store,
+            policy=self.policy, store=store,
         )
         return self.sites[site_id]
 
@@ -432,8 +430,8 @@ class Cluster:
 
     def gossip_acks(self) -> None:
         """Every site gossips its applied clock and the network settles;
-        with ``tombstone_gc`` enabled this advances the stable frontier
-        and purges stable SDIS tombstones everywhere."""
+        under SDIS this advances the stable frontier and purges stable
+        tombstones everywhere."""
         for site in self.sites.values():
             site.broadcast_ack()
         self.settle()

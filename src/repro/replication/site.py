@@ -87,7 +87,6 @@ class ReplicaSite:
         network: SimulatedNetwork,
         mode: str = "udis",
         balanced: bool = True,
-        tombstone_gc: bool = False,
         policy: Optional["AntiEntropyPolicy"] = None,
         store: Optional["DurableStore"] = None,
     ) -> None:
@@ -127,18 +126,22 @@ class ReplicaSite:
         #: per-operation region knowledge survives for them, so this
         #: site serves deltas only to requesters already past it.
         self._opaque_frontier = VectorClock()
-        #: SDIS tombstone GC (section 4.2): causal-stability tracking.
-        #: Acks ride the wire as AckFrames and purging is a
-        #: deterministic function of (delete log, frontier), so every
-        #: site purges a tombstone before applying anything that could
-        #: re-mint its identifier.
-        self.tombstone_gc = tombstone_gc and self.doc.keeps_tombstones
+        #: SDIS tombstone GC (section 4.2), on wherever the document
+        #: keeps tombstones: causal-stability tracking. Acks ride the
+        #: wire as AckFrames; a delete applied here is logged and purges
+        #: once its event is stable, and tombstones adopted wholesale
+        #: (snapshot, checkpoint, delta) purge once ``_tombstone_stamp``
+        #: — the join of the clocks of the frames that carried them —
+        #: is. An insert that re-mints a purged identifier at a site
+        #: that has not purged it yet purges it first (:meth:`_remint`).
         self._stability: Optional["StabilityTracker"] = None
-        #: Last (frontier, delete-log length) a purge ran against —
-        #: the piggyback path's guard against re-sweeping the log on
-        #: every delivered frame.
-        self._purge_memo: Optional[Tuple[VectorClock, int]] = None
+        #: Last (frontier, delete-log length, stamp) a purge ran
+        #: against — the piggyback path's guard against re-sweeping the
+        #: log on every delivered frame.
+        self._purge_memo: Optional[Tuple[VectorClock, int,
+                                         Optional[VectorClock]]] = None
         self._delete_log: List[Tuple[PosID, SiteId, int]] = []
+        self._tombstone_stamp: Optional[VectorClock] = None
         self.purged_tombstones = 0
         #: Observer of every decoded explicit ack, ``(site, applied)``:
         #: a daemon installs one to track peer frontiers from the
@@ -322,10 +325,11 @@ class ReplicaSite:
     def _recover_from_store(self) -> None:
         """Startup recovery: newest valid checkpoint + WAL tail replay.
 
-        The checkpoint frame restores document, frontier and delete
-        log; the tail's envelopes re-enter through the ordinary causal
-        delivery path (the clock filters the ones the checkpoint
-        already covers); own-origin tail envelopes are re-broadcast,
+        The checkpoint frame restores document and frontier, and its
+        tombstones take the checkpoint's clock as their stamp; the
+        tail's envelopes re-enter through the ordinary causal delivery
+        path (the clock filters the ones the checkpoint already
+        covers); own-origin tail envelopes are re-broadcast,
         because the journal writes before the network sends — a crash
         between the two must not lose the edit (receivers that did get
         the original drop the duplicate by clock). Counter restoration
@@ -358,8 +362,7 @@ class ReplicaSite:
             checkpoint, recovered = self.store.restore(self.doc)
             if checkpoint is not None:
                 self.broadcast.clock = checkpoint.clock.copy()
-                if self.tombstone_gc:
-                    self._delete_log = list(checkpoint.delete_log)
+                self._stamp_tombstones(checkpoint.clock)
             recovered.replay(replay)
             self.doc.restore_counters(recovered.meta, own_events)
             # The edit history did not witness the checkpoint's edits.
@@ -382,14 +385,14 @@ class ReplicaSite:
     # -- state-transfer anti-entropy ------------------------------------------------
 
     def make_state_transfer(self) -> SyncResponse:
-        """Snapshot this site's document, causal frontier and
-        outstanding delete log for a lagging peer (the sender half of
-        the anti-entropy exchange)."""
+        """Snapshot this site's document and causal frontier for a
+        lagging peer (the sender half of the anti-entropy exchange).
+        The delete log stays home: the receiver stamps the frame's
+        tombstones with its clock instead."""
         return SyncResponse(
             self.site,
             self.broadcast.clock.copy(),
             self.doc.capture_state(),
-            tuple(self._delete_log) if self.tombstone_gc else (),
         )
 
     def sync_from(self, peer: "ReplicaSite") -> "SyncStats":
@@ -413,9 +416,11 @@ class ReplicaSite:
         document, adopts the frontier (buffered envelopes covered by
         the snapshot are dropped as duplicates, newer ones re-drain),
         and conservatively poisons future flatten votes for snapshots
-        older than the adopted frontier. The sender's delete log rides
-        along, so inherited SDIS tombstones purge as soon as causal
-        stability reaches them — no flatten required.
+        older than the adopted frontier. Inherited SDIS tombstones are
+        stamped with the snapshot's clock and purge as soon as causal
+        stability reaches it — no flatten required. A delete log the
+        frame carries (older writers sent one) is ignored: the stamp
+        covers every delete in it.
         """
         from repro.replication.sync import SyncStats
 
@@ -435,25 +440,10 @@ class ReplicaSite:
             )
         atoms = self.doc.load_state(transfer.state)
         self.broadcast.catch_up(transfer.clock)
-        inherited = 0
-        if self.tombstone_gc:
-            # The snapshot replaced the document, so the sender's
-            # outstanding delete log replaces ours: it names exactly
-            # the tombstones the new document still holds.
-            self._delete_log = [
-                (posid, origin, sequence)
-                for posid, origin, sequence in transfer.delete_log
-            ]
-            inherited = len(self._delete_log)
-            if self._stability is not None:
-                from repro.replication.stability import (
-                    purge_stable_tombstones,
-                )
-
-                self.purged_tombstones += purge_stable_tombstones(
-                    self.doc, self._delete_log,
-                    self._stability.stable_frontier(),
-                )
+        tree = self.doc.tree
+        inherited = tree.id_length - tree.live_length
+        self._stamp_tombstones(transfer.clock)
+        self._purge_stable()
         self._note_opaque(transfer.clock)
         self._peer_failures.pop(transfer.site, None)
         if self.store is not None and not self._recovering:
@@ -468,7 +458,7 @@ class ReplicaSite:
             run_segments=transfer.state.run_segments,
             op_segments=transfer.state.op_segments,
             loaded_leaves=self.doc.array_leaf_count,
-            inherited_deletes=inherited,
+            inherited_tombstones=inherited,
             stale_responses=self.sync_responses_stale,
         )
 
@@ -677,8 +667,9 @@ class ReplicaSite:
 
     def _apply_sync_response(self, response: SyncResponse) -> None:
         """Adopt a snapshot that arrived over the network, unless this
-        site advanced past it while the response was in flight."""
-        self._record_ack(response.site, response.clock)
+        site advanced past it while the response was in flight. Its
+        clock is the responder's ack, recorded last: once adopted, the
+        snapshot's events are delivered here, so the ack counts."""
         try:
             self.apply_state_transfer(response)
         except StaleStateError:
@@ -693,6 +684,7 @@ class ReplicaSite:
             self.sync_responses_ignored += 1
         else:
             self.sync_responses_applied += 1
+        self._record_ack(response.site, response.clock)
 
     def _apply_sync_delta(self, delta: SyncDelta) -> None:
         """Merge a frontier-diff that arrived over the network.
@@ -713,11 +705,20 @@ class ReplicaSite:
         pre = self.broadcast.clock.copy()
         if delta.clock.dominates(pre) and pre.dominates(delta.clock):
             return  # equal frontiers: raced duplicate, nothing to do
-        # Identifiers we deleted but the sender may not have seen: the
-        # merge must not resurrect them.
-        skip = frozenset(entry[3] for entry in self._history
-                         if entry[3] is not None)
-        self.doc.merge_segments(delta.state, skip=skip)
+        # Identifiers we deleted but the sender has not seen: the merge
+        # must not resurrect them. (A delete the sender has seen and an
+        # atom it holds live there anyway is a re-mint.)
+        skip = frozenset(
+            posid for _, origin, sequence, posid in self._history
+            if posid is not None and sequence > delta.clock.get(origin)
+        )
+        self.doc.merge_segments(
+            delta.state, skip=skip,
+            remint=lambda posid: self._remint(posid, delta.clock),
+        )
+        # Tombstones the frame carried have no log record here: the
+        # delta's clock covers their deletes.
+        self._stamp_tombstones(delta.clock, merge=True)
         for posid, origin, sequence in delta.delete_log:
             if self.broadcast.has_delivered(origin, sequence):
                 continue  # already applied this delete
@@ -725,6 +726,8 @@ class ReplicaSite:
             self.doc.apply(op)
             self._log_op(op, origin, sequence)
         self.broadcast.catch_up(delta.clock)
+        # The sender's ack again: with its events delivered, it counts.
+        self._record_ack(delta.site, delta.clock)
         self._note_opaque(delta.clock, known=pre)
         self._peer_failures.pop(delta.site, None)
         self.sync_deltas_applied += 1
@@ -902,7 +905,9 @@ class ReplicaSite:
             payload = OpBatch((payload,), origin, 0, 0)
         elif not isinstance(payload, OpBatch):
             raise ReplicationError(f"unexpected causal payload {payload!r}")
-        self.doc.apply_batch(payload)
+        past = self.broadcast.delivering
+        self.doc.apply_batch(payload,
+                             lambda posid: self._remint(posid, past))
         sequence = self.broadcast.clock.get(origin)
         for op in payload.ops:
             self._log_op(op, origin, sequence)
@@ -917,12 +922,12 @@ class ReplicaSite:
     def broadcast_ack(self) -> None:
         """Gossip this site's applied clock (drives the stable frontier).
 
-        Call periodically (the cluster harness does) when
-        ``tombstone_gc`` is enabled. Acks are idempotent,
+        Call periodically (the cluster harness does) on an SDIS
+        document; a no-op under UDIS. Acks are idempotent,
         order-insensitive clock merges, so they travel as plain wire
         frames — no causal ordering, no clock tick.
         """
-        if not self.tombstone_gc:
+        if not self.doc.keeps_tombstones:
             return
         applied = self.broadcast.clock.copy()
         self._record_ack(self.site, applied)
@@ -940,13 +945,18 @@ class ReplicaSite:
         so its progress never holds its own frontier back. Purging is
         skipped when neither the frontier nor the delete log moved —
         the piggyback path runs on every delivery, and must cost a
-        clock merge, not a log sweep."""
-        from repro.replication.stability import (
-            StabilityTracker,
-            purge_stable_tombstones,
-        )
+        clock merge, not a log sweep.
 
-        if not self.tombstone_gc:
+        An ack counts only once this site has delivered the acker's own
+        events up to it. The acker may have deleted an atom
+        concurrently with a delete it acknowledges; its own delete is
+        below its ack, so counting the ack early could purge the
+        tombstone, let the identifier be re-minted, and then let the
+        late concurrent delete remove the new atom here alone. A
+        skipped ack is not lost: the acker's later clocks carry it."""
+        from repro.replication.stability import StabilityTracker
+
+        if not self.doc.keeps_tombstones:
             return
         if self._stability is None:
             self._stability = StabilityTracker(tuple(self.network.sites))
@@ -954,16 +964,78 @@ class ReplicaSite:
         tracker.ensure_member(self.site)
         for member in self.network.sites:
             tracker.ensure_member(member)
-        tracker.record_ack(site, applied)
+        if self.broadcast.clock.get(site) >= applied.get(site):
+            tracker.record_ack(site, applied)
         tracker.record_ack(self.site, self.broadcast.clock)
-        frontier = tracker.stable_frontier()
-        memo = (frontier, len(self._delete_log))
+        self._purge_stable()
+
+    def _purge_stable(self) -> None:
+        """Purge what the stable frontier now covers: logged deletes
+        one by one, then — once the frontier dominates the stamp — the
+        stamped tombstones in one walk."""
+        from repro.replication.stability import (
+            purge_stable_tombstones,
+            purge_unlogged_tombstones,
+        )
+
+        if self._stability is None:
+            return
+        frontier = self._stability.stable_frontier()
+        memo = (frontier, len(self._delete_log), self._tombstone_stamp)
         if memo == self._purge_memo:
             return
         self.purged_tombstones += purge_stable_tombstones(
             self.doc, self._delete_log, frontier
         )
-        self._purge_memo = (frontier, len(self._delete_log))
+        stamp = self._tombstone_stamp
+        if stamp is not None and frontier.dominates(stamp):
+            self.purged_tombstones += purge_unlogged_tombstones(
+                self.doc, self._delete_log
+            )
+            self._tombstone_stamp = None
+        self._purge_memo = (frontier, len(self._delete_log),
+                            self._tombstone_stamp)
+
+    def _stamp_tombstones(self, clock: VectorClock,
+                          merge: bool = False) -> None:
+        """Tombstones just adopted wholesale purge once ``clock`` is
+        stable. A snapshot or checkpoint replaced the document, so its
+        stamp replaces the delete log and any older stamp (its clock
+        dominates both); a delta merge joins its clock into the stamp.
+        O(1): the tombstones are found only when the stamp is stable."""
+        if not merge:
+            self._delete_log = []
+            self._tombstone_stamp = None
+        tree = self.doc.tree
+        if tree.id_length == tree.live_length:
+            return
+        stamp = self._tombstone_stamp
+        self._tombstone_stamp = (clock.copy() if stamp is None
+                                 else stamp.merge(clock))
+
+    def _remint(self, posid: PosID, past: VectorClock) -> bool:
+        """Section 3.3.2: a live atom at ``posid`` arrived (an insert
+        whose causal past is ``past``, or a delta at clock ``past``)
+        where this site still holds a tombstone. When the tombstone's
+        delete is in that past, the sender saw the delete and still
+        holds the identifier live: it re-minted the identifier after
+        purging it as stable, a purge this site has not made yet.
+        Drop its log records and count the purge; True tells the
+        caller to purge the tombstone and apply. False when the delete
+        is known here and not in that past. A tombstone with no record
+        is covered by the stamp — its delete is in that past, as the
+        sender could not have purged it otherwise."""
+        known = [(origin, sequence)
+                 for logged, origin, sequence in self._delete_log
+                 if logged == posid]
+        if known and not any(sequence <= past.get(origin)
+                             for origin, sequence in known):
+            return False
+        if known:
+            self._delete_log = [entry for entry in self._delete_log
+                                if entry[0] != posid]
+        self.purged_tombstones += 1
+        return True
 
     def forget_peer(self, site: SiteId) -> None:
         """A peer departed permanently (graceful leave): stop letting
@@ -981,7 +1053,7 @@ class ReplicaSite:
 
     def _log_op(self, op: Operation, origin: SiteId, sequence: int) -> None:
         """Record one applied op: its history entry and, for a delete
-        under tombstone GC, its delete-log record."""
+        that leaves a tombstone (SDIS), its delete-log record."""
         if isinstance(op, FlattenOp):
             # A flatten rewrites the subtree's identifier structure:
             # region state before and after do not merge, so the event
@@ -992,7 +1064,7 @@ class ReplicaSite:
             )
         elif isinstance(op, DeleteOp):
             self._remember(op.posid.bits(), origin, sequence, op.posid)
-            if self.tombstone_gc:
+            if self.doc.keeps_tombstones:
                 self._delete_log.append((op.posid, origin, sequence))
         else:
             self._remember(op.posid.bits(), origin, sequence)

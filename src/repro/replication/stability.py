@@ -14,20 +14,26 @@ A tombstone created by delete ``d`` can be purged once ``d`` is stable
 
 - no site will issue a concurrent insert adjacent to the tombstone's
   identifier anymore without having seen the delete, and
-- our allocator never re-mints a discarded identifier for *fresh*
-  inserts at other sites only if the identifier cannot come back — which
-  is guaranteed for *leaf* tombstones whose position node can be
-  discarded entirely (mirroring the UDIS discard rule); interior
-  tombstones are kept as empty structure, exactly like UDIS interiors.
+- a purged identifier that is minted again (section 3.3.2: an SDIS
+  disambiguator is the site id alone) comes back in an insert whose
+  causal past holds the delete. Acks are not causal, so that insert can
+  reach a site that has not purged yet; the site purges the tombstone
+  there and then applies (``ReplicaSite``). Purged leaf structure is
+  pruned; interior slots stay as empty structure, as under UDIS.
 
 ``StabilityTracker`` maintains the frontier; ``purge_stable_tombstones``
 applies it to a Treedoc replica. The replica site wires both together;
 acknowledgement clocks travel as plain
 :class:`repro.replication.wire.AckFrame` wire frames (merges are
 idempotent and order-insensitive, so acks need no causal ordering).
-A replica that adopted a state snapshot inherits the sender's
-outstanding delete log with it, so inherited tombstones purge here
-too once the frontier reaches them.
+
+A delete the site applied one by one has a delete-log record and
+purges when its own event is stable. Tombstones adopted wholesale — a
+state snapshot, a checkpoint, a delta merge — have no record: they
+share one *stamp*, the clock of the frame that carried them (every
+delete in the frame is at or below it), and
+``purge_unlogged_tombstones`` finds them in one walk once the stamp is
+stable.
 """
 
 from __future__ import annotations
@@ -35,7 +41,12 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core.disambiguator import SiteId
-from repro.core.node import TOMBSTONE
+from repro.core.node import (
+    DEAD_ATOM,
+    TOMBSTONE,
+    ArrayLeaf,
+    iter_subtree_entries,
+)
 from repro.core.treedoc import Treedoc
 from repro.replication.clock import VectorClock
 
@@ -116,19 +127,62 @@ def purge_stable_tombstones(
     """Discard tombstones whose delete is causally stable.
 
     ``delete_log`` holds ``(posid, delete_origin, delete_sequence)`` for
-    applied deletes; purged entries are removed from it. Returns the
-    number of tombstones discarded. Purging mirrors the UDIS discard:
-    the slot empties, and leaf structure is pruned.
+    applied deletes; purged entries are removed from it, with every
+    other entry naming the same identifier (a concurrent delete of the
+    same atom — it must not later purge a re-minted successor's
+    tombstone). Returns the number of tombstones discarded. Purging
+    mirrors the UDIS discard: the slot empties, and leaf structure is
+    pruned.
     """
     purged = 0
-    remaining: List[Tuple[object, SiteId, int]] = []
+    freed = set()
     for posid, origin, sequence in delete_log:
         if frontier.get(origin) < sequence:
-            remaining.append((posid, origin, sequence))
             continue
+        freed.add(posid)
         slot = doc.tree.lookup(posid)
         if slot is not None and slot.state == TOMBSTONE:
             doc.tree.purge_tombstone(slot)
             purged += 1
-    delete_log[:] = remaining
+    if freed:
+        delete_log[:] = [entry for entry in delete_log
+                         if entry[0] not in freed]
     return purged
+
+
+def purge_unlogged_tombstones(
+    doc: Treedoc,
+    delete_log: List[Tuple[object, SiteId, int]],
+) -> int:
+    """Discard every tombstone ``delete_log`` does not name: the ones a
+    stable stamp covers. Returns the number discarded.
+
+    One entry walk finds them; a collapsed region holding dead slots
+    explodes (as a purge by PosID would explode it) and its subtree is
+    walked in turn. Tombstones of logged deletes wait for their own
+    records."""
+    tree = doc.tree
+    kept = set()
+    for posid, _, _ in delete_log:
+        slot = tree.lookup(posid)
+        if slot is not None and slot.atom is DEAD_ATOM:
+            kept.add(id(slot))
+    if tree.id_length - tree.live_length <= len(kept):
+        return 0
+    dead: List[object] = []
+    leaves: List[ArrayLeaf] = []
+
+    def collect(root) -> None:
+        for entry in iter_subtree_entries(root):
+            if type(entry) is ArrayLeaf:
+                if entry.dead:
+                    leaves.append(entry)
+            elif entry.atom is DEAD_ATOM and id(entry) not in kept:
+                dead.append(entry)
+
+    collect(tree.root)
+    for leaf in leaves:
+        collect(tree.explode_leaf(leaf))
+    for slot in dead:
+        tree.purge_tombstone(slot)
+    return len(dead)

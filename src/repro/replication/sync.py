@@ -14,10 +14,10 @@ Since this PR the exchange is a real network protocol
 (:mod:`repro.replication.wire`): the lagging site sends a
 :class:`~repro.replication.wire.SyncRequest` carrying its clock; a
 peer whose clock dominates it answers with a
-:class:`~repro.replication.wire.SyncResponse` — the state frame, the
-sender's frontier and its outstanding delete log, CRC-guarded bytes on
-the simulated wire. :class:`StateTransfer` *is* that response frame
-(one definition, not two); the direct
+:class:`~repro.replication.wire.SyncResponse` — the state frame and the
+sender's frontier, CRC-guarded bytes on the simulated wire.
+:class:`StateTransfer` *is* that response frame (one definition, not
+two); the direct
 :meth:`repro.replication.site.ReplicaSite.sync_from` convenience still
 exists but routes through the same encode → decode path, so its byte
 accounting is the measured frame length.
@@ -119,9 +119,9 @@ class SyncStats(SyncReport):
     #: Collapsed regions the receiver holds as array leaves after the
     #: load (runs land as leaves — they are never exploded in transit).
     loaded_leaves: int = 0
-    #: Delete-log entries inherited from the sender (tombstones the
-    #: receiver can now purge once they become causally stable).
-    inherited_deletes: int = 0
+    #: Tombstones the snapshot carried: stamped with its clock, they
+    #: purge once that clock is causally stable.
+    inherited_tombstones: int = 0
     #: Responses/deltas this site has dropped as stale so far (arrived
     #: after replay or local progress overtook them) — surfaced here so
     #: a catch-up report shows how many exchanges were wasted before

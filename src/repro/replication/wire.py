@@ -208,17 +208,18 @@ class SyncRequest:
 
 @dataclass(frozen=True)
 class SyncResponse(_CachedWire):
-    """An anti-entropy answer: one replica's document state, causal
-    frontier, and outstanding SDIS delete log.
+    """An anti-entropy answer: one replica's document state and causal
+    frontier.
 
     ``state`` is the encoded state frame (the tree-walk frame of
     :func:`repro.core.encoding.encode_state` + digest); ``clock`` the
     sender's vector clock at snapshot time. A receiver whose clock the
     snapshot dominates may replace its document and adopt the
-    frontier. ``delete_log`` carries the
-    sender's not-yet-stable delete records so the receiver can purge
-    inherited tombstones once causal stability reaches them, instead
-    of waiting for a flatten.
+    frontier; it stamps the snapshot's SDIS tombstones with ``clock``
+    and purges them once that clock is causally stable. Writers leave
+    ``delete_log`` empty; the field still parses, so older frames and
+    checkpoints that carried the sender's delete records load (the
+    stamp covers every delete in them).
     """
 
     site: SiteId

@@ -53,7 +53,6 @@ def build_config(argv) -> DaemonConfig:
     parser.add_argument("--mode", choices=("udis", "sdis"), default="udis")
     parser.add_argument("--store", default=None,
                         help="durable store directory (volatile if unset)")
-    parser.add_argument("--tombstone-gc", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--checkpoint-every", type=int, default=64)
     parser.add_argument("--tick-interval", type=float, default=0.05)
@@ -64,8 +63,8 @@ def build_config(argv) -> DaemonConfig:
     return DaemonConfig(
         site=args.site, host=args.host, port=args.port,
         admin_port=args.admin_port, peers=peers, mode=args.mode,
-        tombstone_gc=args.tombstone_gc, store_path=args.store,
-        checkpoint_every=args.checkpoint_every, seed=args.seed,
+        store_path=args.store, checkpoint_every=args.checkpoint_every,
+        seed=args.seed,
         tick_interval=args.tick_interval,
         heartbeat_interval=args.heartbeat_interval,
         idle_timeout=args.idle_timeout,

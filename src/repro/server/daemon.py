@@ -76,7 +76,6 @@ class DaemonConfig:
     #: Static peer roster: site id -> (host, port) of its listener.
     peers: Mapping[SiteId, Tuple[str, int]] = field(default_factory=dict)
     mode: str = "udis"
-    tombstone_gc: bool = False
     #: Durable store directory; None runs volatile.
     store_path: Optional[str] = None
     checkpoint_every: Optional[int] = 64
@@ -121,8 +120,7 @@ class SiteDaemon:
                 checkpoint_every=config.checkpoint_every,
             )
         self.site = ReplicaSite(
-            config.site, self.transport, mode=config.mode,
-            tombstone_gc=config.tombstone_gc, policy=policy,
+            config.site, self.transport, mode=config.mode, policy=policy,
             store=self.store,
         )
         self.supervisor = ConnectionSupervisor(self)
@@ -453,12 +451,15 @@ class SiteDaemon:
             "site": self.config.site,
             "atoms": len(self.site),
             # Storage health (live mixed tree/array form): what the
-            # tree is made of (one entry walk), and its cumulative
-            # explode counters.
+            # tree is made of (one entry walk), its cumulative explode
+            # counters, and the SDIS tombstones awaiting purge (O(1),
+            # from the root's counts) beside those purged so far.
             "storage": {
                 **tree.storage_counts(),
                 "explodes": tree.explodes,
                 "partial_explodes": tree.partial_explodes,
+                "tombstones": tree.id_length - tree.live_length,
+                "purged_tombstones": self.site.purged_tombstones,
             },
             "clock": {str(k): v for k, v in
                       sorted(self.site.broadcast.clock.items())},

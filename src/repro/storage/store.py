@@ -15,8 +15,8 @@ The generation discipline ties the two halves together:
   mode and the mint counters ``op_seq`` and ``dis_counter``);
 - a checkpoint is one :class:`repro.replication.wire.SyncResponse`
   frame — the exact anti-entropy message: document state via
-  ``Treedoc.capture_state`` (the tree-walk state frame), the causal
-  frontier, and the outstanding delete log;
+  ``Treedoc.capture_state`` (the tree-walk state frame) and the causal
+  frontier, whose clock stamps the checkpoint's SDIS tombstones;
 - taking checkpoint ``n+1`` while segment ``n`` is current
   (:meth:`DurableStore.write_checkpoint`, the one checkpoint step of
   sites and facade replicas alike) means: open ``wal-(n+1)`` with its
@@ -394,8 +394,8 @@ class DurableStore:
         """The startup prologue of a durable replica (site or facade):
         :meth:`recover`, :meth:`attach` to ``doc``'s identity, and load
         the checkpoint's state frame into ``doc``. Returns that frame
-        (None when starting empty; its clock and delete log are the
-        owner's to adopt) and the recovered tail, for the owner to
+        (None when starting empty; its clock is the owner's to adopt)
+        and the recovered tail, for the owner to
         :meth:`RecoveredState.replay` and then to restore the mint
         counters from (``Treedoc.restore_counters``)."""
         from repro.replication.wire import SyncResponse, decode_wire

@@ -582,13 +582,15 @@ def minis_type_tests():
 class TestLayoutReaders:
     def test_the_packed_minis_are_read_in_one_module(self):
         """DESIGN.md section 7.1 rule 5: only ``core/node.py`` (and the
-        counted descent, which inlines the unpacking to save a call per
-        level) tests whether ``minis`` holds a bare mini-node; every
-        other reader goes through ``mini_nodes()`` or the node walks."""
+        counted descent and the cold-region survey, which inline the
+        unpacking to save a call per level or node) tests whether
+        ``minis`` holds a bare mini-node; every other reader goes
+        through ``mini_nodes()`` or the node walks."""
         found = minis_type_tests()
-        outside = [(module, name) for module, name in found
-                   if module != "core/node.py"]
-        assert outside == [("core/tree.py", "TreedocTree.locate")]
+        outside = sorted((module, name) for module, name in found
+                         if module != "core/node.py")
+        assert outside == [("core/flatten.py", "ColdRegionFinder._survey"),
+                           ("core/tree.py", "TreedocTree.locate")]
         assert {name for module, name in found
                 if module == "core/node.py"} >= {
             "PosNode.mini_nodes", "PosNode.iter_nodes",

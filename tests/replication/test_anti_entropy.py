@@ -152,10 +152,10 @@ class TestInheritedTombstoneGC:
     def test_synced_replica_purges_inherited_tombstones(self):
         # Regression (ROADMAP follow-on): a synced SDIS replica used to
         # hold inherited tombstones forever — it had no delete-log
-        # entries for them, so only a flatten could reclaim them. The
-        # SyncResponse now carries the sender's outstanding delete log.
-        cluster = Cluster(2, mode="sdis", seed=7, tombstone_gc=True,
-                          policy=EAGER)
+        # entries for them, so only a flatten could reclaim them. They
+        # now carry the snapshot's clock as their stamp, and purge once
+        # it is stable.
+        cluster = Cluster(2, mode="sdis", seed=7, policy=EAGER)
         cluster.bootstrap(list("abcdefghij"))
         cluster[1].delete_range(2, 6)
         cluster.settle()
@@ -164,26 +164,32 @@ class TestInheritedTombstoneGC:
         cluster.settle()
         assert late.sync_responses_applied == 1
         assert late.doc.tree.id_length > len(late.doc)  # tombstones came
-        assert late._delete_log  # ...with their delete log
+        assert late.purged_tombstones == 0  # ...and wait for stability
         cluster.gossip_acks()
         cluster.gossip_acks()
-        assert late.purged_tombstones > 0
+        assert late.purged_tombstones == 4
         # Fully purged: identifiers in use equal the visible atoms.
         assert late.doc.tree.id_length == len(late.doc)
         cluster.assert_converged()
 
-    def test_direct_sync_from_also_carries_the_log(self):
+    def test_direct_sync_from_stamps_inherited_tombstones(self):
         net = SimulatedNetwork(seed=9)
-        a = ReplicaSite(1, net, mode="sdis", tombstone_gc=True)
-        b = ReplicaSite(2, net, mode="sdis", tombstone_gc=True)
+        a = ReplicaSite(1, net, mode="sdis")
+        b = ReplicaSite(2, net, mode="sdis")
         a.insert_text(0, list("abcdef"))
         net.run()
         a.delete_range(1, 3)
         net.run()
-        c = ReplicaSite(3, net, mode="sdis", tombstone_gc=True)
+        c = ReplicaSite(3, net, mode="sdis")
         stats = c.sync_from(a)
-        assert stats.inherited_deletes == 2
-        assert len(c._delete_log) == 2
+        assert stats.inherited_tombstones == 2
+        # The frame shipped no delete log; one ack round purges anyway.
+        assert a.make_state_transfer().delete_log == ()
+        for site in (a, b, c):
+            site.broadcast_ack()
+        net.run()
+        assert c.purged_tombstones == 2
+        assert c.doc.tree.id_length == len(c.doc) == 4
 
 
 class TestConvergenceUnderEverything:

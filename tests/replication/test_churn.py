@@ -77,7 +77,7 @@ class TestHundredSiteChurn:
         # Piggybacked acks under churn: the stable frontier (and the
         # purge behind it) advances with zero dedicated ack frames.
         cluster = Cluster(20, mode="sdis", config=FAULTY, seed=23,
-                          policy=CHURN_POLICY, tombstone_gc=True)
+                          policy=CHURN_POLICY)
         cluster.bootstrap(list("tombstones under churn, ho"))
         ids = cluster.site_ids
         cluster[ids[2]].delete_range(3, 9)
@@ -105,7 +105,7 @@ class TestHundredSiteChurn:
 
 class TestChurnHarness:
     def test_leave_unpins_the_stable_frontier(self):
-        cluster = Cluster(3, mode="sdis", seed=31, tombstone_gc=True,
+        cluster = Cluster(3, mode="sdis", seed=31,
                           policy=AntiEntropyPolicy(jitter=0.0))
         cluster.bootstrap(list("abcdef"))
         mute = cluster.site_ids[-1]

@@ -160,7 +160,7 @@ class TestWireDiscipline:
         from repro.replication.sync import AntiEntropyPolicy
 
         cluster = Cluster(
-            3, mode="sdis", seed=11, tombstone_gc=True,
+            3, mode="sdis", seed=11,
             policy=AntiEntropyPolicy(max_buffered=1, max_gap_age=0.0,
                                      min_request_interval=0.0),
         )

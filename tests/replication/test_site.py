@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.node import TOMBSTONE
 from repro.core.path import PosID, ROOT
 from repro.replication.cluster import Cluster
 from repro.replication.commit import PrepareMsg
@@ -126,7 +127,7 @@ class TestBatchShipping:
         cluster[1].delete_range(0, 3)  # fine after the decision
 
     def test_tombstone_gc_sees_batched_deletes(self):
-        cluster = Cluster(2, mode="sdis", seed=4, tombstone_gc=True)
+        cluster = Cluster(2, mode="sdis", seed=4)
         cluster.bootstrap(list("abcdefgh"))
         cluster[1].delete_range(0, 4)
         cluster.settle()
@@ -137,12 +138,12 @@ class TestBatchShipping:
         cluster.assert_converged()
 
     def test_checkpoint_at_a_local_delete_keeps_its_gc_record(self, tmp_path):
-        # The checkpoint polled as a delete ships must already hold the
-        # delete's tombstone-GC record: the recovered site would
-        # otherwise never purge that tombstone.
+        # The checkpoint polled as a delete ships must already cover the
+        # delete: its clock stamps the recovered tombstone, which the
+        # recovered site would otherwise never purge.
         from repro.storage.store import DurableStore
 
-        cluster = Cluster(1, mode="sdis", seed=4, tombstone_gc=True)
+        cluster = Cluster(1, mode="sdis", seed=4)
         store = DurableStore(tmp_path / "site2", checkpoint_every=1,
                              fsync=False)
         cluster.add_site(2, store=store)
@@ -150,11 +151,12 @@ class TestBatchShipping:
         victim = cluster[2].delete(0)
         cluster.settle()
         recovered = cluster.add_site(2, store=cluster.crash_site(2))
-        assert victim.posid in [posid for posid, _, _
-                                in recovered._delete_log]
+        assert recovered.doc.tree.lookup(victim.posid).state == TOMBSTONE
+        assert recovered.recovered_events == 0  # the checkpoint has it
         cluster.gossip_acks()
         cluster.gossip_acks()
         assert recovered.purged_tombstones == 1
+        assert recovered.doc.tree.id_length == len(recovered.doc)
         cluster.assert_converged()
 
 

@@ -125,6 +125,7 @@ class TestAdminProtocol:
                 assert set(storage) == {
                     "position_nodes", "mini_nodes", "array_leaves",
                     "leaf_atoms", "explodes", "partial_explodes",
+                    "tombstones", "purged_tombstones",
                 }
                 assert all(value >= 0 for value in storage.values())
                 census = resident_census(d1.site.doc.tree)
@@ -329,7 +330,7 @@ class TestTombstoneGC:
 
         async def scenario():
             daemons = await start_cluster(make_cluster_configs(
-                2, mode="sdis", tombstone_gc=True,
+                2, mode="sdis",
                 heartbeat_interval=heartbeat,
             ))
             d1, d2 = daemons
@@ -352,6 +353,12 @@ class TestTombstoneGC:
                 assert converged(daemons, expected_len=2)
                 assert d2.site.text() == "ac"
                 assert broadcasts == []
+                # The status gauge: nothing awaits purge, one purged.
+                for daemon in daemons:
+                    storage = (await admin_request(daemon.admin_port,
+                                                   "status"))["storage"]
+                    assert storage["tombstones"] == 0
+                    assert storage["purged_tombstones"] == 1
             finally:
                 await stop_cluster(daemons)
 

@@ -20,7 +20,6 @@ def test_soak_everything_at_once():
     cluster = Cluster(
         5,
         mode="sdis",
-        tombstone_gc=True,
         config=NetworkConfig(
             drop_rate=0.15, duplicate_rate=0.1,
             min_latency=1, max_latency=150,
