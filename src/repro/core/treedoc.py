@@ -22,7 +22,8 @@ Example
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.alloc import Allocator
 from repro.core.disambiguator import DisambiguatorFactory, SiteId, Udis
@@ -60,6 +61,18 @@ from repro.core.path import PosID
 from repro.core.tree import TreedocTree
 from repro.errors import MissingAtomError, TreeError
 from repro.util.text import join_atoms
+
+
+@dataclass(frozen=True)
+class MergeOutcome:
+    """What :meth:`Treedoc.merge_segments` changed."""
+
+    #: Atoms newly placed live (re-mints included).
+    placed: int
+    #: Identifiers whose tombstone a re-minted atom replaced.
+    revived: Tuple[PosID, ...]
+    #: Tombstones materialized for inserts that never came here.
+    tombstones: int
 
 
 class Treedoc:
@@ -788,30 +801,25 @@ class Treedoc:
         return len(atoms)
 
     def merge_segments(self, state: "DocumentState",
-                       skip: frozenset = frozenset(),
-                       remint: Optional[Callable[[PosID], bool]] = None
-                       ) -> int:
+                       skip: frozenset = frozenset()) -> MergeOutcome:
         """Join a delta's region frame into this replica's document in
         place: one walk over the decoded partial tree's used identifiers.
 
         A live atom already held is an idempotent duplicate, a different
         atom at its identifier raises :class:`TreeError`, and one
-        deleted here stays deleted — as a tombstone, or named in
-        ``skip`` (deleted here, the delete perhaps unseen by the
-        sender). A tombstone deletes a live atom, is materialized when
-        its insert never arrived, and raises :class:`TreeError` in a
-        discard-mode (UDIS) document. Local atoms the sender never saw
-        survive. The caller owns the causal safety argument (see
+        named in ``skip`` (deleted here, the delete unseen by the
+        sender) stays deleted. A live atom landing on a tombstone here
+        not in ``skip`` is a re-mint (section 3.3.2): the sender saw the
+        delete, purged the identifier as stable and minted it again, so
+        the tombstone is purged and the atom placed. A frame tombstone
+        is materialized when its insert never arrived, deletes nothing
+        live (the caller replays the frame's new deletes from its delete
+        log; a live atom here that the frame holds dead was re-minted
+        after a purge the sender has not made yet), and raises
+        :class:`TreeError` in a discard-mode (UDIS) document. Local
+        atoms the sender never saw survive. The caller owns the causal
+        safety argument (see
         :meth:`repro.replication.site.ReplicaSite._apply_sync_delta`).
-        Returns the number of atoms newly placed live.
-
-        ``remint`` makes the merge re-mint aware (section 3.3.2, SDIS
-        tombstone GC): a live atom of the frame landing on a tombstone
-        here revives it when ``remint(posid)`` holds, and the frame's
-        tombstones delete nothing live — the caller applies the frame's
-        new deletes from its delete log, so a live atom here that the
-        frame holds dead was re-minted after a purge the sender has not
-        made yet.
         """
         from repro.core.encoding import decode_state
 
@@ -827,7 +835,9 @@ class Treedoc:
                              None if atom is DEAD_ATOM else atom))
         tree = self.tree
         touched: List[AtomSlot] = []
-        applied = 0
+        placed = 0
+        tombstones = 0
+        revived: List[PosID] = []
         tree.begin_bulk()
         try:
             for posid, atom in used:
@@ -836,38 +846,34 @@ class Treedoc:
                         raise TreeError(
                             "tombstone in a discard-mode (UDIS) document")
                     slot = tree.materialize(posid)
-                    held = slot.atom
-                    if held is DEAD_ATOM:
+                    if slot.atom is not NO_ATOM:
                         continue
-                    if held is NO_ATOM:  # its insert never came here
-                        slot.atom = DEAD_ATOM
-                        tree._adjust_counts(slot, 0, 1)
-                    elif remint is not None:
-                        continue
-                    else:
-                        tree.make_tombstone(slot)
+                    # Its insert never came here.
+                    slot.atom = DEAD_ATOM
+                    tree._adjust_counts(slot, 0, 1)
+                    tombstones += 1
                 elif posid in skip:
                     continue
                 else:
                     slot = tree.materialize(posid)
                     held = slot.atom
-                    if (held is DEAD_ATOM and remint is not None
-                            and remint(posid)):
+                    if held is DEAD_ATOM:
                         tree.revive(slot, atom)
+                        revived.append(posid)
                     elif held is not NO_ATOM:
-                        if held is not DEAD_ATOM and held != atom:
+                        if held != atom:
                             raise TreeError(
                                 f"region merge conflict at {posid!r}")
                         continue
                     else:
                         tree.set_live(slot, atom)
-                    applied += 1
+                    placed += 1
                 touched.append(slot)
         finally:
             tree.end_bulk()
         self._touch_many(touched)
         self._text_cache = None
-        return applied
+        return MergeOutcome(placed, tuple(revived), tombstones)
 
     # -- internals ---------------------------------------------------------------------
 

@@ -439,10 +439,13 @@ class ReplicaSite:
                 "or sync from a peer that is strictly ahead"
             )
         atoms = self.doc.load_state(transfer.state)
-        self.broadcast.catch_up(transfer.clock)
         tree = self.doc.tree
         inherited = tree.id_length - tree.live_length
+        # Stamp before the buffer re-drains: deletes it applies past the
+        # snapshot are logged on top of the stamp, and purge on their
+        # own stability.
         self._stamp_tombstones(transfer.clock)
+        self.broadcast.catch_up(transfer.clock)
         self._purge_stable()
         self._note_opaque(transfer.clock)
         self._peer_failures.pop(transfer.site, None)
@@ -707,18 +710,20 @@ class ReplicaSite:
             return  # equal frontiers: raced duplicate, nothing to do
         # Identifiers we deleted but the sender has not seen: the merge
         # must not resurrect them. (A delete the sender has seen and an
-        # atom it holds live there anyway is a re-mint.)
+        # atom it holds live there anyway is a re-mint: every delete
+        # not in this set is in the delta's past, as the clock covers
+        # the history floor.)
         skip = frozenset(
             posid for _, origin, sequence, posid in self._history
             if posid is not None and sequence > delta.clock.get(origin)
         )
-        self.doc.merge_segments(
-            delta.state, skip=skip,
-            remint=lambda posid: self._remint(posid, delta.clock),
-        )
-        # Tombstones the frame carried have no log record here: the
-        # delta's clock covers their deletes.
-        self._stamp_tombstones(delta.clock, merge=True)
+        merged = self.doc.merge_segments(delta.state, skip=skip)
+        if merged.revived:
+            self._forget_deletes(frozenset(merged.revived))
+        if merged.tombstones:
+            # Tombstones the frame materialized have no log record
+            # here: the delta's clock covers their deletes.
+            self._stamp_tombstones(delta.clock, merge=True)
         for posid, origin, sequence in delta.delete_log:
             if self.broadcast.has_delivered(origin, sequence):
                 continue  # already applied this delete
@@ -1014,28 +1019,33 @@ class ReplicaSite:
                                  else stamp.merge(clock))
 
     def _remint(self, posid: PosID, past: VectorClock) -> bool:
-        """Section 3.3.2: a live atom at ``posid`` arrived (an insert
-        whose causal past is ``past``, or a delta at clock ``past``)
-        where this site still holds a tombstone. When the tombstone's
-        delete is in that past, the sender saw the delete and still
-        holds the identifier live: it re-minted the identifier after
-        purging it as stable, a purge this site has not made yet.
-        Drop its log records and count the purge; True tells the
-        caller to purge the tombstone and apply. False when the delete
-        is known here and not in that past. A tombstone with no record
-        is covered by the stamp — its delete is in that past, as the
-        sender could not have purged it otherwise."""
+        """Section 3.3.2: an insert at ``posid`` whose causal past is
+        ``past`` arrived where this site still holds a tombstone. When
+        the tombstone's delete is in that past, the inserting site saw
+        the delete: it re-minted the identifier after purging it as
+        stable, a purge this site has not made yet. True tells the
+        caller to purge the tombstone and apply (its records are
+        forgotten here); False when the delete is known here and not
+        in that past. A tombstone with no record is covered by the
+        stamp — its delete is in that past, as the inserting site could
+        not have purged it otherwise."""
         known = [(origin, sequence)
                  for logged, origin, sequence in self._delete_log
                  if logged == posid]
         if known and not any(sequence <= past.get(origin)
                              for origin, sequence in known):
             return False
-        if known:
-            self._delete_log = [entry for entry in self._delete_log
-                                if entry[0] != posid]
-        self.purged_tombstones += 1
+        self._forget_deletes(frozenset((posid,)))
         return True
+
+    def _forget_deletes(self, posids: frozenset) -> None:
+        """Tombstones at ``posids`` were purged for a re-mint: count the
+        purges and drop every delete record of those identifiers, so
+        none can later purge the re-minted atom's own tombstone."""
+        self.purged_tombstones += len(posids)
+        if any(entry[0] in posids for entry in self._delete_log):
+            self._delete_log = [entry for entry in self._delete_log
+                                if entry[0] not in posids]
 
     def forget_peer(self, site: SiteId) -> None:
         """A peer departed permanently (graceful leave): stop letting

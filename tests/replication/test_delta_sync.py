@@ -17,7 +17,7 @@ from repro.core.encoding import (
     encode_state_segments,
 )
 from repro.core.node import TOMBSTONE, ArrayLeaf, slot_posid
-from repro.core.ops import InsertOp
+from repro.core.ops import DeleteOp, InsertOp
 from repro.core.path import ROOT
 from repro.core.runs import RegionFilter
 from repro.core.treedoc import Treedoc
@@ -124,8 +124,9 @@ class TestMergeSegments:
         b.load_state(a.capture_state())
         concurrent = b.insert(0, "!")  # local progress the delta lacks
         a.insert_text(6, list(" tail"))
-        applied = b.merge_segments(a.capture_state())
-        assert applied == len(" tail")
+        merged = b.merge_segments(a.capture_state())
+        assert merged.placed == len(" tail")
+        assert merged.revived == () and merged.tombstones == 0
         assert b.text() == "!shared tail"
         assert b.tree.lookup(concurrent.posid) is not None
 
@@ -142,6 +143,44 @@ class TestMergeSegments:
             b.merge_segments(a.capture_state(), skip=frozenset([victim]))
             assert b.text() == "ac"  # 'b' stayed dead
 
+    def test_frame_tombstone_deletes_nothing_live(self):
+        # The delta's delete log replays new deletes; a tombstone in the
+        # frame over a live atom here is a re-mint the sender has not
+        # purged yet, so the atom stays.
+        a = Treedoc(site=1, mode="sdis")
+        a.insert_text(0, list("abc"))
+        b = Treedoc(site=2, mode="sdis")
+        b.load_state(a.capture_state())
+        a.delete(1)
+        merged = b.merge_segments(a.capture_state())
+        assert b.text() == "abc"
+        assert merged.placed == 0 and merged.tombstones == 0
+
+    def test_live_atom_on_a_tombstone_revives_it(self):
+        a = Treedoc(site=1, mode="sdis")
+        a.insert_text(0, list("abc"))
+        b = Treedoc(site=2, mode="sdis")
+        b.load_state(a.capture_state())
+        victim = b.posid_at(1)
+        b.delete(1)
+        merged = b.merge_segments(a.capture_state())
+        assert b.text() == "abc"
+        assert merged.revived == (victim,) and merged.placed == 1
+        assert b.tree.id_length == len(b)
+        b.check()
+
+    def test_tombstones_materialized_are_counted(self):
+        a = Treedoc(site=1, mode="sdis")
+        a.insert_text(0, list("abc"))
+        b = Treedoc(site=2, mode="sdis")
+        b.load_state(a.capture_state())
+        a.insert_text(3, list("de"))
+        a.delete(3)
+        merged = b.merge_segments(a.capture_state())
+        assert b.text() == "abce"
+        assert merged.tombstones == 1 and merged.placed == 1
+        assert b.tree.id_length == 5
+
     def test_conflicting_atom_is_typed_error(self):
         a = Treedoc(site=1, mode="sdis")
         a.insert_text(0, list("abc"))
@@ -157,7 +196,7 @@ class TestMergeSegments:
         a.insert_text(0, list("idempotent"))
         b = Treedoc(site=2, mode="sdis")
         b.load_state(a.capture_state())
-        assert b.merge_segments(a.capture_state()) == 0
+        assert b.merge_segments(a.capture_state()).placed == 0
         assert b.text() == "idempotent"
 
 
@@ -400,13 +439,13 @@ class TestDeltaMatchesFullSync:
         assert held <= shipped
         assert len(shipped - held) <= b.purged_tombstones - purged_before
         b.doc.check()
-        # The merge alone, without the delete log: the responder's whole
-        # frame (leaf records included) merged into an empty replica,
-        # and under SDIS (deletes are tombstones in the frame) into the
-        # requester's document at ``base``, also ends identical — up to
-        # the tombstones the responder had already purged as stable:
-        # the requester held them at ``base`` (its own purge, on the
-        # delta path above, drops them as well).
+        # The merge of the responder's whole frame (leaf records
+        # included) then the delta's delete log, into an empty replica
+        # and, under SDIS, into the requester's document at ``base``,
+        # also ends identical — up to the tombstones the responder had
+        # already purged as stable: the requester held them at ``base``
+        # (its own purge, on the delta path above, drops them as well).
+        # The frame's tombstones delete nothing live; the log does.
         targets = [Treedoc(site=4, mode=mode)]
         if mode == "sdis":
             targets.append(Treedoc(site=2, mode=mode))
@@ -414,6 +453,8 @@ class TestDeltaMatchesFullSync:
         for target in targets:
             held_at_base = set(_tombstone_posids(target))
             target.merge_segments(a.doc.capture_state())
+            for posid, origin, _ in delta.delete_log:
+                target.apply(DeleteOp(posid, origin))
             assert target.text() == full.text()
             assert target.posids() == full.posids()
             held = set(_tombstone_posids(target))

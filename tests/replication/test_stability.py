@@ -244,6 +244,65 @@ class TestStampedSnapshotTombstones:
         assert late.purged_tombstones == inherited
         cluster.assert_converged(identities=True)
 
+    def test_a_buffered_delete_past_the_snapshot_keeps_its_record(self):
+        # Site 3 holds site 1's delete in its causal buffer (it missed
+        # the insert before it) when it adopts site 2's snapshot, which
+        # predates the delete. The re-drained delete must stay logged:
+        # an ack round that makes only the snapshot's clock stable
+        # leaves its tombstone alone.
+        cluster = Cluster(3, mode="sdis", seed=2)
+        cluster.bootstrap(list("abcdef"))
+        cluster.gossip_acks()
+        cluster.partition({1, 2}, {3})
+        cluster[1].insert(0, "Z")  # held for site 3 until the heal
+        cluster.settle()
+        cluster.partition({1, 3}, {2})
+        victim = cluster[1].delete(3).posid  # held for site 2
+        cluster.settle()
+        late = cluster[3]
+        assert late.broadcast.buffered_origins()  # the delete waits
+        stats = late.sync_from(cluster[2])
+        assert stats.inherited_tombstones == 0
+        assert late.doc.tree.lookup(victim).state == TOMBSTONE
+        cluster[1].broadcast_ack()
+        cluster.settle()
+        cluster.partition({2, 3}, {1})
+        cluster[2].broadcast_ack()  # the snapshot's clock is now stable
+        cluster.settle()
+        assert late.purged_tombstones == 0
+        assert late.doc.tree.lookup(victim).state == TOMBSTONE
+        cluster.heal()
+        cluster.settle()
+        cluster.gossip_acks()
+        cluster.assert_converged(identities=True)
+        for site in cluster:
+            assert site.text() == "Zabdef"
+            assert site.doc.tree.id_length == 6
+
+    def test_a_delta_without_new_tombstones_leaves_the_stamp(self):
+        # A delta that materializes no tombstone must not push the
+        # snapshot's stamp forward to its own clock: the inherited
+        # tombstones purge once the snapshot's clock is stable.
+        cluster = Cluster(2, mode="sdis", seed=6)
+        cluster.bootstrap(list("abcdefghij"))
+        cluster[1].delete_range(1, 4)
+        cluster.settle()
+        late = cluster.add_site()
+        inherited = late.sync_from(cluster[1]).inherited_tombstones
+        assert inherited == 3
+        with cluster.partitioned({1}, {2, 3}):
+            cluster[1].insert(0, "X")  # site 2 stays behind
+            delta = cluster[1].make_sync_delta(late.broadcast.clock)
+            late._apply_sync_delta(decode_wire(delta.to_wire()))
+            assert late.text() == "Xaefghij"
+            cluster[2].broadcast_ack()
+            cluster.settle()
+            assert late.purged_tombstones == inherited
+            assert late.doc.tree.id_length == len(late.doc)
+        cluster.settle()
+        cluster.gossip_acks()
+        cluster.assert_converged(identities=True)
+
 
 class TestConcurrentDeletes:
     def test_an_ack_counts_only_after_its_senders_own_deletes(self):
